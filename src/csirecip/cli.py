@@ -50,18 +50,37 @@ def _load_config(path: str | None) -> configparser.ConfigParser:
     return cp
 
 
-def _cfg_get(cp, section, key, fallback):
-    if cp.has_option(section, key):
-        return cp.get(section, key)
-    return fallback
+# INI section.key -> (flag that overrides it, default, type)
+_OPTIONS = {
+    ("input", "preset"): ("preset", "los-short", str),
+    ("input", "duration_s"): ("duration", 600.0, float),
+    ("input", "seed"): ("seed", 0, int),
+    ("input", "ap"): ("ap", None, str),
+    ("input", "sta"): ("sta", None, str),
+    ("input", "subcarrier"): ("subcarrier", 6, int),
+    ("pipelines", "pipeline"): ("pipeline", "wt", str),
+    ("pipelines", "list"): ("pipelines", "raw,golay,fft,wpt,wt", str),
+    ("pipelines", "thresholds"): ("thresholds", "5,15,20", str),
+    ("auth", "trials"): ("trials", 12, int),
+    ("auth", "seed"): ("seed", 0, int),
+    ("auth", "min_corr"): ("min_corr", 0.4, float),
+    ("auth", "max_shift"): ("max_shift", 50, int),
+}
+
+
+def _opt(args, cp, section: str, key: str):
+    """Resolve one setting: the flag if given, else the INI value, else the default."""
+    flag, default, kind = _OPTIONS[section, key]
+    value = getattr(args, flag)
+    if value is None:
+        value = cp.get(section, key, fallback=default)
+    return None if value is None else kind(value)
 
 
 def _channel_config(args, cp) -> chansim.ChannelConfig:
-    preset = args.preset or _cfg_get(cp, "input", "preset", "los-short")
-    duration = float(args.duration if args.duration is not None
-                     else _cfg_get(cp, "input", "duration_s", 600.0))
-    seed = int(args.seed if args.seed is not None
-               else _cfg_get(cp, "input", "seed", 0))
+    preset = _opt(args, cp, "input", "preset")
+    duration = _opt(args, cp, "input", "duration_s")
+    seed = _opt(args, cp, "input", "seed")
     overrides = {}
     if args.snr_db is not None:
         overrides["snr_db"] = args.snr_db
@@ -72,8 +91,8 @@ def _channel_config(args, cp) -> chansim.ChannelConfig:
 
 def _load_pair(args, cp):
     """Either simulate a pair or parse the two dataset CSVs."""
-    ap_path = args.ap or _cfg_get(cp, "input", "ap", None)
-    sta_path = args.sta or _cfg_get(cp, "input", "sta", None)
+    ap_path = _opt(args, cp, "input", "ap")
+    sta_path = _opt(args, cp, "input", "sta")
     if ap_path and sta_path:
         with open(ap_path, "rb") as f:
             ap = parse_csi_csv(f)
@@ -99,11 +118,6 @@ def _jsonable(obj):
     return obj
 
 
-def _subcarrier(args, cp) -> int:
-    return int(args.subcarrier if args.subcarrier is not None
-               else _cfg_get(cp, "input", "subcarrier", 6))
-
-
 # --- subcommands ---
 
 def cmd_simulate(args, cp) -> int:
@@ -122,7 +136,7 @@ def cmd_simulate(args, cp) -> int:
 
 def cmd_metrics(args, cp) -> int:
     ap, sta, resolved = _load_pair(args, cp)
-    sub = _subcarrier(args, cp)
+    sub = _opt(args, cp, "input", "subcarrier")
     m_ap, m_sta = pair_traces(ap, sta, sub, gap_policy="drop_both")
     i_ap, i_sta = pair_traces(ap, sta, sub, gap_policy="interpolate_linear")
     x, y = m_ap.values, m_sta.values
@@ -154,13 +168,13 @@ def cmd_metrics(args, cp) -> int:
 
 def cmd_reconstruct(args, cp) -> int:
     ap, sta, resolved = _load_pair(args, cp)
-    sub = _subcarrier(args, cp)
+    sub = _opt(args, cp, "input", "subcarrier")
     i_ap, i_sta = pair_traces(ap, sta, sub, gap_policy="interpolate_linear")
-    pipeline = args.pipeline or _cfg_get(cp, "pipelines", "pipeline", "wt")
+    pipeline = _opt(args, cp, "pipelines", "pipeline")
     if pipeline not in PIPELINES:
         print(f"unknown pipeline {pipeline!r}", file=sys.stderr)
         return EXIT_USAGE
-    sync = (not args.no_sync) if getattr(args, "no_sync", None) is not None else True
+    sync = not args.no_sync
     scfg = SessionConfig(pipeline=pipeline, sync=sync)
     pre = preprocess_pair(i_ap, i_sta, scfg)
     out = _out_dir(args)
@@ -175,7 +189,7 @@ def cmd_reconstruct(args, cp) -> int:
         "pipeline": pipeline,
         "sync": sync,
         "lag": pre.lag,
-        "band_hz": list(pre.band_x.band),
+        "band_hz": list(pre.band.band),
         "alpha": pre.band.alpha,
         "beta": pre.band.beta,
         "pearson_before": pearson(i_ap.values, i_sta.values),
@@ -189,18 +203,14 @@ def cmd_reconstruct(args, cp) -> int:
 
 def cmd_keygen(args, cp) -> int:
     ap, sta, resolved = _load_pair(args, cp)
-    sub = _subcarrier(args, cp)
+    sub = _opt(args, cp, "input", "subcarrier")
     i_ap, i_sta = pair_traces(ap, sta, sub, gap_policy="interpolate_linear")
-    pipelines = (args.pipelines.split(",") if args.pipelines
-                 else _cfg_get(cp, "pipelines", "list", "raw,golay,fft,wpt,wt").split(","))
-    thresholds = tuple(
-        int(t) for t in (args.thresholds or _cfg_get(cp, "pipelines", "thresholds",
-                                                     "5,15,20")).split(",")
-    )
-    sync = (not args.no_sync) if args.no_sync is not None else True
+    pipelines = _opt(args, cp, "pipelines", "list").split(",")
+    thresholds = tuple(int(t) for t in _opt(args, cp, "pipelines", "thresholds").split(","))
+    sync = not args.no_sync
     out = _out_dir(args)
     rows = []
-    scenario = args.preset or _cfg_get(cp, "input", "preset", "dataset")
+    scenario = "dataset" if "ap" in resolved["input"] else _opt(args, cp, "input", "preset")
     for pipe in pipelines:
         pipe = pipe.strip()
         if pipe not in PIPELINES:
@@ -227,18 +237,12 @@ def cmd_keygen(args, cp) -> int:
 
 
 def cmd_auth(args, cp) -> int:
-    trials = int(args.trials if args.trials is not None
-                 else _cfg_get(cp, "auth", "trials", 12))
-    seed = int(args.seed if args.seed is not None
-               else _cfg_get(cp, "auth", "seed", 0))
-    policy = AuthPolicy(
-        min_corr=float(args.min_corr if args.min_corr is not None
-                       else _cfg_get(cp, "auth", "min_corr", 0.4)),
-        max_shift=int(args.max_shift if args.max_shift is not None
-                      else _cfg_get(cp, "auth", "max_shift", 50)),
-    )
+    trials = _opt(args, cp, "auth", "trials")
+    seed = _opt(args, cp, "auth", "seed")
+    policy = AuthPolicy(min_corr=_opt(args, cp, "auth", "min_corr"),
+                        max_shift=_opt(args, cp, "auth", "max_shift"))
     key = b"csirecip-demo-identity-key"
-    preset = args.preset or _cfg_get(cp, "input", "preset", "los-short")
+    preset = _opt(args, cp, "input", "preset")
     duration = policy.probe_len / 10.0
     decisions = []
     confusion = {"legit_accept": 0, "legit_reject": 0,
@@ -298,17 +302,20 @@ def cmd_report(args, cp) -> int:
     return EXIT_OK
 
 
-def _add_common(p):
-    p.add_argument("--config", help="INI config file; flags override it")
-    p.add_argument("--out-dir", help="output directory (or $CSIRECIP_OUT_DIR)")
-    p.add_argument("--preset", help="chansim scenario preset")
-    p.add_argument("--duration", type=float, help="simulated duration, seconds")
-    p.add_argument("--seed", type=int, help="simulation seed")
-    p.add_argument("--snr-db", type=float, help="override preset SNR")
-    p.add_argument("--lag", type=int, help="override preset lag, samples")
-    p.add_argument("--ap", help="AP trace CSV (dataset mode)")
-    p.add_argument("--sta", help="STA trace CSV (dataset mode)")
-    p.add_argument("--subcarrier", type=int, help="subcarrier index (default 6)")
+def _flag_groups():
+    """Parent parsers for the shared, channel and dataset flag groups."""
+    shared, channel, dataset = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    shared.add_argument("--config", help="INI config file; flags override it")
+    shared.add_argument("--out-dir", help="output directory (or $CSIRECIP_OUT_DIR)")
+    shared.add_argument("--preset", help="chansim scenario preset")
+    shared.add_argument("--seed", type=int, help="simulation seed")
+    channel.add_argument("--duration", type=float, help="simulated duration, seconds")
+    channel.add_argument("--snr-db", type=float, help="override preset SNR")
+    channel.add_argument("--lag", type=int, help="override preset lag, samples")
+    dataset.add_argument("--ap", help="AP trace CSV (dataset mode)")
+    dataset.add_argument("--sta", help="STA trace CSV (dataset mode)")
+    dataset.add_argument("--subcarrier", type=int, help="subcarrier index (default 6)")
+    return shared, channel, dataset
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,33 +324,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Channel-reciprocity experiments on CSI traces",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    shared, channel, dataset = _flag_groups()
+    pair = [shared, channel, dataset]
 
-    p = sub.add_parser("simulate", help="write a simulated AP/STA trace pair")
-    _add_common(p)
+    p = sub.add_parser("simulate", parents=[shared, channel],
+                       help="write a simulated AP/STA trace pair")
     p.set_defaults(fn=cmd_simulate)
 
-    p = sub.add_parser("metrics", help="reciprocity metrics for a trace pair")
-    _add_common(p)
+    p = sub.add_parser("metrics", parents=pair, help="reciprocity metrics for a trace pair")
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(fn=cmd_metrics)
 
-    p = sub.add_parser("reconstruct", help="run one preprocessing pipeline")
-    _add_common(p)
+    p = sub.add_parser("reconstruct", parents=pair, help="run one preprocessing pipeline")
     p.add_argument("--pipeline", choices=PIPELINES)
-    p.add_argument("--no-sync", action="store_true", default=None,
-                   help="skip lag synchronization")
+    p.add_argument("--no-sync", action="store_true", help="skip lag synchronization")
     p.set_defaults(fn=cmd_reconstruct)
 
-    p = sub.add_parser("keygen", help="key-generation session comparison")
-    _add_common(p)
+    p = sub.add_parser("keygen", parents=pair, help="key-generation session comparison")
     p.add_argument("--pipelines", help="comma list, default raw,golay,fft,wpt,wt")
     p.add_argument("--thresholds", help="comma list of bit-error thresholds")
-    p.add_argument("--no-sync", action="store_true", default=None,
-                   help="disable lag synchronization")
+    p.add_argument("--no-sync", action="store_true", help="disable lag synchronization")
     p.set_defaults(fn=cmd_keygen)
 
-    p = sub.add_parser("auth", help="legitimate vs replay handshake trials")
-    _add_common(p)
+    p = sub.add_parser("auth", parents=[shared], help="legitimate vs replay handshake trials")
     p.add_argument("--trials", type=int, help="trials per class (default 12)")
     p.add_argument("--min-corr", type=float, help="policy correlation floor")
     p.add_argument("--max-shift", type=int, help="policy shift ceiling")

@@ -16,7 +16,6 @@ from .errors import (
     DegenerateBlockError,
     LevelOutOfRangeError,
     ListMismatchError,
-    NoFrequencySelectedError,
     TooShortError,
 )
 from .metrics import xcorr_lag
@@ -26,12 +25,11 @@ from .reconstruct import (
     apply_lag,
     fft_reconstruct,
     golay_filter,
-    select_reciprocal_freqs,
     wpt_denoise,
     wt_reconstruct,
 )
 from .traces import MagnitudeSeries
-from .wavelet import CoherenceMap, CwtParams, cwt, wavelet_coherence
+from .wavelet import CwtParams, wavelet_coherence
 
 PIPELINES = ("raw", "golay", "fft", "wpt", "wt")
 
@@ -99,8 +97,6 @@ class SessionReport:
     alpha: float | None = None
     beta: int | None = None
     band: tuple[float, float] | None = None
-    threshold_updates: int = 0
-    selection_fallbacks: int = 0
 
     def stats_at(self, theta: int) -> ThresholdStats:
         for st in self.per_threshold:
@@ -120,8 +116,6 @@ class SessionReport:
             "key_bits": self.key_bits,
             "blocks": self.blocks,
             "skipped_blocks": self.skipped_blocks,
-            "threshold_updates": self.threshold_updates,
-            "selection_fallbacks": self.selection_fallbacks,
             "overall_ber": self.overall_ber,
             "per_threshold": [
                 {
@@ -181,29 +175,36 @@ def make_keys(x, block_len: int = 100, levels: int = 4,
     """Cut a series into key blocks: quantize, Gray-encode.
 
     Blocks are consecutive and non-overlapping; a trailing partial block is
-    discarded.  Degenerate blocks are skipped and counted (second return
-    value).  Thresholds are per-block by default, tracking channel drift;
-    ``whole_trace_thresholds`` switches to a single trace-wide quantizer.
+    discarded.  Degenerate blocks (the cases :func:`cdf_thresholds` rejects)
+    are skipped and counted (second return value).  Thresholds are
+    per-block by default, tracking channel drift; ``whole_trace_thresholds``
+    switches to a single trace-wide quantizer.  All blocks are processed as
+    one (blocks, block_len) matrix.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
+    if block_len < 1:
+        raise ValueError(f"block_len must be >= 1, got {block_len}")
+    if levels < 2 or levels & (levels - 1):
+        raise ValueError("levels must be a power of two >= 2")
     if len(x) < block_len:
         raise TooShortError(f"{len(x)} samples < block_len {block_len}")
-    shared_spec = None
+    n_blocks = len(x) // block_len
+    chunks = x[:n_blocks * block_len].reshape(n_blocks, block_len)
     if whole_trace_thresholds:
-        shared_spec = cdf_thresholds(x, levels)
-    blocks: list[KeyBlock] = []
-    skipped = 0
-    for start in range(0, len(x) - block_len + 1, block_len):
-        chunk = x[start:start + block_len]
-        try:
-            spec = shared_spec if shared_spec is not None else cdf_thresholds(chunk, levels)
-            lv = quantize(chunk, spec)
-            bits = gray_encode(lv, levels)
-        except DegenerateBlockError:
-            skipped += 1
-            continue
-        blocks.append(KeyBlock(start_seq=start, levels=lv, bits=bits))
-    return blocks, skipped
+        th = np.broadcast_to(cdf_thresholds(x, levels).thresholds, (n_blocks, levels - 1))
+        keep = np.ones(n_blocks, dtype=bool)
+    else:
+        th = np.quantile(chunks, np.arange(1, levels) / levels, axis=1, method="linear").T
+        srt = np.sort(chunks, axis=1)
+        distinct = 1 + np.count_nonzero(srt[:, 1:] != srt[:, :-1], axis=1)
+        keep = (distinct >= levels) & ~np.any(np.diff(th, axis=1) <= 0, axis=1)
+    # number of thresholds strictly below each sample: searchsorted(side="left")
+    lv = (chunks[keep, :, None] > th[keep, None, :]).sum(-1, dtype=np.int64)
+    bits = gray_encode(lv, levels).reshape(len(lv), block_len * (int(levels).bit_length() - 1))
+    starts = np.flatnonzero(keep) * block_len
+    blocks = [KeyBlock(start_seq=int(s), levels=l, bits=b)
+              for s, l, b in zip(starts, lv, bits)]
+    return blocks, n_blocks - len(blocks)
 
 
 def evaluate(keys_a: list[KeyBlock], keys_b: list[KeyBlock], total_packets: int,
@@ -253,7 +254,11 @@ def evaluate(keys_a: list[KeyBlock], keys_b: list[KeyBlock], total_packets: int,
 
 @dataclass(frozen=True)
 class SessionConfig:
-    """Everything the session driver needs; defaults follow the scheme."""
+    """Everything the session driver needs; defaults follow the scheme.
+
+    Both devices reconstruct over the one band agreed on the probe window.
+    Invalid values raise ``ValueError`` naming the field at construction.
+    """
 
     pipeline: str = "wt"
     sync: bool = True
@@ -262,27 +267,24 @@ class SessionConfig:
     levels: int = 4
     error_thresholds: tuple[int, ...] = (5, 15, 20)
     max_lag: int = 50
-    # "shared": both devices reconstruct over the band agreed on the probe
-    # window (the pseudocode-literal flow).  "per_device": each device
-    # re-selects from its own key-window spectrum with the agreed
-    # thresholds; measurement shows the local statistic rarely reaches the
-    # half-grid target, so this mode mostly exercises the update/fallback
-    # machinery and costs one probe window of key material.
-    selection_mode: str = "shared"
     voices_per_octave: int = 12
     golay_window: int = 11
     golay_order: int = 3
     fft_power_keep: float = 0.98
     wpt_depth: int = 4
-    contiguous_band: bool = True
-    whole_trace_thresholds: bool = False
-    max_threshold_updates: int = 1
 
     def __post_init__(self):
         if self.pipeline not in PIPELINES:
-            raise ValueError(f"pipeline must be one of {PIPELINES}")
-        if self.selection_mode not in ("per_device", "shared"):
-            raise ValueError("selection_mode must be 'per_device' or 'shared'")
+            raise ValueError(f"pipeline must be one of {PIPELINES}, got {self.pipeline!r}")
+        if self.probe_len < 1:
+            raise ValueError(f"probe_len must be >= 1, got {self.probe_len}")
+        if self.block_len < 1:
+            raise ValueError(f"block_len must be >= 1, got {self.block_len}")
+        if self.levels < 2 or self.levels & (self.levels - 1):
+            raise ValueError(f"levels must be a power of two >= 2, got {self.levels}")
+        th = list(self.error_thresholds)
+        if not th or th != sorted(th):
+            raise ValueError(f"error_thresholds must be nonempty ascending, got {th}")
 
 
 def _values(series) -> np.ndarray:
@@ -306,34 +308,10 @@ def _probe_params(L: int, rate: float, vpo: int) -> CwtParams:
     )
 
 
-def _key_params(n: int, rate: float, vpo: int, band: tuple[float, float] | None) -> CwtParams:
-    min_freq = 4.0 / (n / rate)
-    if band is not None:
-        min_freq = min(min_freq, band[0])
+def _key_params(n: int, rate: float, vpo: int, band: tuple[float, float]) -> CwtParams:
     return CwtParams(
-        min_freq=min_freq, max_freq=rate / 2, sample_rate=rate,
+        min_freq=min(4.0 / (n / rate), band[0]), max_freq=rate / 2, sample_rate=rate,
         voices_per_octave=vpo,
-    )
-
-
-def _normalized_power_map(x: np.ndarray, params: CwtParams) -> CoherenceMap:
-    """Device-local stand-in for a coherence map in per-device selection.
-
-    Scalogram amplitude normalized to [0, 1] by its maximum: frequencies
-    that stay near their ridge strength for long stretches mimic the
-    persistently coherent bins of the shared map.
-    """
-    sg = cwt(x, params)
-    amp = np.abs(sg.coeffs)
-    peak = amp.max()
-    wc = amp / peak if peak > 0 else amp
-    return CoherenceMap(
-        wc=wc,
-        phase=np.zeros_like(wc),
-        freqs=sg.freqs,
-        times=np.arange(sg.n_times) / params.sample_rate,
-        coi=sg.coi_mask(),
-        params=params,
     )
 
 
@@ -344,33 +322,11 @@ def _agree_thresholds(a: np.ndarray, b: np.ndarray, rate: float,
     params = _probe_params(L, rate, cfg.voices_per_octave)
     cmap = wavelet_coherence(a, b, params)
     band = adapt_thresholds(cmap, window_len=L)
-    ra = wt_reconstruct(a, band, params, contiguous=cfg.contiguous_band)
-    rb = wt_reconstruct(b, band, params, contiguous=cfg.contiguous_band)
+    ra = wt_reconstruct(a, band, params)
+    rb = wt_reconstruct(b, band, params)
     max_lag = min(cfg.max_lag, (L - 1) // 2)
     lag = xcorr_lag(ra, rb, max_lag).lag
     return band, lag
-
-
-def _select_device_band(x: np.ndarray, rate: float, agreed: ReciprocalBand,
-                        cfg: SessionConfig) -> ReciprocalBand | None:
-    """Step B per-device selection with the agreed thresholds.
-
-    Returns None when the device's own selection covers fewer than half
-    the grid (the threshold-update trigger).
-    """
-    params = _key_params(len(x), rate, cfg.voices_per_octave, agreed.band)
-    dev_map = _normalized_power_map(x, params)
-    # re-anchor alpha to this map's maximum (it is 1 by construction, so
-    # the agreed "slightly below peak" fraction carries over directly)
-    alpha = min(max(agreed.alpha, 1e-9), 1.0)
-    beta = min(agreed.beta, dev_map.wc.shape[1])
-    try:
-        sel = select_reciprocal_freqs(dev_map, alpha, beta)
-    except NoFrequencySelectedError:
-        return None
-    if len(sel.f_rec) < (len(dev_map.freqs) + 1) // 2:
-        return None
-    return sel
 
 
 def _run_pipeline(x: np.ndarray, rate: float, band: ReciprocalBand,
@@ -384,7 +340,7 @@ def _run_pipeline(x: np.ndarray, rate: float, band: ReciprocalBand,
     if cfg.pipeline == "wpt":
         return wpt_denoise(x, cfg.wpt_depth)
     params = _key_params(len(x), rate, cfg.voices_per_octave, band.band)
-    return wt_reconstruct(x, band, params, contiguous=cfg.contiguous_band)
+    return wt_reconstruct(x, band, params)
 
 
 @dataclass(frozen=True)
@@ -394,25 +350,17 @@ class PreprocessResult:
     x: np.ndarray
     y: np.ndarray
     band: ReciprocalBand
-    band_x: ReciprocalBand
-    band_y: ReciprocalBand
     lag: int
     total_packets: int
-    threshold_updates: int
-    selection_fallbacks: int
 
 
 def preprocess_pair(ap, sta, cfg: SessionConfig = SessionConfig()) -> PreprocessResult:
     """Steps 1-2 of the session: agreement, reconstruction, synchronization.
 
     Agrees (alpha, beta, lag) on the first ``probe_len`` samples (public,
-    so excluded from key material), reconstructs the remaining samples
-    with the configured pipeline, and aligns them by the agreed lag when
-    ``sync`` is on.  In ``per_device`` selection mode each device
-    re-selects its own band from its key-window spectrum with the agreed
-    thresholds; a selection below half the grid triggers a fresh probe
-    window (the threshold-update rule), after which the agreed band is
-    the fallback.
+    so excluded from key material), reconstructs the remaining samples of
+    both devices with the configured pipeline over that agreed band, and
+    aligns them by the agreed lag when ``sync`` is on.
     """
     a = _values(ap)
     b = _values(sta)
@@ -428,40 +376,14 @@ def preprocess_pair(ap, sta, cfg: SessionConfig = SessionConfig()) -> Preprocess
             f"need at least probe_len + block_len = {L + cfg.block_len} samples, got {n}"
         )
 
-    updates = 0
-    fallbacks = 0
-    offset = 0
-    while True:
-        probe_a, probe_b = a[offset:offset + L], b[offset:offset + L]
-        band, lag = _agree_thresholds(probe_a, probe_b, rate, cfg)
-        key_a, key_b = a[offset + L:], b[offset + L:]
-
-        if cfg.pipeline != "wt" or cfg.selection_mode == "shared":
-            band_a = band_b = band
-            break
-        band_a = _select_device_band(key_a, rate, band, cfg)
-        band_b = _select_device_band(key_b, rate, band, cfg)
-        if band_a is not None and band_b is not None:
-            break
-        if updates < cfg.max_threshold_updates and len(key_a) >= L + cfg.block_len:
-            updates += 1
-            offset += L  # consume a fresh probe window
-            continue
-        fallbacks += int(band_a is None) + int(band_b is None)
-        band_a = band_a or band
-        band_b = band_b or band
-        break
-
-    pa = _run_pipeline(key_a, rate, band_a, cfg)
-    pb = _run_pipeline(key_b, rate, band_b, cfg)
+    band, lag = _agree_thresholds(a[:L], b[:L], rate, cfg)
+    pa = _run_pipeline(a[L:], rate, band, cfg)
+    pb = _run_pipeline(b[L:], rate, band, cfg)
     if cfg.sync and lag != 0:
         aligned = apply_lag(pa, pb, lag)
         pa, pb = aligned.x_aligned, aligned.y_aligned
 
-    return PreprocessResult(
-        x=pa, y=pb, band=band, band_x=band_a, band_y=band_b, lag=int(lag),
-        total_packets=n, threshold_updates=updates, selection_fallbacks=fallbacks,
-    )
+    return PreprocessResult(x=pa, y=pb, band=band, lag=int(lag), total_packets=n)
 
 
 def wskg_session(ap, sta, cfg: SessionConfig = SessionConfig()) -> SessionReport:
@@ -488,10 +410,8 @@ def wskg_session(ap, sta, cfg: SessionConfig = SessionConfig()) -> SessionReport
             overall_ber=None, total_packets=total_packets, key_bits=0, blocks=0,
         )
     else:
-        keys_a, skip_a = make_keys(pa, cfg.block_len, cfg.levels,
-                                   cfg.whole_trace_thresholds)
-        keys_b, skip_b = make_keys(pb, cfg.block_len, cfg.levels,
-                                   cfg.whole_trace_thresholds)
+        keys_a, skip_a = make_keys(pa, cfg.block_len, cfg.levels)
+        keys_b, skip_b = make_keys(pb, cfg.block_len, cfg.levels)
         index_a = {k.start_seq: k for k in keys_a}
         index_b = {k.start_seq: k for k in keys_b}
         common = sorted(set(index_a) & set(index_b))
@@ -507,7 +427,5 @@ def wskg_session(ap, sta, cfg: SessionConfig = SessionConfig()) -> SessionReport
         lag=pre.lag,
         alpha=float(pre.band.alpha),
         beta=int(pre.band.beta),
-        band=pre.band_x.band if cfg.pipeline == "wt" else pre.band.band,
-        threshold_updates=pre.threshold_updates,
-        selection_fallbacks=pre.selection_fallbacks,
+        band=pre.band.band,
     )

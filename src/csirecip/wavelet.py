@@ -47,11 +47,8 @@ class CwtParams:
     sample_rate: float
     voices_per_octave: int = 12
     omega0: float = 6.0
-    wavelet: str = "analytic_morlet"
 
     def __post_init__(self):
-        if self.wavelet != "analytic_morlet":
-            raise ValueError(f"unsupported wavelet {self.wavelet!r}")
         if self.omega0 < 5:
             raise ValueError("omega0 must be >= 5")
         if self.voices_per_octave < 4:

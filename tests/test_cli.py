@@ -85,7 +85,14 @@ class TestReconstruct:
         assert len(lines) > 500
         meta = json.loads((out / "reconstructed_golay.json").read_text())
         assert meta["pipeline"] == "golay"
+        assert meta["sync"] is True
         assert "pearson_after" in meta
+
+    def test_no_sync_flag(self, tmp_path):
+        rc = run(["reconstruct", "--preset", "nlos-short", "--duration", "100",
+                  "--seed", "2", "--pipeline", "raw", "--no-sync", "--out-dir", str(tmp_path)])
+        assert rc == EXIT_OK
+        assert json.loads((tmp_path / "reconstructed_raw.json").read_text())["sync"] is False
 
 
 class TestKeygen:
@@ -110,6 +117,21 @@ class TestKeygen:
         assert (a / "keygen_comparison.csv").read_bytes() == \
                (b / "keygen_comparison.csv").read_bytes()
 
+    def test_scenario_label_is_resolved_preset(self, tmp_path):
+        # no --preset: the simulated scenario is the default preset
+        rc = run(["keygen", "--duration", "200", "--seed", "1", "--pipelines", "raw",
+                  "--out-dir", str(tmp_path)])
+        assert rc == EXIT_OK
+        rows = (tmp_path / "keygen_comparison.csv").read_text().strip().split("\n")[1:]
+        assert {r.split(",")[1] for r in rows} == {"los-short"}
+
+    def test_scenario_label_dataset(self, sim_dir, tmp_path):
+        rc = run(["keygen", "--ap", str(sim_dir / "ap.csv"), "--sta", str(sim_dir / "sta.csv"),
+                  "--preset", "nlos-long", "--pipelines", "raw", "--out-dir", str(tmp_path)])
+        assert rc == EXIT_OK
+        rows = (tmp_path / "keygen_comparison.csv").read_text().strip().split("\n")[1:]
+        assert {r.split(",")[1] for r in rows} == {"dataset"}
+
     def test_unknown_pipeline_usage_error(self, tmp_path):
         rc = run(["keygen", "--preset", "los-short", "--duration", "200",
                   "--pipelines", "magic", "--out-dir", str(tmp_path)])
@@ -129,6 +151,18 @@ class TestAuth:
         assert conf["legit_reject"] == 0
         assert conf["replay_accept"] == 0
         assert len(payload["decisions"]) == 24
+
+
+class TestFlagGroups:
+    @pytest.mark.parametrize("argv", [
+        ["auth", "--subcarrier", "3"],
+        ["auth", "--ap", "x.csv"],
+        ["auth", "--duration", "5"],
+        ["simulate", "--ap", "x.csv"],
+        ["simulate", "--subcarrier", "3"],
+    ])
+    def test_unread_flag_is_usage_error(self, argv, tmp_path):
+        assert run(argv + ["--out-dir", str(tmp_path)]) == EXIT_USAGE
 
 
 class TestReport:
@@ -160,6 +194,16 @@ class TestConfigFile:
         lines = (out / "keygen_comparison.csv").read_text().strip().split("\n")
         assert len(lines) == 2
         assert lines[1].startswith("golay,nlos-short,15,")
+
+    def test_auth_section(self, tmp_path):
+        ini = tmp_path / "auth.ini"
+        ini.write_text("[auth]\ntrials = 1\nmin_corr = 0.5\nmax_shift = 20\n")
+        rc = run(["auth", "--config", str(ini), "--out-dir", str(tmp_path)])
+        assert rc == EXIT_OK
+        payload = json.loads((tmp_path / "auth_decisions.json").read_text())
+        assert payload["trials"] == 1
+        assert payload["policy"]["min_corr"] == 0.5
+        assert payload["policy"]["max_shift"] == 20
 
     def test_missing_config_exits_2(self, tmp_path):
         rc = run(["keygen", "--config", str(tmp_path / "nope.ini"),

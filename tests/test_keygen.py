@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csirecip.chansim import ChannelConfig, gen_pair
 from csirecip.errors import (
@@ -153,6 +155,65 @@ class TestMakeKeys:
         counts = np.bincount(per_block[0].levels, minlength=4)
         assert np.all(np.abs(counts - 25) <= 1)
 
+    @pytest.mark.parametrize("block_len", [0, -3])
+    def test_bad_block_len_named(self, block_len):
+        with pytest.raises(ValueError, match=f"block_len must be >= 1, got {block_len}"):
+            make_keys(np.ones(50), block_len, 4)
+
+
+def loop_make_keys(x, block_len, levels, whole_trace_thresholds=False):
+    """Reference: one cdf_thresholds / quantize / gray_encode pass per block."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    shared = cdf_thresholds(x, levels) if whole_trace_thresholds else None
+    blocks, skipped = [], 0
+    for start in range(0, len(x) - block_len + 1, block_len):
+        chunk = x[start:start + block_len]
+        try:
+            spec = shared if shared is not None else cdf_thresholds(chunk, levels)
+        except DegenerateBlockError:
+            skipped += 1
+            continue
+        lv = quantize(chunk, spec)
+        blocks.append(KeyBlock(start_seq=start, levels=lv, bits=gray_encode(lv, levels)))
+    return blocks, skipped
+
+
+@st.composite
+def key_series(draw):
+    """Tie-heavy, constant-run or arbitrary series of 1-6 blocks plus a tail."""
+    block_len = draw(st.integers(1, 40))
+    n = draw(st.integers(block_len, 7 * block_len - 1))
+    floats = st.floats(-1e6, 1e6, allow_nan=False)
+    kind = draw(st.sampled_from(["ties", "runs", "any"]))
+    if kind == "ties":
+        pool = draw(st.lists(floats, min_size=1, max_size=6))
+        x = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    elif kind == "runs":
+        values = draw(st.lists(floats, min_size=1, max_size=8))
+        x = np.resize(np.repeat(values, draw(st.integers(1, 2 * block_len))), n)
+    else:
+        x = draw(st.lists(floats, min_size=n, max_size=n))
+    return np.asarray(x, dtype=np.float64), block_len
+
+
+@settings(max_examples=150, deadline=None)
+@given(key_series(), st.sampled_from([2, 4, 8]), st.booleans())
+def test_make_keys_matches_block_loop(series, levels, whole):
+    x, block_len = series
+    try:
+        want, want_skipped = loop_make_keys(x, block_len, levels, whole)
+    except DegenerateBlockError:
+        with pytest.raises(DegenerateBlockError):
+            make_keys(x, block_len, levels, whole)
+        return
+    got, got_skipped = make_keys(x, block_len, levels, whole)
+    assert got_skipped == want_skipped
+    assert [k.start_seq for k in got] == [k.start_seq for k in want]
+    for g, w in zip(got, want):
+        assert g.levels.dtype == w.levels.dtype and g.bits.dtype == w.bits.dtype
+        np.testing.assert_array_equal(g.levels, w.levels)
+        np.testing.assert_array_equal(g.bits, w.bits)
+
 
 def _mk_block(start, bits):
     bits = np.asarray(bits, dtype=np.uint8)
@@ -224,6 +285,22 @@ def session_pair(seed, duration=420.0, snr_db=10.0, lag=5, loss=()):
     return pair_traces(ap, sta, 6, gap_policy="interpolate_linear")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("pipeline", "magic"),
+    ("probe_len", 0),
+    ("probe_len", -5),
+    ("block_len", 0),
+    ("levels", 1),
+    ("levels", 3),
+    ("error_thresholds", (20, 5)),
+    ("error_thresholds", ()),
+])
+def test_session_config_rejects_bad_field(field, value):
+    with pytest.raises(ValueError, match=field) as exc:
+        SessionConfig(**{field: value})
+    assert str(value).strip("()") in str(exc.value)
+
+
 class TestSession:
     def test_identical_inputs_max_kgr(self):
         a, _ = session_pair(0, duration=320.0, snr_db=30.0, lag=0)
@@ -264,28 +341,6 @@ class TestSession:
             rep = wskg_session(a, b, SessionConfig(pipeline=pipe, sync=True))
             assert rep.pipeline == pipe
             assert rep.blocks > 0
-
-    def test_shared_selection_mode(self):
-        a, b = session_pair(6)
-        rep = wskg_session(a, b, SessionConfig(pipeline="wt", sync=True,
-                                               selection_mode="shared"))
-        assert rep.selection_fallbacks == 0
-        assert rep.threshold_updates == 0
-
-    def test_per_device_selection_mode(self):
-        # local selection rarely reaches the half-grid target, so this mode
-        # exercises the threshold-update and fallback paths while the
-        # session still produces keys
-        a, b = session_pair(6, duration=600.0)
-        rep = wskg_session(a, b, SessionConfig(pipeline="wt", sync=True,
-                                               selection_mode="per_device"))
-        assert rep.blocks > 0
-        assert rep.threshold_updates <= 1
-        if rep.threshold_updates == 1:
-            # a consumed probe window shrinks the key region
-            shared = wskg_session(a, b, SessionConfig(
-                pipeline="wt", sync=True, selection_mode="shared"))
-            assert rep.stats_at(15).attempted <= shared.stats_at(15).attempted
 
     def test_too_short(self):
         a, b = session_pair(1, duration=40.0)
