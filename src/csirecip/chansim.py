@@ -63,6 +63,11 @@ class ChannelConfig:
             raise InvalidBandError(
                 f"base band top {f_hi} Hz exceeds Nyquist {self.rate_hz / 2} Hz"
             )
+        if self.n_samples < 1:
+            raise ValueError(
+                f"duration_s must give at least one sample at {self.rate_hz} Hz, "
+                f"got {self.duration_s}"
+            )
         object.__setattr__(self, "loss", tuple(self.loss))
 
     @property

@@ -35,6 +35,10 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 
 
+class _UsageError(Exception):
+    """A flag combination the command cannot run with (exit code 1)."""
+
+
 def _out_dir(args) -> Path:
     d = Path(args.out_dir or os.environ.get("CSIRECIP_OUT_DIR", "."))
     d.mkdir(parents=True, exist_ok=True)
@@ -93,7 +97,10 @@ def _load_pair(args, cp):
     """Either simulate a pair or parse the two dataset CSVs."""
     ap_path = _opt(args, cp, "input", "ap")
     sta_path = _opt(args, cp, "input", "sta")
-    if ap_path and sta_path:
+    if bool(ap_path) != bool(sta_path):
+        given, missing = ("ap", "sta") if ap_path else ("sta", "ap")
+        raise _UsageError(f"--{given} needs --{missing} (or [input] {missing}) as well")
+    if ap_path:
         with open(ap_path, "rb") as f:
             ap = parse_csi_csv(f)
         with open(sta_path, "rb") as f:
@@ -370,6 +377,9 @@ def main(argv=None) -> int:
     try:
         cp = _load_config(getattr(args, "config", None))
         return args.fn(args, cp)
+    except _UsageError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except (CsiRecipError, FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA

@@ -52,6 +52,10 @@ class GapsPresentError(CsiRecipError):
     """Input contains gap markers (NaN); interpolate before transforming."""
 
 
+class NonFiniteError(CsiRecipError):
+    """Input contains an infinite sample."""
+
+
 class TooShortError(CsiRecipError):
     """Input shorter than the transform requires."""
 

@@ -276,12 +276,14 @@ class SessionConfig:
     def __post_init__(self):
         if self.pipeline not in PIPELINES:
             raise ValueError(f"pipeline must be one of {PIPELINES}, got {self.pipeline!r}")
-        if self.probe_len < 1:
-            raise ValueError(f"probe_len must be >= 1, got {self.probe_len}")
+        if self.probe_len < 32:
+            raise ValueError(f"probe_len must be >= 32, got {self.probe_len}")
         if self.block_len < 1:
             raise ValueError(f"block_len must be >= 1, got {self.block_len}")
         if self.levels < 2 or self.levels & (self.levels - 1):
             raise ValueError(f"levels must be a power of two >= 2, got {self.levels}")
+        if self.max_lag < 0:
+            raise ValueError(f"max_lag must be >= 0, got {self.max_lag}")
         th = list(self.error_thresholds)
         if not th or th != sorted(th):
             raise ValueError(f"error_thresholds must be nonempty ascending, got {th}")
@@ -366,8 +368,8 @@ def preprocess_pair(ap, sta, cfg: SessionConfig = SessionConfig()) -> Preprocess
     b = _values(sta)
     if len(a) != len(b):
         raise ListMismatchError("session inputs must be paired to equal length")
-    if np.isnan(a).any() or np.isnan(b).any():
-        raise ValueError("session inputs must be gap-free; pair with interpolation")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("session inputs must be finite and gap-free; pair with interpolation")
     rate = _rate(ap)
     n = len(a)
     L = cfg.probe_len

@@ -20,7 +20,7 @@ from .errors import (
     UnusableCoherenceError,
 )
 from .metrics import xcorr_lag
-from .wavelet import CoherenceMap, CwtParams, cwt, icwt
+from .wavelet import CoherenceMap, CwtParams, _band_filter
 
 
 @dataclass(frozen=True)
@@ -243,17 +243,19 @@ def wt_reconstruct(x, band: ReciprocalBand, params: CwtParams,
 
     With ``contiguous`` (the default) the inverse transform covers the full
     [min, max] closure of the selected frequencies; otherwise only the
-    individually selected bins are used (ablation path).
+    individually selected bins are used (ablation path).  The result equals
+    ``icwt(cwt(x, params), ...)`` over those rows, computed as one FFT
+    filter whose response sums the rows' daughter wavelets, so no
+    scalogram is built.
     """
-    sg = cwt(x, params)
     if contiguous:
-        return icwt(sg, band=band.band)
-    rows = np.flatnonzero(np.isin(np.round(sg.freqs, 12),
-                                  np.round(band.f_rec, 12)))
+        return _band_filter(x, params, band=band.band)
+    freqs = params.freq_grid()
+    rows = np.flatnonzero(np.isin(np.round(freqs, 12), np.round(band.f_rec, 12)))
     if rows.size == 0:
         # selection came from a different grid; fall back to nearest bins
-        rows = np.unique([int(np.argmin(np.abs(sg.freqs - f))) for f in band.f_rec])
-    return icwt(sg, rows=rows)
+        rows = np.unique([int(np.argmin(np.abs(freqs - f))) for f in band.f_rec])
+    return _band_filter(x, params, rows=rows)
 
 
 def synchronize(x, y, max_lag: int) -> SyncResult:

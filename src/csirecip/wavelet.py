@@ -5,6 +5,11 @@ mother wavelet on a logarithmic frequency grid.  Coherence uses the
 standard smoothing operator (scale-matched Gaussian in time, fixed-width
 boxcar across scales); without smoothing, coherence is identically one.
 
+Band-limited reconstruction builds no scalogram: ``icwt(cwt(x), band)`` is
+linear and shift-invariant, so it equals one FFT filter, ``Re(IFFT(FFT(x) *
+sum_j psi_hat_j / sqrt(s_j)))`` over the band's rows times ``2 / plateau``
+plus the mean, computed from the same entry and Morlet matrix as :func:`cwt`.
+
 Conventions
 -----------
 * ``freqs`` are stored in descending order; row 0 is the highest frequency.
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBandError, GapsPresentError, TooShortError
+from .errors import EmptyBandError, GapsPresentError, NonFiniteError, TooShortError
 
 
 @dataclass(frozen=True)
@@ -149,14 +154,35 @@ def _next_pow2(n: int) -> int:
     return int(2 ** np.ceil(np.log2(n)))
 
 
-def _morlet_fft(scale: float, k: np.ndarray, dt: float, omega0: float) -> np.ndarray:
-    """Fourier-domain daughter wavelet, energy-normalized per scale."""
+def _prepare(x, params: CwtParams) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """Checked, mean-removed, zero-padded series: (spectrum, bin omegas, n, mean)."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    finite = np.isfinite(x)
+    if not finite.all():
+        if np.isnan(x).any():
+            raise GapsPresentError("input contains gap markers; interpolate first")
+        i = int(np.argmin(finite))
+        raise NonFiniteError(f"input sample {i} is {x[i]}; need finite values")
+    n = len(x)
+    if n < 32:
+        raise TooShortError(f"need at least 32 samples, got {n}")
+    mean = float(x.mean())
+    npad = _next_pow2(n)
+    xp = np.zeros(npad)
+    xp[:n] = x - mean
+    k = 2 * np.pi * np.fft.fftfreq(npad, d=1.0 / params.sample_rate)
+    return np.fft.fft(xp), k, n, mean
+
+
+def _morlet_bank(scales: np.ndarray, k: np.ndarray, params: CwtParams) -> np.ndarray:
+    """Fourier-domain daughter wavelets, one energy-normalized row per scale."""
+    dt = 1.0 / params.sample_rate
     pos = k > 0
-    out = np.zeros_like(k)
-    out[pos] = (
-        np.sqrt(2 * np.pi * scale / dt)
+    out = np.zeros((len(scales), len(k)))
+    out[:, pos] = (
+        np.sqrt(2 * np.pi * scales / dt)[:, None]
         * np.pi ** -0.25
-        * np.exp(-0.5 * (scale * k[pos] - omega0) ** 2)
+        * np.exp(-0.5 * (scales[:, None] * k[pos] - params.omega0) ** 2)
     )
     return out
 
@@ -164,37 +190,20 @@ def _morlet_fft(scale: float, k: np.ndarray, dt: float, omega0: float) -> np.nda
 def cwt(x, params: CwtParams) -> Scalogram:
     """Continuous wavelet transform of a uniformly sampled series.
 
-    The series must be gap-free and at least 32 samples long.  The sample
-    mean is removed before transforming (stored on the result) and the
-    series is zero padded to the next power of two.
+    The series must be finite, gap-free and at least 32 samples long.  The
+    sample mean is removed before transforming (stored on the result) and
+    the series is zero padded to the next power of two.
     """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if np.isnan(x).any():
-        raise GapsPresentError("input contains gap markers; interpolate first")
-    n = len(x)
-    if n < 32:
-        raise TooShortError(f"need at least 32 samples, got {n}")
-
-    dt = 1.0 / params.sample_rate
-    freqs = params.freq_grid()
+    spec, k, n, mean = _prepare(x, params)
     scales = params.scales()
-    mean = float(x.mean())
-
-    npad = _next_pow2(n)
-    xp = np.zeros(npad)
-    xp[:n] = x - mean
-    fx = np.fft.fft(xp)
-    k = 2 * np.pi * np.fft.fftfreq(npad, d=dt)
-
-    coeffs = np.empty((len(freqs), n), dtype=np.complex128)
-    for j, s in enumerate(scales):
-        coeffs[j] = np.fft.ifft(fx * _morlet_fft(s, k, dt, params.omega0))[:n]
+    coeffs = np.fft.ifft(spec * _morlet_bank(scales, k, params), axis=1)[:, :n]
 
     # deepest edge-free row per time: sqrt(2)*scale <= distance to edge
+    dt = 1.0 / params.sample_rate
     dist = np.minimum(np.arange(n), n - 1 - np.arange(n)) * dt
     coi = np.searchsorted(np.sqrt(2.0) * scales, dist, side="right") - 1
 
-    return Scalogram(coeffs=coeffs, freqs=freqs, params=params, coi=coi, mean=mean)
+    return Scalogram(coeffs=coeffs, freqs=params.freq_grid(), params=params, coi=coi, mean=mean)
 
 
 def _recon_plateau(params: CwtParams) -> float:
@@ -213,6 +222,23 @@ def _recon_plateau(params: CwtParams) -> float:
     return float(g)
 
 
+def _band_rows(freqs: np.ndarray, band: tuple[float, float] | None,
+               rows: np.ndarray | None) -> np.ndarray:
+    """Grid rows an inverse covers: ``rows`` if given, else those inside ``band``."""
+    if rows is None:
+        if band is None:
+            rows = np.arange(len(freqs))
+        else:
+            f_lo, f_hi = band
+            if f_lo > f_hi:
+                raise EmptyBandError(f"inverted band [{f_lo}, {f_hi}]")
+            rows = np.flatnonzero((freqs >= f_lo) & (freqs <= f_hi))
+    rows = np.asarray(rows, dtype=np.intp)
+    if rows.size == 0:
+        raise EmptyBandError(f"no frequency bins selected (band={band}, rows={rows.tolist()})")
+    return rows
+
+
 def icwt(sg: Scalogram, band: tuple[float, float] | None = None,
          rows: np.ndarray | None = None) -> np.ndarray:
     """Single-integral inverse transform over a frequency band.
@@ -222,21 +248,21 @@ def icwt(sg: Scalogram, band: tuple[float, float] | None = None,
     reconstruction plateau, and restores the stored mean.  ``rows``
     overrides the band with an explicit row selection (per-bin ablation).
     """
-    if rows is None:
-        if band is None:
-            rows = np.arange(len(sg.freqs))
-        else:
-            f_lo, f_hi = band
-            if f_lo > f_hi:
-                raise EmptyBandError(f"inverted band [{f_lo}, {f_hi}]")
-            rows = np.flatnonzero((sg.freqs >= f_lo) & (sg.freqs <= f_hi))
-    rows = np.asarray(rows, dtype=np.intp)
-    if rows.size == 0:
-        raise EmptyBandError("no frequency bins inside the requested band")
-
+    rows = _band_rows(sg.freqs, band, rows)
     scales = sg.params.scales()[rows]
     r = (sg.coeffs[rows].real / np.sqrt(scales)[:, None]).sum(axis=0)
     return 2.0 * r / _recon_plateau(sg.params) + sg.mean
+
+
+def _band_filter(x, params: CwtParams, band: tuple[float, float] | None = None,
+                 rows: np.ndarray | None = None) -> np.ndarray:
+    """``icwt(cwt(x, params), band, rows)`` as one filter: the rows' summed response."""
+    spec, k, n, mean = _prepare(x, params)
+    rows = _band_rows(params.freq_grid(), band, rows)
+    scales = params.scales()[rows]
+    resp = (_morlet_bank(scales, k, params) / np.sqrt(scales)[:, None]).sum(axis=0)
+    r = np.fft.ifft(spec * resp)[:n].real
+    return 2.0 * r / _recon_plateau(params) + mean
 
 
 def _smooth(mat: np.ndarray, scales: np.ndarray, dt: float, vpo: int) -> np.ndarray:
@@ -320,10 +346,7 @@ def band_average(cmap: CoherenceMap, band: tuple[float, float],
     With ``use_coi`` the average skips edge-affected cells; times where the
     whole band is edge-affected fall back to the unmasked average.
     """
-    f_lo, f_hi = band
-    rows = np.flatnonzero((cmap.freqs >= f_lo) & (cmap.freqs <= f_hi))
-    if rows.size == 0:
-        raise EmptyBandError(f"no bins inside [{f_lo}, {f_hi}] Hz")
+    rows = _band_rows(cmap.freqs, band, None)
     sub = cmap.wc[rows]
     if not use_coi:
         return sub.mean(axis=0)

@@ -91,6 +91,11 @@ class TestGenPair:
         with pytest.raises(InvalidBandError):
             ChannelConfig(base_band=(0.5, 0.1))
 
+    @pytest.mark.parametrize("duration", [-5.0, 0.0, 0.04])
+    def test_duration_without_samples_rejected(self, duration):
+        with pytest.raises(ValueError, match=f"duration_s.*{duration}"):
+            ChannelConfig(duration_s=duration)
+
     def test_csv_round_trip(self):
         cfg = ChannelConfig(duration_s=15.0, seed=8,
                             loss=(LossEvent("ap", 5.0, 10),))

@@ -35,6 +35,12 @@ class TestSimulate:
         assert (a / "ap.csv").read_bytes() == (b / "ap.csv").read_bytes()
         assert (a / "sta.csv").read_bytes() == (b / "sta.csv").read_bytes()
 
+    def test_zero_duration_exits_2(self, tmp_path, capsys):
+        rc = run(["simulate", "--duration", "0", "--out-dir", str(tmp_path)])
+        assert rc == EXIT_DATA
+        assert "duration_s" in capsys.readouterr().err
+        assert not (tmp_path / "ap.csv").exists()
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CSIRECIP_OUT_DIR", str(tmp_path / "envout"))
         assert run(["simulate", "--duration", "30", "--seed", "0"]) == EXIT_OK
@@ -65,6 +71,19 @@ class TestMetrics:
         rc = run(["metrics", "--ap", "/nonexistent/a.csv",
                   "--sta", "/nonexistent/b.csv"])
         assert rc == EXIT_DATA
+
+    @pytest.mark.parametrize("given, missing", [("ap", "sta"), ("sta", "ap")])
+    def test_lone_dataset_path_is_usage_error(self, given, missing, capsys):
+        rc = run(["metrics", f"--{given}", "/nonexistent/a.csv", "--duration", "60"])
+        assert rc == EXIT_USAGE
+        assert f"--{missing}" in capsys.readouterr().err
+
+    def test_lone_dataset_path_from_ini(self, sim_dir, tmp_path, capsys):
+        ini = tmp_path / "one.ini"
+        ini.write_text(f"[input]\nap = {sim_dir / 'ap.csv'}\n")
+        rc = run(["metrics", "--config", str(ini), "--duration", "60"])
+        assert rc == EXIT_USAGE
+        assert "--sta" in capsys.readouterr().err
 
     def test_out_file(self, sim_dir, tmp_path):
         dest = tmp_path / "m.json"

@@ -294,6 +294,9 @@ def session_pair(seed, duration=420.0, snr_db=10.0, lag=5, loss=()):
     ("levels", 3),
     ("error_thresholds", (20, 5)),
     ("error_thresholds", ()),
+    ("probe_len", 1),
+    ("probe_len", 31),
+    ("max_lag", -1),
 ])
 def test_session_config_rejects_bad_field(field, value):
     with pytest.raises(ValueError, match=field) as exc:
@@ -346,6 +349,14 @@ class TestSession:
         a, b = session_pair(1, duration=40.0)
         with pytest.raises(TooShortError):
             wskg_session(a, b, SessionConfig())
+
+    @pytest.mark.parametrize("index, bad", [(10, np.inf), (900, -np.inf), (900, np.nan)])
+    def test_non_finite_input_rejected(self, index, bad):
+        x = np.random.default_rng(0).normal(size=1200)
+        y = x.copy()
+        y[index] = bad
+        with pytest.raises(ValueError, match="finite"):
+            wskg_session(x, y, SessionConfig(pipeline="raw"))
 
     def test_probe_excluded_from_keys(self):
         a, b = session_pair(9, duration=360.0)

@@ -2,8 +2,11 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from csirecip.errors import EmptyBandError, GapsPresentError, TooShortError
+from csirecip.errors import EmptyBandError, GapsPresentError, NonFiniteError, TooShortError
+from csirecip.reconstruct import ReciprocalBand, wt_reconstruct
 from csirecip.wavelet import (
     CwtParams,
     band_average,
@@ -78,6 +81,42 @@ class TestCwt:
         with pytest.raises(TooShortError):
             cwt(np.ones(16), params(64))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", ["cwt", "wt_reconstruct", "wavelet_coherence"])
+    def test_infinite_rejected_naming_index(self, entry, bad):
+        x = np.random.default_rng(0).normal(size=64)
+        x[17] = bad
+        p = params(64)
+        band = ReciprocalBand(f_rec=p.freq_grid(), band=(p.min_freq, p.max_freq),
+                              alpha=0.5, beta=1, window_len=64)
+        calls = {
+            "cwt": lambda: cwt(x, p),
+            "wt_reconstruct": lambda: wt_reconstruct(x, band, p),
+            "wavelet_coherence": lambda: wavelet_coherence(np.zeros(64), x, p),
+        }
+        with pytest.raises(NonFiniteError, match="sample 17"):
+            calls[entry]()
+
+    @pytest.mark.parametrize("n, vpo", [(37, 4), (500, 12), (2048, 16), (5500, 12)])
+    def test_matches_per_scale_loop(self, n, vpo):
+        """The batched transform is bit-identical to one ifft per scale."""
+        x = np.random.default_rng(n).normal(size=n).cumsum() + 3.0
+        p = params(n, vpo=vpo)
+        dt = 1.0 / FS
+        npad = int(2 ** np.ceil(np.log2(n)))
+        xp = np.zeros(npad)
+        xp[:n] = x - x.mean()
+        fx = np.fft.fft(xp)
+        k = 2 * np.pi * np.fft.fftfreq(npad, d=dt)
+        pos = k > 0
+        want = np.empty((len(p.freq_grid()), n), dtype=np.complex128)
+        for j, s in enumerate(p.scales()):
+            psi = np.zeros_like(k)
+            psi[pos] = (np.sqrt(2 * np.pi * s / dt) * np.pi ** -0.25
+                        * np.exp(-0.5 * (s * k[pos] - p.omega0) ** 2))
+            want[j] = np.fft.ifft(fx * psi)[:n]
+        np.testing.assert_array_equal(cwt(x, p).coeffs, want)
+
     def test_coi_shape(self):
         n = 512
         sg = cwt(np.random.default_rng(0).normal(size=n), params(n))
@@ -141,6 +180,40 @@ class TestIcwt:
         sg = cwt(band_limited_fixture(0, 256), params(256))
         with pytest.raises(EmptyBandError):
             icwt(sg, band=(2.0, 2.0001))
+
+
+@st.composite
+def reconstruction_case(draw):
+    """A random series, grid and band (contiguous) or bin subset (per-bin).
+
+    A shift of 1% (under half a voice) moves the bins off the grid, so the
+    per-bin path takes its nearest-bin fallback, which picks the same rows.
+    """
+    n = draw(st.integers(32, 3000))
+    vpo = draw(st.integers(4, 16))
+    p = CwtParams(min_freq=FS / n * draw(st.floats(1.0, 4.0)), max_freq=FS / 2,
+                  sample_rate=FS, voices_per_octave=vpo)
+    freqs = p.freq_grid()
+    picked = draw(st.lists(st.integers(0, len(freqs) - 1), min_size=1, max_size=8,
+                           unique=True))
+    contiguous = draw(st.booleans())
+    shift = draw(st.sampled_from([1.0, 1.01]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.normal(size=n).cumsum() * draw(st.floats(0.01, 100.0)) + rng.normal()
+    return x, p, np.sort(np.array(picked)), contiguous, shift
+
+
+@settings(max_examples=40, deadline=None)
+@given(reconstruction_case())
+def test_wt_reconstruct_equals_icwt_of_cwt(case):
+    x, p, picked, contiguous, shift = case
+    f = p.freq_grid()[picked] * shift
+    band = ReciprocalBand(f_rec=f, band=(float(f.min()), float(f.max())),
+                          alpha=0.5, beta=1, window_len=len(x))
+    sg = cwt(x, p)
+    want = icwt(sg, band=band.band) if contiguous else icwt(sg, rows=picked)
+    got = wt_reconstruct(x, band, p, contiguous=contiguous)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestCoherence:
