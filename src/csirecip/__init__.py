@@ -55,7 +55,6 @@ from .reconstruct import (
     wt_reconstruct,
 )
 from .traces import (
-    CsiSample,
     CsiTrace,
     MagnitudeSeries,
     magnitude_series,

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import InvalidBandError
-from .traces import CsiSample, CsiTrace
+from .traces import CsiTrace
 
 MAGNITUDE_OFFSET = 10.0  # keeps simulated magnitudes positive
 N_CARRIERS = 128  # sets the independent-channel correlation floor ~1/sqrt(K)
@@ -126,18 +126,9 @@ def _device_trace(cfg: ChannelConfig, device_id: str, magnitudes: np.ndarray,
     mags = np.maximum(magnitudes[None, :] + noise, 0.0)
     drop = np.zeros(n, dtype=bool)
     drop[dropped[dropped < n]] = True
-    dt = 1.0 / cfg.rate_hz
-    samples = tuple(
-        CsiSample(seq=i, t=i * dt, iq=mags[:, i].astype(np.complex128))
-        for i in range(n)
-        if not drop[i]
-    )
-    return CsiTrace(
-        device_id=device_id,
-        subcarriers=cfg.subcarriers,
-        rate_hz=cfg.rate_hz,
-        samples=samples,
-    )
+    seqs = np.flatnonzero(~drop)
+    return CsiTrace(device_id=device_id, subcarriers=cfg.subcarriers, rate_hz=cfg.rate_hz,
+                    seqs=seqs, t=seqs * (1.0 / cfg.rate_hz), iq=mags.T[seqs])
 
 
 def _dropped_seqs(cfg: ChannelConfig, side: str) -> np.ndarray:

@@ -93,6 +93,9 @@ def _channel_config(args, cp) -> chansim.ChannelConfig:
     return chansim.preset(preset, duration_s=duration, seed=seed, **overrides)
 
 
+_SIMULATION_FLAGS = ("preset", "seed", "duration", "snr_db", "lag")  # unread in dataset mode
+
+
 def _load_pair(args, cp):
     """Either simulate a pair or parse the two dataset CSVs."""
     ap_path = _opt(args, cp, "input", "ap")
@@ -101,6 +104,10 @@ def _load_pair(args, cp):
         given, missing = ("ap", "sta") if ap_path else ("sta", "ap")
         raise _UsageError(f"--{given} needs --{missing} (or [input] {missing}) as well")
     if ap_path:
+        ignored = [f"--{name.replace('_', '-')}" for name in _SIMULATION_FLAGS
+                   if getattr(args, name) is not None]
+        if ignored:
+            raise _UsageError(f"{', '.join(ignored)} cannot be used with --ap/--sta")
         with open(ap_path, "rb") as f:
             ap = parse_csi_csv(f)
         with open(sta_path, "rb") as f:
@@ -380,7 +387,7 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (CsiRecipError, FileNotFoundError, ValueError) as e:
+    except (CsiRecipError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
 

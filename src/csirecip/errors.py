@@ -28,6 +28,10 @@ class NoOverlapError(CsiRecipError):
     """Two traces share no sequence-number range."""
 
 
+class RateMismatchError(CsiRecipError):
+    """Two traces to be paired were captured at different packet rates."""
+
+
 # --- metrics ---
 
 class LengthMismatchError(CsiRecipError):

@@ -9,13 +9,15 @@ CSV format (one packet per row, LF line endings, UTF-8)::
     seq,t,dev,i0,q0,i1,q1,...,i{N-1},q{N-1}
 
 The header row declares the subcarrier count N through its i/q columns.
-Rows for lost packets are simply absent.
+Rows for lost packets are simply absent.  A leading byte-order mark is
+skipped.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -23,64 +25,56 @@ from .errors import (
     EmptyTraceError,
     MalformedHeaderError,
     NoOverlapError,
+    RateMismatchError,
     SubcarrierOutOfRangeError,
 )
 
 GAP = np.nan  # gap marker used in magnitude series
-
-
-@dataclass(frozen=True)
-class CsiSample:
-    """One packet's CSI: sequence number, capture time, per-subcarrier IQ."""
-
-    seq: int
-    t: float
-    iq: np.ndarray  # complex128, one entry per subcarrier
-
-    def __post_init__(self):
-        iq = np.asarray(self.iq, dtype=np.complex128)
-        iq.setflags(write=False)
-        object.__setattr__(self, "iq", iq)
-        if not np.isfinite(self.t):
-            raise ValueError(f"non-finite capture time at seq {self.seq}")
+RATE_TOLERANCE = 0.01  # relative packet-rate difference pair_traces accepts
 
 
 @dataclass(frozen=True)
 class CsiTrace:
-    """Ordered, strictly seq-increasing CSI samples for one device."""
+    """One device's CSI as columns: packet ``seqs[i]``, captured at ``t[i]``, is row ``iq[i]``."""
 
     device_id: str
     subcarriers: int
     rate_hz: float
-    samples: tuple[CsiSample, ...]
+    seqs: np.ndarray  # int64, strictly increasing
+    t: np.ndarray  # float64 capture times
+    iq: np.ndarray  # complex128, packets x subcarriers
     parse_stats: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.rate_hz <= 0:
             raise ValueError("rate_hz must be positive")
-        seqs = [s.seq for s in self.samples]
-        if any(b <= a for a, b in zip(seqs, seqs[1:])):
-            raise ValueError("samples must be strictly increasing in seq")
-        for s in self.samples:
-            if len(s.iq) != self.subcarriers:
-                raise ValueError(
-                    f"sample seq {s.seq} has {len(s.iq)} subcarriers, "
-                    f"trace declares {self.subcarriers}"
-                )
+        seqs = np.ascontiguousarray(self.seqs, dtype=np.int64)
+        t = np.ascontiguousarray(self.t, dtype=np.float64)
+        iq = np.ascontiguousarray(self.iq, dtype=np.complex128)
+        if seqs.ndim != 1 or t.shape != seqs.shape or iq.shape != (len(seqs), self.subcarriers):
+            raise ValueError(
+                f"need seqs and t of one length and iq of (len(seqs), {self.subcarriers}); "
+                f"got seqs {seqs.shape}, t {t.shape}, iq {iq.shape}"
+            )
+        if np.any(seqs[1:] <= seqs[:-1]):  # np.diff would wrap past int64
+            raise ValueError("seqs must be strictly increasing")
+        bad_t = ~np.isfinite(t)
+        if bad_t.any():
+            raise ValueError(f"non-finite capture time at seq {seqs[bad_t][0]}")
+        for name, arr in (("seqs", seqs), ("t", t), ("iq", iq)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
-        return len(self.samples)
-
-    @property
-    def seqs(self) -> np.ndarray:
-        return np.array([s.seq for s in self.samples], dtype=np.int64)
+        return len(self.seqs)
 
     def missing_seqs(self) -> np.ndarray:
         """Sequence numbers absent between the first and last sample."""
-        if not self.samples:
-            return np.array([], dtype=np.int64)
-        full = np.arange(self.samples[0].seq, self.samples[-1].seq + 1)
-        return np.setdiff1d(full, self.seqs)
+        step = np.diff(self.seqs)
+        gap = step > 1
+        counts = step[gap] - 1
+        run_start = np.repeat(np.cumsum(counts) - counts, counts)
+        return np.repeat(self.seqs[:-1][gap] + 1, counts) + (np.arange(counts.sum()) - run_start)
 
 
 @dataclass(frozen=True)
@@ -134,7 +128,7 @@ def parse_csi_csv(stream, rate_hz: float | None = None) -> CsiTrace:
         if isinstance(text, bytes):
             text = text.decode("utf-8")
 
-    lines = [ln for ln in text.split("\n") if ln.strip()]
+    lines = [ln for ln in text.removeprefix("\ufeff").split("\n") if ln.strip()]
     if not lines:
         raise MalformedHeaderError("empty input")
 
@@ -147,12 +141,13 @@ def parse_csi_csv(stream, rate_hz: float | None = None) -> CsiTrace:
     if n_sub == 0 or iq_cols != expected:
         raise MalformedHeaderError("header does not declare i0,q0,...,i{N-1},q{N-1}")
 
-    samples: list[CsiSample] = []
+    seqs: list[int] = []
+    ts: list[float] = []
+    rows: list[list[float]] = []
     device_id = ""
     bad_rows: list[int] = []
     n_dup = 0
     n_ooo = 0
-    last_seq = None
     for idx, line in enumerate(lines[1:], start=1):
         parts = line.split(",")
         if len(parts) != 3 + 2 * n_sub:
@@ -161,30 +156,30 @@ def parse_csi_csv(stream, rate_hz: float | None = None) -> CsiTrace:
         try:
             seq = int(parts[0])
             t = float(parts[1])
-            vals = np.array([float(v) for v in parts[3:]], dtype=np.float64)
+            vals = [float(v) for v in parts[3:]]
         except ValueError:
             bad_rows.append(idx)
             continue
-        if not np.isfinite(t) or not np.all(np.isfinite(vals)):
+        if not (isfinite(t) and all(map(isfinite, vals)) and -2 ** 63 <= seq < 2 ** 63):
             bad_rows.append(idx)
             continue
-        if last_seq is not None:
-            if seq == last_seq:
+        if seqs and seq <= seqs[-1]:
+            if seq == seqs[-1]:
                 n_dup += 1
-                continue
-            if seq < last_seq:
+            else:
                 n_ooo += 1
-                continue
-        last_seq = seq
+            continue
         device_id = parts[2]
-        samples.append(CsiSample(seq=seq, t=t, iq=vals[0::2] + 1j * vals[1::2]))
+        seqs.append(seq)
+        ts.append(t)
+        rows.append(vals)
 
-    if not samples:
+    if not seqs:
         raise EmptyTraceError("no rows survived parsing")
 
     if rate_hz is None:
-        if len(samples) > 1 and samples[-1].t > samples[0].t:
-            rate_hz = (samples[-1].seq - samples[0].seq) / (samples[-1].t - samples[0].t)
+        if len(seqs) > 1 and ts[-1] > ts[0]:
+            rate_hz = (seqs[-1] - seqs[0]) / (ts[-1] - ts[0])
         else:
             rate_hz = 1.0
 
@@ -192,7 +187,9 @@ def parse_csi_csv(stream, rate_hz: float | None = None) -> CsiTrace:
         device_id=device_id,
         subcarriers=n_sub,
         rate_hz=float(rate_hz),
-        samples=tuple(samples),
+        seqs=np.array(seqs, dtype=np.int64),
+        t=np.array(ts, dtype=np.float64),
+        iq=np.array(rows, dtype=np.float64).view(np.complex128),  # i, q interleaved
         parse_stats={"bad_rows": bad_rows, "duplicates": n_dup, "out_of_order": n_ooo},
     )
 
@@ -206,9 +203,12 @@ def write_csi_csv(trace: CsiTrace, stream=None) -> str | None:
     out = io.StringIO() if stream is None else stream
     cols = ",".join(f"i{k},q{k}" for k in range(trace.subcarriers))
     out.write(f"seq,t,dev,{cols}\n")
-    for s in trace.samples:
-        iq = ",".join(f"{float(c.real)!r},{float(c.imag)!r}" for c in s.iq)
-        out.write(f"{s.seq},{float(s.t)!r},{trace.device_id},{iq}\n")
+    dev = trace.device_id
+    out.writelines(
+        f"{s},{t!r},{dev},{','.join(map(repr, iq))}\n"
+        for s, t, iq in zip(trace.seqs.tolist(), trace.t.tolist(),
+                            trace.iq.view(np.float64).tolist())
+    )
     if stream is None:
         return out.getvalue()
     return None
@@ -220,10 +220,9 @@ def magnitude_series(trace: CsiTrace, subcarrier: int) -> MagnitudeSeries:
         raise SubcarrierOutOfRangeError(
             f"subcarrier {subcarrier} outside [0, {trace.subcarriers})"
         )
-    vals = np.array([abs(s.iq[subcarrier]) for s in trace.samples])
     return MagnitudeSeries(
         subcarrier=subcarrier,
-        values=vals,
+        values=np.abs(trace.iq[:, subcarrier]),
         seqs=trace.seqs,
         rate_hz=trace.rate_hz,
     )
@@ -245,10 +244,15 @@ def pair_traces(
     """
     if gap_policy not in ("drop_both", "interpolate_linear"):
         raise ValueError(f"unknown gap_policy {gap_policy!r}")
-    if not ap.samples or not sta.samples:
+    if not len(ap) or not len(sta):
         raise EmptyTraceError("cannot pair an empty trace")
     if ap.subcarriers != sta.subcarriers:
         raise ValueError("traces declare different subcarrier counts")
+    if abs(ap.rate_hz - sta.rate_hz) > RATE_TOLERANCE * max(ap.rate_hz, sta.rate_hz):
+        raise RateMismatchError(
+            f"AP rate {ap.rate_hz} Hz and STA rate {sta.rate_hz} Hz differ by more "
+            f"than {RATE_TOLERANCE:.0%}"
+        )
 
     m_ap = magnitude_series(ap, subcarrier)
     m_sta = magnitude_series(sta, subcarrier)

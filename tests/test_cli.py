@@ -85,6 +85,21 @@ class TestMetrics:
         assert rc == EXIT_USAGE
         assert "--sta" in capsys.readouterr().err
 
+    def test_directory_path_exits_2(self, tmp_path, capsys):
+        rc = run(["metrics", "--ap", str(tmp_path), "--sta", str(tmp_path)])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", [["--preset", "nlos-long"], ["--seed", "4"],
+                                      ["--duration", "5"], ["--snr-db", "3"], ["--lag", "2"]])
+    def test_simulation_flag_in_dataset_mode_is_usage_error(self, sim_dir, flag, capsys):
+        rc = run(["metrics", "--ap", str(sim_dir / "ap.csv"), "--sta", str(sim_dir / "sta.csv"),
+                  *flag])
+        assert rc == EXIT_USAGE
+        assert flag[0] in capsys.readouterr().err
+
     def test_out_file(self, sim_dir, tmp_path):
         dest = tmp_path / "m.json"
         rc = run(["metrics", "--ap", str(sim_dir / "ap.csv"),
@@ -146,7 +161,7 @@ class TestKeygen:
 
     def test_scenario_label_dataset(self, sim_dir, tmp_path):
         rc = run(["keygen", "--ap", str(sim_dir / "ap.csv"), "--sta", str(sim_dir / "sta.csv"),
-                  "--preset", "nlos-long", "--pipelines", "raw", "--out-dir", str(tmp_path)])
+                  "--pipelines", "raw", "--out-dir", str(tmp_path)])
         assert rc == EXIT_OK
         rows = (tmp_path / "keygen_comparison.csv").read_text().strip().split("\n")[1:]
         assert {r.split(",")[1] for r in rows} == {"dataset"}

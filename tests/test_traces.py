@@ -1,16 +1,21 @@
+import hashlib
 import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from csirecip.chansim import gen_attacker, gen_pair, preset
 from csirecip.errors import (
     EmptyTraceError,
     MalformedHeaderError,
     NoOverlapError,
+    RateMismatchError,
     SubcarrierOutOfRangeError,
 )
 from csirecip.traces import (
-    CsiSample,
     CsiTrace,
     magnitude_series,
     pair_traces,
@@ -30,12 +35,10 @@ def row(seq, t, iq, dev="ap"):
 
 
 def make_trace(seqs, values, device="ap", rate=10.0, subcarriers=1):
-    samples = tuple(
-        CsiSample(seq=int(s), t=s / rate, iq=np.full(subcarriers, complex(v)))
-        for s, v in zip(seqs, values)
-    )
+    seqs = np.asarray(seqs, dtype=np.int64)
+    iq = np.repeat(np.asarray(values, dtype=np.complex128)[:, None], subcarriers, axis=1)
     return CsiTrace(device_id=device, subcarriers=subcarriers, rate_hz=rate,
-                    samples=samples)
+                    seqs=seqs, t=seqs / rate, iq=iq)
 
 
 class TestParse:
@@ -64,7 +67,7 @@ class TestParse:
         tr = parse_csi_csv(make_csv(rows))
         assert len(tr) == 3
         assert tr.parse_stats["duplicates"] == 1
-        assert tr.samples[1].iq[0] == 2 + 2j  # first occurrence kept
+        assert tr.iq[1, 0] == 2 + 2j  # first occurrence kept
 
     def test_out_of_order_dropped(self):
         rows = [row(5, 0.5, [1, 1]), row(3, 0.3, [1, 1]), row(6, 0.6, [1, 1])]
@@ -76,6 +79,12 @@ class TestParse:
         rows = [row(1, 0.1, [1, 1]), "2,0.2,ap,1.0", row(3, 0.3, [1, 1])]
         tr = parse_csi_csv(make_csv(rows))
         assert len(tr) == 2
+        assert tr.parse_stats["bad_rows"] == [2]
+
+    def test_seq_beyond_int64_rejected_with_index(self):
+        rows = [row(1, 0.1, [1, 1]), row(2 ** 63, 0.2, [1, 1]), row(3, 0.3, [1, 1])]
+        tr = parse_csi_csv(make_csv(rows))
+        assert list(tr.seqs) == [1, 3]
         assert tr.parse_stats["bad_rows"] == [2]
 
     def test_malformed_header(self):
@@ -94,6 +103,13 @@ class TestParse:
         assert len(parse_csi_csv(io.BytesIO(text.encode()))) == 1
         assert len(parse_csi_csv(io.StringIO(text))) == 1
 
+    def test_leading_bom_accepted(self):
+        text = make_csv([row(1, 0.1, [1, 1]), row(2, 0.2, [2, 2])])
+        for data in ("\ufeff" + text, text.encode("utf-8-sig")):
+            tr = parse_csi_csv(data)
+            assert list(tr.seqs) == [1, 2]
+            assert write_csi_csv(tr) == text
+
     def test_roundtrip_bit_exact(self):
         rng = np.random.default_rng(7)
         rows = [row(s, s * 0.1, rng.normal(size=2) + 1j * rng.normal(size=2))
@@ -105,10 +121,83 @@ class TestParse:
         assert write_csi_csv(parse_csi_csv(out)) == out
 
 
+class TestColumns:
+    def test_columns_read_only(self):
+        tr = make_trace([1, 2], [1, 2], subcarriers=3)
+        assert tr.seqs.dtype == np.int64 and tr.t.dtype == np.float64
+        assert tr.iq.dtype == np.complex128 and tr.iq.shape == (2, 3)
+        for arr in (tr.seqs, tr.t, tr.iq):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    @pytest.mark.parametrize("seqs, t, iq, match", [
+        ([1, 1], [0.1, 0.2], np.ones((2, 1)), "strictly increasing"),
+        ([2, 1], [0.1, 0.2], np.ones((2, 1)), "strictly increasing"),
+        ([1, 2], [0.1], np.ones((2, 1)), "one length"),
+        ([1, 2], [0.1, 0.2], np.ones((2, 2)), "one length"),
+        ([1, 2], [0.1, np.inf], np.ones((2, 1)), "at seq 2"),
+    ])
+    def test_invalid_columns_rejected(self, seqs, t, iq, match):
+        with pytest.raises(ValueError, match=match):
+            CsiTrace("ap", 1, 10.0, seqs, t, iq)
+
+    def test_full_int64_span_accepted(self):
+        tr = CsiTrace("ap", 1, 10.0, [-2 ** 63, 0, 2 ** 63 - 1], [0.0, 0.1, 0.2], np.ones((3, 1)))
+        assert len(tr) == 3
+
+    def test_rate_must_be_positive(self):
+        with pytest.raises(ValueError, match="rate_hz"):
+            CsiTrace("ap", 1, 0.0, [1], [0.1], np.ones((1, 1)))
+
+
+# sha256 of the CSVs the per-packet trace implementation wrote for these
+# traces; the columnar one must write the same bytes
+GOLDEN_CSV_SHA256 = {
+    "ap": "cdb06214e98bdd2ea796146099493ea73ad560fd05596144922769767eda340e",
+    "sta": "c1ba05cf23eee1a5cf88ead4b3f7eb0b2146b43b544460edc3de7c93d3d8ea6e",
+    "attacker": "5dc93cf302e7c14d6fa6828ea4222aa4f9495f0a99aafa9aa8813933beeea32c",
+}
+
+
+def test_simulated_csv_bytes_pinned():
+    cfg = preset("nlos-long", 600, seed=3)
+    ap, sta, _ = gen_pair(cfg)
+    attacker = gen_attacker(cfg, "delayed_replay", gap_s=30)
+    got = {name: hashlib.sha256(write_csi_csv(tr).encode()).hexdigest()
+           for name, tr in (("ap", ap), ("sta", sta), ("attacker", attacker))}
+    assert got == GOLDEN_CSV_SHA256
+
+
+@st.composite
+def columnar_trace(draw):
+    """Gapped seqs anywhere in int64, 1-8 subcarriers, any finite floats."""
+    offsets = sorted(draw(st.sets(st.integers(0, 300), min_size=1, max_size=40)))
+    base = draw(st.integers(-2 ** 63, 2 ** 63 - 1 - 300))
+    n, n_sub = len(offsets), draw(st.integers(1, 8))
+    floats = st.just(-0.0) | st.floats(allow_nan=False, allow_infinity=False)
+    t = draw(arrays(np.float64, n, elements=floats))
+    iq = draw(arrays(np.float64, (n, 2 * n_sub), elements=floats)).view(np.complex128)
+    dev = draw(st.text(alphabet="abc-_0", max_size=6))
+    return CsiTrace(dev, n_sub, 10.0, np.array(offsets, dtype=np.int64) + base, t, iq)
+
+
+@settings(max_examples=60, deadline=None)
+@given(columnar_trace())
+@example(CsiTrace("ap", 2, 10.0, [-2 ** 63, -2 ** 63 + 3], [-0.0, 1e308],
+                  np.array([[-0.0, -0.0, 5e-324, -1.7976931348623157e308],
+                            [-0.0, 1.0, 0.0, -0.0]]).view(np.complex128)))
+def test_write_parse_write_byte_identical(tr):
+    text = write_csi_csv(tr)
+    back = parse_csi_csv(text)
+    assert write_csi_csv(back) == text
+    seqs = tr.seqs.tolist()
+    assert back.missing_seqs().tolist() == sorted(set(range(seqs[0], seqs[-1] + 1)) - set(seqs))
+
+
 class TestMagnitude:
     def test_three_four_five(self):
         tr = make_trace([1], [0], subcarriers=2)
-        tr = CsiTrace("ap", 2, 10.0, (CsiSample(1, 0.1, np.array([3 + 4j, 0 + 0j])),))
+        tr = CsiTrace("ap", 2, 10.0, [1], [0.1], np.array([[3 + 4j, 0 + 0j]]))
         ms = magnitude_series(tr, 0)
         assert ms.values[0] == 5.0
         assert magnitude_series(tr, 1).values[0] == 0.0
@@ -116,8 +205,7 @@ class TestMagnitude:
     def test_elementwise_oracle(self):
         rng = np.random.default_rng(11)
         iqs = rng.normal(size=(100, 4)) + 1j * rng.normal(size=(100, 4))
-        samples = tuple(CsiSample(i, i * 0.1, iqs[i]) for i in range(100))
-        tr = CsiTrace("ap", 4, 10.0, samples)
+        tr = CsiTrace("ap", 4, 10.0, np.arange(100), np.arange(100) * 0.1, iqs)
         for sc in range(4):
             got = magnitude_series(tr, sc).values
             want = np.sqrt(iqs[:, sc].real ** 2 + iqs[:, sc].imag ** 2)
@@ -167,6 +255,18 @@ class TestPair:
         sta = make_trace([10, 11], [1, 2], device="sta")
         with pytest.raises(NoOverlapError):
             pair_traces(ap, sta, 0)
+
+    def test_rate_mismatch_rejected(self):
+        ap = make_trace([1, 2, 3], [1, 2, 3], rate=10.0)
+        sta = make_trace([1, 2, 3], [1, 2, 3], device="sta", rate=2.0)
+        with pytest.raises(RateMismatchError, match=r"10\.0 Hz.*2\.0 Hz"):
+            pair_traces(ap, sta, 0)
+
+    def test_rates_within_one_percent_pair(self):
+        ap = make_trace([1, 2, 3], [1, 2, 3], rate=10.0)
+        sta = make_trace([1, 2, 3], [1, 2, 3], device="sta", rate=10.09)
+        a, _ = pair_traces(ap, sta, 0)
+        assert a.rate_hz == 10.0
 
     def test_drop_both_length_bound(self):
         rng = np.random.default_rng(3)
