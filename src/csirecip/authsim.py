@@ -20,6 +20,8 @@ import numpy as np
 from .errors import DegenerateSeriesError
 from .metrics import pearson, xcorr_lag
 
+PROBE_LEN = 600  # samples of each side's CSI that the channel checks compare
+
 
 class Reason(str, Enum):
     OK = "ok"
@@ -36,15 +38,12 @@ class AuthPolicy:
 
     min_corr: float = 0.4
     max_shift: int = 50
-    probe_len: int = 600
 
     def __post_init__(self):
         if not 0 < self.min_corr < 1:
             raise ValueError("min_corr must be in (0, 1)")
         if self.max_shift < 0:
             raise ValueError("max_shift must be non-negative")
-        if self.probe_len < 8:
-            raise ValueError("probe_len must be >= 8")
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,7 @@ def verify_tag(message: AuthMessage, key: bytes) -> bool:
 
 def _channel_checks(ap_csi: np.ndarray, payload: np.ndarray,
                     policy: AuthPolicy) -> AuthDecision:
-    n = min(len(ap_csi), len(payload), policy.probe_len)
+    n = min(len(ap_csi), len(payload), PROBE_LEN)
     x = ap_csi[:n]
     y = payload[:n]
     max_lag = max(1, n // 3)

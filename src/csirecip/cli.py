@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import chansim
+from . import authsim, chansim, keygen
 from .authsim import AuthPolicy, replay_attack, run_handshake, sign_csi
 from .errors import CsiRecipError
 from .keygen import PIPELINES, SessionConfig, preprocess_pair, wskg_session
@@ -62,13 +62,14 @@ _OPTIONS = {
     ("input", "ap"): ("ap", None, str),
     ("input", "sta"): ("sta", None, str),
     ("input", "subcarrier"): ("subcarrier", 6, int),
-    ("pipelines", "pipeline"): ("pipeline", "wt", str),
-    ("pipelines", "list"): ("pipelines", "raw,golay,fft,wpt,wt", str),
-    ("pipelines", "thresholds"): ("thresholds", "5,15,20", str),
+    ("pipelines", "pipeline"): ("pipeline", SessionConfig.pipeline, str),
+    ("pipelines", "list"): ("pipelines", ",".join(PIPELINES), str),
+    ("pipelines", "thresholds"): ("thresholds",
+                                  ",".join(map(str, SessionConfig.error_thresholds)), str),
     ("auth", "trials"): ("trials", 12, int),
     ("auth", "seed"): ("seed", 0, int),
-    ("auth", "min_corr"): ("min_corr", 0.4, float),
-    ("auth", "max_shift"): ("max_shift", 50, int),
+    ("auth", "min_corr"): ("min_corr", AuthPolicy.min_corr, float),
+    ("auth", "max_shift"): ("max_shift", AuthPolicy.max_shift, int),
 }
 
 
@@ -193,7 +194,9 @@ def cmd_reconstruct(args, cp) -> int:
     pre = preprocess_pair(i_ap, i_sta, scfg)
     out = _out_dir(args)
     path = out / f"reconstructed_{pipeline}.csv"
-    seqs = i_ap.seqs[scfg.probe_len:scfg.probe_len + len(pre.x)]
+    # AP seq of each row; a negative agreed lag drops |lag| leading AP samples
+    start = keygen.PROBE_LEN + (max(-pre.lag, 0) if sync else 0)
+    seqs = i_ap.seqs[start:start + len(pre.x)]
     with open(path, "w", newline="") as f:
         f.write("seq,ap,sta\n")
         for s, va, vs in zip(seqs, pre.x, pre.y):
@@ -257,7 +260,7 @@ def cmd_auth(args, cp) -> int:
                         max_shift=_opt(args, cp, "auth", "max_shift"))
     key = b"csirecip-demo-identity-key"
     preset = _opt(args, cp, "input", "preset")
-    duration = policy.probe_len / 10.0
+    duration = authsim.PROBE_LEN / 10.0
     decisions = []
     confusion = {"legit_accept": 0, "legit_reject": 0,
                  "replay_accept": 0, "replay_reject": 0}
@@ -280,7 +283,7 @@ def cmd_auth(args, cp) -> int:
     out = _out_dir(args)
     payload = {
         "policy": {"min_corr": policy.min_corr, "max_shift": policy.max_shift,
-                   "probe_len": policy.probe_len},
+                   "probe_len": authsim.PROBE_LEN},
         "preset": preset,
         "trials": trials,
         "confusion": confusion,

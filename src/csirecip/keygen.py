@@ -29,9 +29,12 @@ from .reconstruct import (
     wt_reconstruct,
 )
 from .traces import MagnitudeSeries
-from .wavelet import CwtParams, wavelet_coherence
+from .wavelet import CwtParams, default_params, wavelet_coherence
 
 PIPELINES = ("raw", "golay", "fft", "wpt", "wt")
+PROBE_LEN = 500  # public probe window, samples: agreement only, never key material
+MAX_LAG = 50  # lag search on the probe window, samples
+BLOCK_LEN = 100  # samples per key block
 
 
 @dataclass(frozen=True)
@@ -51,10 +54,6 @@ class QuantizerSpec:
             raise ValueError("need levels-1 thresholds")
         if np.any(np.diff(th) <= 0):
             raise ValueError("thresholds must be strictly increasing")
-
-    @property
-    def bits_per_sample(self) -> int:
-        return int(self.levels).bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -170,7 +169,7 @@ def gray_encode(levels_seq, levels_count: int) -> np.ndarray:
     return ((gray[:, None] >> shifts[None, :]) & 1).astype(np.uint8).ravel()
 
 
-def make_keys(x, block_len: int = 100, levels: int = 4,
+def make_keys(x, block_len: int = BLOCK_LEN, levels: int = 4,
               whole_trace_thresholds: bool = False) -> tuple[list[KeyBlock], int]:
     """Cut a series into key blocks: quantize, Gray-encode.
 
@@ -254,7 +253,7 @@ def evaluate(keys_a: list[KeyBlock], keys_b: list[KeyBlock], total_packets: int,
 
 @dataclass(frozen=True)
 class SessionConfig:
-    """Everything the session driver needs; defaults follow the scheme.
+    """What a session caller chooses; the scheme's constants are module level.
 
     Both devices reconstruct over the one band agreed on the probe window.
     Invalid values raise ``ValueError`` naming the field at construction.
@@ -262,28 +261,11 @@ class SessionConfig:
 
     pipeline: str = "wt"
     sync: bool = True
-    probe_len: int = 500
-    block_len: int = 100
-    levels: int = 4
     error_thresholds: tuple[int, ...] = (5, 15, 20)
-    max_lag: int = 50
-    voices_per_octave: int = 12
-    golay_window: int = 11
-    golay_order: int = 3
-    fft_power_keep: float = 0.98
-    wpt_depth: int = 4
 
     def __post_init__(self):
         if self.pipeline not in PIPELINES:
             raise ValueError(f"pipeline must be one of {PIPELINES}, got {self.pipeline!r}")
-        if self.probe_len < 32:
-            raise ValueError(f"probe_len must be >= 32, got {self.probe_len}")
-        if self.block_len < 1:
-            raise ValueError(f"block_len must be >= 1, got {self.block_len}")
-        if self.levels < 2 or self.levels & (self.levels - 1):
-            raise ValueError(f"levels must be a power of two >= 2, got {self.levels}")
-        if self.max_lag < 0:
-            raise ValueError(f"max_lag must be >= 0, got {self.max_lag}")
         th = list(self.error_thresholds)
         if not th or th != sorted(th):
             raise ValueError(f"error_thresholds must be nonempty ascending, got {th}")
@@ -299,50 +281,33 @@ def _rate(series, default: float = 10.0) -> float:
     return series.rate_hz if isinstance(series, MagnitudeSeries) else default
 
 
-def _probe_params(L: int, rate: float, vpo: int) -> CwtParams:
-    # one full period per probe window: maximizes the octave span so the
-    # half-grid selection target stays inside the physically coherent band
-    return CwtParams(
-        min_freq=1.0 / (L / rate),
-        max_freq=rate / 2,
-        sample_rate=rate,
-        voices_per_octave=vpo,
-    )
+def _key_params(n: int, rate: float, band: tuple[float, float]) -> CwtParams:
+    return CwtParams(min_freq=min(4.0 / (n / rate), band[0]), max_freq=rate / 2, sample_rate=rate)
 
 
-def _key_params(n: int, rate: float, vpo: int, band: tuple[float, float]) -> CwtParams:
-    return CwtParams(
-        min_freq=min(4.0 / (n / rate), band[0]), max_freq=rate / 2, sample_rate=rate,
-        voices_per_octave=vpo,
-    )
-
-
-def _agree_thresholds(a: np.ndarray, b: np.ndarray, rate: float,
-                      cfg: SessionConfig) -> tuple[ReciprocalBand, int]:
+def _agree_thresholds(a: np.ndarray, b: np.ndarray, rate: float) -> tuple[ReciprocalBand, int]:
     """Step 1: probe-window coherence, threshold adaptation, lag estimate."""
     L = len(a)
-    params = _probe_params(L, rate, cfg.voices_per_octave)
+    # one full period per probe window: maximizes the octave span so the
+    # half-grid selection target stays inside the physically coherent band
+    params = default_params(L, rate, periods=1.0)
     cmap = wavelet_coherence(a, b, params)
     band = adapt_thresholds(cmap, window_len=L)
     ra = wt_reconstruct(a, band, params)
     rb = wt_reconstruct(b, band, params)
-    max_lag = min(cfg.max_lag, (L - 1) // 2)
-    lag = xcorr_lag(ra, rb, max_lag).lag
-    return band, lag
+    return band, xcorr_lag(ra, rb, MAX_LAG).lag
 
 
-def _run_pipeline(x: np.ndarray, rate: float, band: ReciprocalBand,
-                  cfg: SessionConfig) -> np.ndarray:
-    if cfg.pipeline == "raw":
+def _run_pipeline(x: np.ndarray, rate: float, band: ReciprocalBand, pipeline: str) -> np.ndarray:
+    if pipeline == "raw":
         return x
-    if cfg.pipeline == "golay":
-        return golay_filter(x, cfg.golay_window, cfg.golay_order)
-    if cfg.pipeline == "fft":
-        return fft_reconstruct(x, cfg.fft_power_keep)
-    if cfg.pipeline == "wpt":
-        return wpt_denoise(x, cfg.wpt_depth)
-    params = _key_params(len(x), rate, cfg.voices_per_octave, band.band)
-    return wt_reconstruct(x, band, params)
+    if pipeline == "golay":
+        return golay_filter(x)
+    if pipeline == "fft":
+        return fft_reconstruct(x)
+    if pipeline == "wpt":
+        return wpt_denoise(x)
+    return wt_reconstruct(x, band, _key_params(len(x), rate, band.band))
 
 
 @dataclass(frozen=True)
@@ -359,7 +324,7 @@ class PreprocessResult:
 def preprocess_pair(ap, sta, cfg: SessionConfig = SessionConfig()) -> PreprocessResult:
     """Steps 1-2 of the session: agreement, reconstruction, synchronization.
 
-    Agrees (alpha, beta, lag) on the first ``probe_len`` samples (public,
+    Agrees (alpha, beta, lag) on the first ``PROBE_LEN`` samples (public,
     so excluded from key material), reconstructs the remaining samples of
     both devices with the configured pipeline over that agreed band, and
     aligns them by the agreed lag when ``sync`` is on.
@@ -372,15 +337,15 @@ def preprocess_pair(ap, sta, cfg: SessionConfig = SessionConfig()) -> Preprocess
         raise ValueError("session inputs must be finite and gap-free; pair with interpolation")
     rate = _rate(ap)
     n = len(a)
-    L = cfg.probe_len
-    if n < L + cfg.block_len:
+    L = PROBE_LEN
+    if n < L + BLOCK_LEN:
         raise TooShortError(
-            f"need at least probe_len + block_len = {L + cfg.block_len} samples, got {n}"
+            f"need at least PROBE_LEN + BLOCK_LEN = {L + BLOCK_LEN} samples, got {n}"
         )
 
-    band, lag = _agree_thresholds(a[:L], b[:L], rate, cfg)
-    pa = _run_pipeline(a[L:], rate, band, cfg)
-    pb = _run_pipeline(b[L:], rate, band, cfg)
+    band, lag = _agree_thresholds(a[:L], b[:L], rate)
+    pa = _run_pipeline(a[L:], rate, band, cfg.pipeline)
+    pb = _run_pipeline(b[L:], rate, band, cfg.pipeline)
     if cfg.sync and lag != 0:
         aligned = apply_lag(pa, pb, lag)
         pa, pb = aligned.x_aligned, aligned.y_aligned
@@ -391,39 +356,28 @@ def preprocess_pair(ap, sta, cfg: SessionConfig = SessionConfig()) -> Preprocess
 def wskg_session(ap, sta, cfg: SessionConfig = SessionConfig()) -> SessionReport:
     """Run one complete key-generation session between two devices.
 
-    Steps: (1) threshold agreement on the first ``probe_len`` samples (the
+    Steps: (1) threshold agreement on the first ``PROBE_LEN`` samples (the
     probe is public, so it never contributes key material); (2) per-device
     reconstruction with the configured pipeline, plus alignment by the
     agreed lag when ``sync`` is on; (3) block quantization, Gray coding,
-    and evaluation at each error threshold.
+    and evaluation at each error threshold.  A key window that the lag
+    trim leaves shorter than one block yields no blocks.
 
     ``ap`` and ``sta`` must already be paired (equal length, gap-free),
     e.g. via ``pair_traces(..., gap_policy="interpolate_linear")``.
     """
     pre = preprocess_pair(ap, sta, cfg)
-    pa, pb = pre.x, pre.y
-    total_packets = pre.total_packets
-
-    if len(pa) < cfg.block_len:
-        report = SessionReport(
-            per_threshold=tuple(
-                ThresholdStats(t, 0, 0, 0.0, None) for t in cfg.error_thresholds
-            ),
-            overall_ber=None, total_packets=total_packets, key_bits=0, blocks=0,
-        )
-    else:
-        keys_a, skip_a = make_keys(pa, cfg.block_len, cfg.levels)
-        keys_b, skip_b = make_keys(pb, cfg.block_len, cfg.levels)
-        index_a = {k.start_seq: k for k in keys_a}
-        index_b = {k.start_seq: k for k in keys_b}
-        common = sorted(set(index_a) & set(index_b))
-        paired_a = [index_a[s] for s in common]
-        paired_b = [index_b[s] for s in common]
-        report = evaluate(paired_a, paired_b, total_packets, cfg.error_thresholds)
-        report = replace(report, skipped_blocks=skip_a + skip_b)
-
+    short = len(pre.x) < BLOCK_LEN
+    keys_a, skip_a = ([], 0) if short else make_keys(pre.x)
+    keys_b, skip_b = ([], 0) if short else make_keys(pre.y)
+    index_a = {k.start_seq: k for k in keys_a}
+    index_b = {k.start_seq: k for k in keys_b}
+    common = sorted(set(index_a) & set(index_b))
+    report = evaluate([index_a[s] for s in common], [index_b[s] for s in common],
+                      pre.total_packets, cfg.error_thresholds)
     return replace(
         report,
+        skipped_blocks=skip_a + skip_b,
         pipeline=cfg.pipeline,
         sync=cfg.sync,
         lag=pre.lag,

@@ -48,6 +48,8 @@ class CsiTrace:
     def __post_init__(self):
         if self.rate_hz <= 0:
             raise ValueError("rate_hz must be positive")
+        if any(c in self.device_id for c in ",\n\r"):  # would break its CSV row
+            raise ValueError(f"device_id {self.device_id!r} must not hold ',', '\\n' or '\\r'")
         seqs = np.ascontiguousarray(self.seqs, dtype=np.int64)
         t = np.ascontiguousarray(self.t, dtype=np.float64)
         iq = np.ascontiguousarray(self.iq, dtype=np.complex128)
@@ -64,6 +66,14 @@ class CsiTrace:
         for name, arr in (("seqs", seqs), ("t", t), ("iq", iq)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.device_id, self.subcarriers, self.rate_hz)
+                == (other.device_id, other.subcarriers, other.rate_hz)
+                and all(np.array_equal(getattr(self, k), getattr(other, k))
+                        for k in ("seqs", "t", "iq")))
 
     def __len__(self) -> int:
         return len(self.seqs)
@@ -101,10 +111,6 @@ class MagnitudeSeries:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    @property
-    def has_gaps(self) -> bool:
-        return bool(np.isnan(self.values).any())
 
 
 def parse_csi_csv(stream, rate_hz: float | None = None) -> CsiTrace:
@@ -160,7 +166,8 @@ def parse_csi_csv(stream, rate_hz: float | None = None) -> CsiTrace:
         except ValueError:
             bad_rows.append(idx)
             continue
-        if not (isfinite(t) and all(map(isfinite, vals)) and -2 ** 63 <= seq < 2 ** 63):
+        if not (isfinite(t) and all(map(isfinite, vals)) and -2 ** 63 <= seq < 2 ** 63
+                and "\r" not in parts[2]):
             bad_rows.append(idx)
             continue
         if seqs and seq <= seqs[-1]:

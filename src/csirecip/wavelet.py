@@ -14,7 +14,7 @@ Conventions
 -----------
 * ``freqs`` are stored in descending order; row 0 is the highest frequency.
 * Scale s and frequency f are related through the Morlet Fourier factor
-  ``ff = 4*pi / (w0 + sqrt(2 + w0**2))`` as ``s = 1 / (ff * f)``.
+  ``ff = 4*pi / (w0 + sqrt(2 + w0**2))``, ``w0 = OMEGA0``, as ``s = 1 / (ff * f)``.
 * Boundaries are zero padded.  The cone of influence derives from the
   wavelet's e-folding time ``sqrt(2)*s`` and is reported so callers can
   mask edge artifacts.
@@ -22,12 +22,14 @@ Conventions
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyBandError, GapsPresentError, NonFiniteError, TooShortError
+
+OMEGA0 = 6.0  # Morlet center-frequency parameter (>= 5 keeps the wavelet admissible)
+HYSTERESIS = 0.1  # coherence rise above the floor that ends a detected gap
 
 
 @dataclass(frozen=True)
@@ -36,9 +38,6 @@ class CwtParams:
 
     Parameters
     ----------
-    omega0 : float
-        Morlet center-frequency parameter (>= 5 keeps the wavelet
-        numerically admissible).
     voices_per_octave : int
         Frequency bins per octave of the logarithmic grid.
     min_freq, max_freq : float
@@ -51,11 +50,8 @@ class CwtParams:
     max_freq: float
     sample_rate: float
     voices_per_octave: int = 12
-    omega0: float = 6.0
 
     def __post_init__(self):
-        if self.omega0 < 5:
-            raise ValueError("omega0 must be >= 5")
         if self.voices_per_octave < 4:
             raise ValueError("voices_per_octave must be >= 4")
         if not (0 < self.min_freq < self.max_freq <= self.sample_rate / 2):
@@ -66,7 +62,7 @@ class CwtParams:
 
     @property
     def fourier_factor(self) -> float:
-        return 4 * np.pi / (self.omega0 + np.sqrt(2 + self.omega0 ** 2))
+        return 4 * np.pi / (OMEGA0 + np.sqrt(2 + OMEGA0 ** 2))
 
     def freq_grid(self) -> np.ndarray:
         """Descending log-spaced frequencies covering [min_freq, max_freq]."""
@@ -116,10 +112,6 @@ class Scalogram:
             object.__setattr__(self, name, arr)
         if self.coeffs.shape != (len(self.freqs), len(self.coi)):
             raise ValueError("coeffs shape inconsistent with freqs/coi")
-
-    @property
-    def n_times(self) -> int:
-        return self.coeffs.shape[1]
 
     def coi_mask(self) -> np.ndarray:
         """Boolean (n_bins, n_times) mask, True inside the cone of influence."""
@@ -182,7 +174,7 @@ def _morlet_bank(scales: np.ndarray, k: np.ndarray, params: CwtParams) -> np.nda
     out[:, pos] = (
         np.sqrt(2 * np.pi * scales / dt)[:, None]
         * np.pi ** -0.25
-        * np.exp(-0.5 * (scales[:, None] * k[pos] - params.omega0) ** 2)
+        * np.exp(-0.5 * (scales[:, None] * k[pos] - OMEGA0) ** 2)
     )
     return out
 
@@ -217,7 +209,7 @@ def _recon_plateau(params: CwtParams) -> float:
     dt = 1.0 / params.sample_rate
     w = 2 * np.pi * np.sqrt(params.min_freq * params.max_freq)
     g = np.sqrt(2 * np.pi / dt) * np.pi ** -0.25 * np.sum(
-        np.exp(-0.5 * (scales * w - params.omega0) ** 2)
+        np.exp(-0.5 * (scales * w - OMEGA0) ** 2)
     )
     return float(g)
 
@@ -339,17 +331,14 @@ def wavelet_coherence(x, y, params: CwtParams) -> CoherenceMap:
     )
 
 
-def band_average(cmap: CoherenceMap, band: tuple[float, float],
-                 use_coi: bool = True) -> np.ndarray:
+def band_average(cmap: CoherenceMap, band: tuple[float, float]) -> np.ndarray:
     """Mean coherence over a frequency band, per time index.
 
-    With ``use_coi`` the average skips edge-affected cells; times where the
-    whole band is edge-affected fall back to the unmasked average.
+    The average skips edge-affected cells; times where the whole band is
+    edge-affected fall back to the unmasked average.
     """
     rows = _band_rows(cmap.freqs, band, None)
     sub = cmap.wc[rows]
-    if not use_coi:
-        return sub.mean(axis=0)
     mask = cmap.coi[rows]
     cnt = mask.sum(axis=0)
     tot = np.where(mask, sub, 0.0).sum(axis=0)
@@ -361,18 +350,16 @@ def coherent_gap_width(
     cmap: CoherenceMap,
     band: tuple[float, float] = (0.06, 1.5),
     wc_floor: float = 0.3,
-    hysteresis: float = 0.1,
-    use_coi: bool = True,
 ) -> list[tuple[float, float]]:
     """Detect low-coherence time intervals in a frequency band.
 
     Returns (start_time_s, width_s) for every interval where the
     band-averaged coherence stays below ``wc_floor``; the detector exits
-    an interval only once the average rises above ``wc_floor + hysteresis``,
+    an interval only once the average rises above ``wc_floor + HYSTERESIS``,
     which keeps one physical gap from fragmenting.  Width times packet
     rate estimates the number of lost packets.
     """
-    avg = band_average(cmap, band, use_coi=use_coi)
+    avg = band_average(cmap, band)
     dt = float(cmap.times[1] - cmap.times[0]) if len(cmap.times) > 1 else 1.0
     out: list[tuple[float, float]] = []
     inside = False
@@ -380,7 +367,7 @@ def coherent_gap_width(
     for i, v in enumerate(avg):
         if not inside and v < wc_floor:
             inside, start = True, i
-        elif inside and v > wc_floor + hysteresis:
+        elif inside and v > wc_floor + HYSTERESIS:
             out.append((start * dt, (i - start) * dt))
             inside = False
     if inside:
@@ -418,7 +405,3 @@ def coherence_summary(
         "band_mean_wc": float(band_average(cmap, band).mean()),
         "gaps": [{"start_s": s, "width_s": w} for s, w in gaps],
     }
-
-
-def coherence_summary_json(cmap: CoherenceMap, **kwargs) -> str:
-    return json.dumps(coherence_summary(cmap, **kwargs), indent=2)

@@ -1,8 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
+from csirecip import chansim
 from csirecip.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from csirecip.keygen import PROBE_LEN
+from csirecip.traces import pair_traces
 
 
 def run(argv):
@@ -121,6 +125,21 @@ class TestReconstruct:
         assert meta["pipeline"] == "golay"
         assert meta["sync"] is True
         assert "pearson_after" in meta
+
+    @pytest.mark.parametrize("lag", [-5, 5])
+    def test_seq_column_is_ap_seq(self, lag, tmp_path):
+        rc = run(["reconstruct", "--preset", "los-short", "--lag", str(lag), "--duration",
+                  "120", "--pipeline", "raw", "--out-dir", str(tmp_path)])
+        assert rc == EXIT_OK
+        cfg = chansim.preset("los-short", duration_s=120.0, seed=0, lag_samples=lag)
+        ap, sta, _ = chansim.gen_pair(cfg)
+        i_ap, i_sta = pair_traces(ap, sta, 6, gap_policy="interpolate_linear")
+        assert json.loads((tmp_path / "reconstructed_raw.json").read_text())["lag"] == lag
+        rows = np.loadtxt(tmp_path / "reconstructed_raw.csv", delimiter=",", skiprows=1)
+        idx = rows[:, 0].astype(np.int64) - i_ap.seqs[0]
+        assert idx[0] == PROBE_LEN + max(-lag, 0)
+        np.testing.assert_array_equal(rows[:, 1], i_ap.values[idx])
+        np.testing.assert_array_equal(rows[:, 2], i_sta.values[idx + lag])
 
     def test_no_sync_flag(self, tmp_path):
         rc = run(["reconstruct", "--preset", "nlos-short", "--duration", "100",

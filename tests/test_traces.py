@@ -1,5 +1,6 @@
 import hashlib
 import io
+import re
 
 import numpy as np
 import pytest
@@ -148,6 +149,34 @@ class TestColumns:
     def test_rate_must_be_positive(self):
         with pytest.raises(ValueError, match="rate_hz"):
             CsiTrace("ap", 1, 0.0, [1], [0.1], np.ones((1, 1)))
+
+    @pytest.mark.parametrize("dev", ["a,b", "a\nb", "a\rb"])
+    def test_device_id_breaking_csv_rows_rejected(self, dev):
+        with pytest.raises(ValueError, match=re.escape(repr(dev))):
+            make_trace([1, 2], [1, 2], device=dev)
+
+    def test_carriage_return_in_dev_is_bad_row(self):
+        tr = parse_csi_csv(make_csv([row(1, 0.1, [1, 1], dev="a\rb"), row(2, 0.2, [1, 1])]))
+        assert tr.parse_stats["bad_rows"] == [1]
+        assert list(tr.seqs) == [2]
+
+
+class TestEquality:
+    def test_equal_traces(self):
+        cfg = preset("los-short", duration_s=30.0, seed=1)
+        a, _, _ = gen_pair(cfg)
+        a2, _, _ = gen_pair(cfg)
+        assert a is not a2
+        assert a == a2 and not a != a2
+        # parse_stats is not compared
+        assert parse_csi_csv(write_csi_csv(a), rate_hz=a.rate_hz) == a
+
+    def test_one_iq_value_changed(self):
+        a, _, _ = gen_pair(preset("los-short", duration_s=30.0, seed=1))
+        iq = a.iq.copy()
+        iq[7, 3] += 1e-9
+        b = CsiTrace(a.device_id, a.subcarriers, a.rate_hz, a.seqs, a.t, iq)
+        assert a != b and not a == b
 
 
 # sha256 of the CSVs the per-packet trace implementation wrote for these

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from csirecip.errors import EmptyBandError, GapsPresentError, NonFiniteError, TooShortError
 from csirecip.reconstruct import ReciprocalBand, wt_reconstruct
 from csirecip.wavelet import (
+    OMEGA0,
     CwtParams,
     band_average,
     coherence_summary,
@@ -113,7 +114,7 @@ class TestCwt:
         for j, s in enumerate(p.scales()):
             psi = np.zeros_like(k)
             psi[pos] = (np.sqrt(2 * np.pi * s / dt) * np.pi ** -0.25
-                        * np.exp(-0.5 * (s * k[pos] - p.omega0) ** 2))
+                        * np.exp(-0.5 * (s * k[pos] - OMEGA0) ** 2))
             want[j] = np.fft.ifft(fx * psi)[:n]
         np.testing.assert_array_equal(cwt(x, p).coeffs, want)
 
@@ -277,6 +278,34 @@ class TestCoherence:
         # phase negates away from the +/- pi wraparound
         safe = np.abs(np.abs(a.phase) - np.pi) > 1e-6
         np.testing.assert_allclose(a.phase[safe], -b.phase[safe], atol=1e-9)
+
+
+@st.composite
+def coherence_case(draw):
+    """A series pair of any scale: correlated, independent, or y constant."""
+    n = draw(st.integers(32, 700))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale_x, scale_y = (10.0 ** draw(st.floats(-3, 3)) for _ in range(2))
+    walk = rng.normal(size=n).cumsum()
+    x = walk * scale_x + 5.0
+    if draw(st.booleans()):
+        y = np.full(n, 3.0 * scale_y)
+    else:
+        rho = draw(st.floats(0, 1))
+        y = (rho * walk + np.sqrt(1 - rho ** 2) * rng.normal(size=n).cumsum()) * scale_y
+    return x, y, default_params(n, FS, periods=draw(st.sampled_from([1.0, 4.0])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(coherence_case())
+@example((np.random.default_rng(1).normal(size=32).cumsum(), np.full(32, 2.0),
+          default_params(32, FS, periods=1.0)))
+def test_coherence_bounded_and_swap_symmetric(case):
+    x, y, p = case
+    wc = wavelet_coherence(x, y, p).wc
+    assert 0.0 <= wc.min() and wc.max() <= 1.0
+    # the swap conjugates the cross spectrum: equal up to FFT rounding
+    np.testing.assert_allclose(wavelet_coherence(y, x, p).wc, wc, rtol=0, atol=1e-9)
 
 
 def drop_and_fill(x, start_s, count, fs):
