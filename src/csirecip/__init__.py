@@ -50,7 +50,6 @@ from .reconstruct import (
     fft_reconstruct,
     golay_filter,
     select_reciprocal_freqs,
-    synchronize,
     wpt_denoise,
     wt_reconstruct,
 )

@@ -32,6 +32,10 @@ class RateMismatchError(CsiRecipError):
     """Two traces to be paired were captured at different packet rates."""
 
 
+class UnknownRateError(CsiRecipError):
+    """The packet rate is neither given nor inferable from the rows."""
+
+
 # --- metrics ---
 
 class LengthMismatchError(CsiRecipError):
@@ -48,6 +52,10 @@ class ConstantPooledRangeError(CsiRecipError):
 
 class SeriesTooShortError(CsiRecipError):
     """Series too short for the requested lag search."""
+
+
+class InvalidMaxLagError(CsiRecipError, ValueError):
+    """Lag search bound is negative or not an integer."""
 
 
 # --- wavelet ---

@@ -13,9 +13,13 @@ import numpy as np
 from .errors import (
     ConstantPooledRangeError,
     DegenerateSeriesError,
+    InvalidMaxLagError,
     LengthMismatchError,
     SeriesTooShortError,
 )
+
+
+DEGENERATE_RTOL = 1e-10  # xcorr_lag: window variance below this share of the series' is zero
 
 
 @dataclass(frozen=True)
@@ -126,42 +130,50 @@ def wasserstein_1d(x, y) -> float:
     return float(np.sum(np.abs(qx - qy) * du))
 
 
+def _window_moments(v: np.ndarray, m: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """Sum and centred sum of squares of v[:m] where ``head``, else of v[-m:]; the
+    squares add Welford's increments, never negative, so nothing cancels."""
+    ends = []
+    for u in (v, v[::-1]):
+        k = np.arange(1.0, len(u) + 1)
+        s = np.cumsum(u)
+        d = u[1:] - s[:-1] / k[:-1]
+        ends.append(np.stack((s, np.r_[0.0, np.cumsum(d * d * (k[:-1] / k[1:]))]))[:, m - 1])
+    return np.where(head, *ends)
+
+
 def xcorr_lag(x, y, max_lag: int) -> LagEstimate:
     """Time-lagged cross-correlation scan over lags in [-max_lag, max_lag].
 
     Each lag's correlation is the Pearson coefficient of the overlapping
-    windows (per-lag normalization, so shorter overlaps are not penalized).
-    Ties break toward the smallest |lag|, then toward negative lag.  A lag
-    whose overlap has zero variance contributes correlation 0.
+    windows (per-lag normalization, so shorter overlaps are not penalized),
+    from cumulative window moments and one ``np.correlate``.  Ties break
+    toward the smallest |lag|, then toward negative lag.  A window whose
+    centred sum of squares is at most ``DEGENERATE_RTOL`` times its series'
+    total has zero variance: its lag contributes correlation 0.
     """
     x = _as_series(x, "x")
     y = _as_series(y, "y")
     if len(x) != len(y):
         raise LengthMismatchError(f"lengths differ: {len(x)} vs {len(y)}")
     n = len(x)
-    if max_lag < 0:
-        raise ValueError("max_lag must be non-negative")
+    if not isinstance(max_lag, (int, np.integer)) or max_lag < 0:
+        raise InvalidMaxLagError(f"max_lag must be a non-negative integer, got {max_lag!r}")
     if n <= 2 * max_lag:
         raise SeriesTooShortError(f"need length > {2 * max_lag}, got {n}")
 
     lags = np.arange(-max_lag, max_lag + 1)
-    curve = np.empty(len(lags))
-    degenerate = 0
-    for i, ell in enumerate(lags):
-        if ell >= 0:
-            xs, ys = x[: n - ell], y[ell:]
-        else:
-            xs, ys = x[-ell:], y[: n + ell]
-        xd = xs - xs.mean()
-        yd = ys - ys.mean()
-        denom = np.sqrt(float(xd @ xd) * float(yd @ yd))
-        if denom == 0.0:
-            curve[i] = 0.0
-            degenerate += 1
-        else:
-            curve[i] = float(xd @ yd) / denom
-    if degenerate == len(lags):
+    m = n - np.abs(lags)  # window length per lag
+    xc = x - x.mean()
+    yc = y - y.mean()
+    sx, vx = _window_moments(xc, m, lags >= 0)  # x's window is a prefix at lag >= 0
+    sy, vy = _window_moments(yc, m, lags < 0)
+    sxy = np.correlate(yc, xc, "full")[n - 1 - max_lag:n + max_lag]
+    degenerate = (vx <= DEGENERATE_RTOL * (xc @ xc)) | (vy <= DEGENERATE_RTOL * (yc @ yc))
+    if degenerate.all():
         raise DegenerateSeriesError("zero variance at every candidate lag")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        curve = np.where(degenerate, 0.0, (sxy - sx * sy / m) / np.sqrt(vx * vy))
 
     peak = curve.max()
     cand = lags[curve == peak]

@@ -2,8 +2,8 @@
 
 Four interchangeable pipelines: Savitzky-Golay smoothing, FFT band
 reconstruction, wavelet-packet median nulling, and the coherence-guided
-band-limited wavelet reconstruction with threshold adaptation and
-cross-correlation synchronization.
+band-limited wavelet reconstruction with threshold adaptation; plus
+alignment of a pair at a known lag.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .errors import (
     TooShortError,
     UnusableCoherenceError,
 )
-from .metrics import xcorr_lag
 from .wavelet import CoherenceMap, CwtParams, _band_filter
 
 
@@ -256,12 +255,6 @@ def wt_reconstruct(x, band: ReciprocalBand, params: CwtParams,
         # selection came from a different grid; fall back to nearest bins
         rows = np.unique([int(np.argmin(np.abs(freqs - f))) for f in band.f_rec])
     return _band_filter(x, params, rows=rows)
-
-
-def synchronize(x, y, max_lag: int) -> SyncResult:
-    """Estimate the time shift by cross-correlation and align the pair."""
-    est = xcorr_lag(x, y, max_lag)
-    return apply_lag(x, y, est.lag)
 
 
 def apply_lag(x, y, lag: int) -> SyncResult:

@@ -27,6 +27,7 @@ from .errors import (
     NoOverlapError,
     RateMismatchError,
     SubcarrierOutOfRangeError,
+    UnknownRateError,
 )
 
 GAP = np.nan  # gap marker used in magnitude series
@@ -123,7 +124,8 @@ def parse_csi_csv(stream, rate_hz: float | None = None) -> CsiTrace:
     in ``trace.parse_stats``.
 
     When ``rate_hz`` is None the nominal packet rate is inferred from the
-    seq/time span of the accepted rows.
+    seq/time span of the accepted rows; :class:`UnknownRateError` is
+    raised when they hold one row or their times do not increase.
     """
     if isinstance(stream, bytes):
         text = stream.decode("utf-8")
@@ -185,10 +187,11 @@ def parse_csi_csv(stream, rate_hz: float | None = None) -> CsiTrace:
         raise EmptyTraceError("no rows survived parsing")
 
     if rate_hz is None:
-        if len(seqs) > 1 and ts[-1] > ts[0]:
-            rate_hz = (seqs[-1] - seqs[0]) / (ts[-1] - ts[0])
-        else:
-            rate_hz = 1.0
+        if len(seqs) == 1 or not ts[-1] > ts[0]:
+            why = (f"t that does not increase ({ts[0]!r} to {ts[-1]!r})" if len(seqs) > 1
+                   else "a single row")
+            raise UnknownRateError(f"cannot infer the packet rate from {why}; pass rate_hz")
+        rate_hz = (seqs[-1] - seqs[0]) / (ts[-1] - ts[0])
 
     return CsiTrace(
         device_id=device_id,
@@ -269,26 +272,23 @@ def pair_traces(
     if lo > hi:
         raise NoOverlapError(f"seq ranges do not overlap ({lo} > {hi})")
 
-    grid = np.arange(lo, hi + 1)
-
-    def on_grid(ms: MagnitudeSeries) -> np.ndarray:
-        out = np.full(len(grid), GAP)
-        sel = (ms.seqs >= lo) & (ms.seqs <= hi)
-        out[ms.seqs[sel] - lo] = ms.values[sel]
-        return out
-
-    a = on_grid(m_ap)
-    b = on_grid(m_sta)
-
     if gap_policy == "drop_both":
-        keep = ~(np.isnan(a) | np.isnan(b))
-        grid, a, b = grid[keep], a[keep], b[keep]
-    else:
-        a = _fill_interior(a)
-        b = _fill_interior(b)
-        keep = ~(np.isnan(a) | np.isnan(b))  # leading/trailing gaps
-        first, last = np.flatnonzero(keep)[[0, -1]] if keep.any() else (0, -1)
-        grid, a, b = grid[first:last + 1], a[first:last + 1], b[first:last + 1]
+        grid, ia, ib = np.intersect1d(m_ap.seqs, m_sta.seqs, assume_unique=True,
+                                      return_indices=True)
+        a, b = m_ap.values[ia], m_sta.values[ib]
+    else:  # once filled, each side's gaps are leading/trailing, so keep is one run
+        grid = np.arange(lo, hi + 1)
+
+        def on_grid(ms: MagnitudeSeries) -> np.ndarray:
+            out = np.full(len(grid), GAP)
+            sel = (ms.seqs >= lo) & (ms.seqs <= hi)
+            out[ms.seqs[sel] - lo] = ms.values[sel]
+            return out
+
+        a = _fill_interior(on_grid(m_ap))
+        b = _fill_interior(on_grid(m_sta))
+    keep = ~(np.isnan(a) | np.isnan(b))
+    grid, a, b = grid[keep], a[keep], b[keep]
 
     if len(grid) == 0:
         raise NoOverlapError("no jointly present samples in the overlap")

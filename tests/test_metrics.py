@@ -1,13 +1,19 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from csirecip.errors import (
     ConstantPooledRangeError,
     DegenerateSeriesError,
+    InvalidMaxLagError,
     LengthMismatchError,
     SeriesTooShortError,
 )
 from csirecip.metrics import (
+    DEGENERATE_RTOL,
     DivergenceConfig,
     ber,
     jeffrey_divergence,
@@ -207,6 +213,89 @@ class TestXcorr:
     def test_too_short(self):
         with pytest.raises(SeriesTooShortError):
             xcorr_lag(np.arange(10.0), np.arange(10.0), 5)
+
+    @pytest.mark.parametrize("max_lag", [-3, 2.5], ids=["negative", "non-integral"])
+    def test_bad_max_lag_named(self, max_lag):
+        with pytest.raises(InvalidMaxLagError, match=re.escape(repr(max_lag))) as err:
+            xcorr_lag(np.arange(10.0), np.arange(10.0), max_lag)
+        assert isinstance(err.value, ValueError)
+
+
+def xcorr_loop(x, y, max_lag):
+    """Reference scan: Pearson of each lag's overlap, one lag at a time.
+
+    A window whose centred sum of squares is at most DEGENERATE_RTOL times
+    its series' total gives 0; all windows degenerate raises.  A constant
+    series is degenerate outright: its windows' centred sums of squares
+    are rounding noise of the mean, and so is its total.
+    """
+    if np.ptp(x) == 0 or np.ptp(y) == 0:
+        raise DegenerateSeriesError("constant series")
+    n = len(x)
+    tot_x = float((x - x.mean()) @ (x - x.mean()))
+    tot_y = float((y - y.mean()) @ (y - y.mean()))
+    lags = np.arange(-max_lag, max_lag + 1)
+    curve = np.zeros(len(lags))
+    live = False
+    for i, ell in enumerate(lags):
+        xs, ys = (x[:n - ell], y[ell:]) if ell >= 0 else (x[-ell:], y[:n + ell])
+        xd, yd = xs - xs.mean(), ys - ys.mean()
+        vx, vy = float(xd @ xd), float(yd @ yd)
+        if vx > DEGENERATE_RTOL * tot_x and vy > DEGENERATE_RTOL * tot_y:
+            curve[i] = float(xd @ yd) / np.sqrt(vx * vy)
+            live = True
+    if not live:
+        raise DegenerateSeriesError("zero variance at every candidate lag")
+    cand = lags[curve == curve.max()]
+    return int(cand[np.lexsort((cand, np.abs(cand)))[0]]), curve
+
+
+@st.composite
+def lag_scan_case(draw):
+    """A correlated pair, n in [3, 800], each series at its own scale
+    (1e-3 to 1e3) around an offset of up to 1e3 scales, with constant stretches."""
+    n = draw(st.integers(3, 800))
+    max_lag = draw(st.integers(0, (n - 1) // 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rho = draw(st.floats(0.0, 1.0))
+    x0 = rng.normal(size=n)
+    y0 = rho * np.roll(x0, draw(st.integers(-max_lag, max_lag))) \
+        + np.sqrt(1 - rho ** 2) * rng.normal(size=n)
+    out = []
+    for v in (x0, y0):
+        scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+        offset = draw(st.floats(-1e3, 1e3))
+        v = scale * (offset + v)
+        for _ in range(draw(st.integers(0, 3))):
+            start, length = draw(st.integers(0, n - 1)), draw(st.integers(1, n))
+            v[start:start + length] = scale * (offset + rng.normal())
+        out.append(v)
+    return out[0], out[1], max_lag
+
+
+_rng = np.random.default_rng(11)
+_walk = np.cumsum(_rng.normal(size=620))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lag_scan_case())
+@example((1e3 + _walk[20:], 1e3 + _walk[:600], 200))  # offset far above the spread
+@example((np.r_[_walk[:5], np.full(95, 2.0)], _walk[:100], 49))  # constant tail
+@example((np.full(9, 3.0), _walk[:9], 4))  # constant series
+def test_closed_form_matches_per_lag_loop(case):
+    x, y, max_lag = case
+    try:
+        want_lag, want_curve = xcorr_loop(x, y, max_lag)
+    except DegenerateSeriesError:
+        with pytest.raises(DegenerateSeriesError):
+            xcorr_lag(x, y, max_lag)
+        return
+    est = xcorr_lag(x, y, max_lag)
+    np.testing.assert_allclose(est.curve, want_curve, rtol=0, atol=1e-12)
+    if est.lag != want_lag:
+        # only an exact tie, which rounding decides, may resolve differently:
+        # e.g. every two-sample window correlates at exactly +-1
+        assert want_curve.max() - want_curve[est.lag + max_lag] <= 1e-12
 
 
 # --- ber ------------------------------------------------------------------

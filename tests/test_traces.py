@@ -15,6 +15,7 @@ from csirecip.errors import (
     NoOverlapError,
     RateMismatchError,
     SubcarrierOutOfRangeError,
+    UnknownRateError,
 )
 from csirecip.traces import (
     CsiTrace,
@@ -99,10 +100,25 @@ class TestParse:
             parse_csi_csv(make_csv([]))
 
     def test_accepts_bytes_and_streams(self):
-        text = make_csv([row(1, 0.1, [1, 1])])
-        assert len(parse_csi_csv(text.encode())) == 1
-        assert len(parse_csi_csv(io.BytesIO(text.encode()))) == 1
-        assert len(parse_csi_csv(io.StringIO(text))) == 1
+        text = make_csv([row(1, 0.1, [1, 1]), row(2, 0.2, [1, 1])])
+        assert len(parse_csi_csv(text.encode())) == 2
+        assert len(parse_csi_csv(io.BytesIO(text.encode()))) == 2
+        assert len(parse_csi_csv(io.StringIO(text))) == 2
+
+    def test_rate_not_inferable_from_single_row(self):
+        with pytest.raises(UnknownRateError, match="single row"):
+            parse_csi_csv(make_csv([row(1, 0.1, [1, 1])]))
+
+    def test_rate_not_inferable_when_t_does_not_increase(self):
+        text = make_csv([row(1, 0.5, [1, 1]), row(2, 0.5, [1, 1]), row(3, 0.2, [1, 1])])
+        with pytest.raises(UnknownRateError, match=r"t that does not increase \(0.5 to 0.2\)"):
+            parse_csi_csv(text)
+
+    def test_explicit_rate_parses_without_inference(self):
+        single = parse_csi_csv(make_csv([row(1, 0.1, [1, 1])]), rate_hz=10.0)
+        assert len(single) == 1 and single.rate_hz == 10.0
+        flat = parse_csi_csv(make_csv([row(1, 0.5, [1, 1]), row(2, 0.5, [1, 1])]), rate_hz=4.0)
+        assert list(flat.seqs) == [1, 2] and flat.rate_hz == 4.0
 
     def test_leading_bom_accepted(self):
         text = make_csv([row(1, 0.1, [1, 1]), row(2, 0.2, [2, 2])])
@@ -156,7 +172,8 @@ class TestColumns:
             make_trace([1, 2], [1, 2], device=dev)
 
     def test_carriage_return_in_dev_is_bad_row(self):
-        tr = parse_csi_csv(make_csv([row(1, 0.1, [1, 1], dev="a\rb"), row(2, 0.2, [1, 1])]))
+        tr = parse_csi_csv(make_csv([row(1, 0.1, [1, 1], dev="a\rb"), row(2, 0.2, [1, 1])]),
+                           rate_hz=10.0)
         assert tr.parse_stats["bad_rows"] == [1]
         assert list(tr.seqs) == [2]
 
@@ -217,7 +234,7 @@ def columnar_trace(draw):
                             [-0.0, 1.0, 0.0, -0.0]]).view(np.complex128)))
 def test_write_parse_write_byte_identical(tr):
     text = write_csi_csv(tr)
-    back = parse_csi_csv(text)
+    back = parse_csi_csv(text, rate_hz=tr.rate_hz)  # t is arbitrary here
     assert write_csi_csv(back) == text
     seqs = tr.seqs.tolist()
     assert back.missing_seqs().tolist() == sorted(set(range(seqs[0], seqs[-1] + 1)) - set(seqs))
@@ -264,6 +281,15 @@ class TestPair:
         assert list(a.seqs) == [1, 3, 4]
         np.testing.assert_array_equal(a.values, [1, 3, 4])
         np.testing.assert_array_equal(b.values, [1, 3, 4])
+
+    def test_drop_both_work_bounded_by_rows_not_seq_span(self):
+        # a grid over the seq span would need 10**12 cells
+        ap = make_trace([0, 10 ** 12], [1, 2])
+        sta = make_trace([0, 10 ** 12], [3, 4], device="sta")
+        a, b = pair_traces(ap, sta, 0, gap_policy="drop_both")
+        assert list(a.seqs) == list(b.seqs) == [0, 10 ** 12]
+        np.testing.assert_array_equal(a.values, [1, 2])
+        np.testing.assert_array_equal(b.values, [3, 4])
 
     def test_interpolate_midpoint(self):
         ap = make_trace([3, 4, 6, 7], [1.0, 2.0, 4.0, 5.0])  # gap at seq 5
