@@ -44,7 +44,6 @@ from .metrics import (
 )
 from .reconstruct import (
     ReciprocalBand,
-    SyncResult,
     adapt_thresholds,
     apply_lag,
     fft_reconstruct,

@@ -34,7 +34,8 @@ class Reason(str, Enum):
 class AuthPolicy:
     """Acceptance thresholds; defaults sit midway between the observed
     legitimate (high corr, tiny shift) and replay (near-zero corr, large
-    shift) operating points."""
+    shift) operating points.  ``max_shift`` stays below ``PROBE_LEN // 3``,
+    the widest lag the channel checks scan, so a shift above it is visible."""
 
     min_corr: float = 0.4
     max_shift: int = 50
@@ -42,18 +43,16 @@ class AuthPolicy:
     def __post_init__(self):
         if not 0 < self.min_corr < 1:
             raise ValueError("min_corr must be in (0, 1)")
-        if self.max_shift < 0:
-            raise ValueError("max_shift must be non-negative")
+        if not 0 <= self.max_shift < PROBE_LEN // 3:
+            raise ValueError(f"max_shift must be in [0, {PROBE_LEN // 3}), got {self.max_shift}")
 
 
 @dataclass(frozen=True)
 class AuthMessage:
     """S3 message: the station's measured CSI under an authentication tag."""
 
-    kind: str
     payload_csi: np.ndarray
     tag: bytes
-    sent_at: float = 0.0
 
     def __post_init__(self):
         arr = np.asarray(self.payload_csi, dtype=np.float64)
@@ -82,29 +81,42 @@ def _tag(payload: np.ndarray, key: bytes) -> bytes:
                     hashlib.sha256).digest()
 
 
-def sign_csi(csi, key: bytes, sent_at: float = 0.0) -> AuthMessage:
+def sign_csi(csi, key: bytes) -> AuthMessage:
     """Build the signed S3 message for a measured CSI window."""
     payload = np.asarray(csi, dtype=np.float64).ravel()
-    return AuthMessage(kind="S3_signed", payload_csi=payload,
-                       tag=_tag(payload, key), sent_at=sent_at)
+    return AuthMessage(payload_csi=payload, tag=_tag(payload, key))
 
 
 def verify_tag(message: AuthMessage, key: bytes) -> bool:
     return hmac.compare_digest(message.tag, _tag(message.payload_csi, key))
 
 
-def _channel_checks(ap_csi: np.ndarray, payload: np.ndarray,
-                    policy: AuthPolicy) -> AuthDecision:
-    n = min(len(ap_csi), len(payload), PROBE_LEN)
-    x = ap_csi[:n]
-    y = payload[:n]
-    max_lag = max(1, n // 3)
+def _corr_shift(x: np.ndarray, y: np.ndarray, n: int) -> tuple[float, int]:
+    """Pearson corr and |lag| (scan +-max(1, n // 3)) of the first n samples.
+
+    A frozen channel gives (0.0, 0): it can never authenticate.
+    """
+    x, y = x[:n], y[:n]
     try:
-        corr = pearson(x, y)
-        shift = abs(xcorr_lag(x, y, max_lag).lag)
+        return pearson(x, y), abs(xcorr_lag(x, y, max(1, n // 3)).lag)
     except DegenerateSeriesError:
-        # fail closed: a frozen channel can never authenticate
+        return 0.0, 0
+
+
+def _decide(ap_csi, message: AuthMessage, policy: AuthPolicy, key: bytes) -> AuthDecision:
+    """The AP's decision: the tag gate, then the channel checks.
+
+    A window shorter than ``3 * (max_shift + 1)`` samples leaves the lag
+    scan too narrow to see a rejectable shift, so it fails closed like a
+    frozen channel.
+    """
+    ap_csi = np.asarray(ap_csi, dtype=np.float64).ravel()
+    if not verify_tag(message, key):
+        return AuthDecision(False, 0.0, 0, Reason.BAD_SIGNATURE)
+    n = min(len(ap_csi), len(message.payload_csi), PROBE_LEN)
+    if n < 3 * (policy.max_shift + 1):
         return AuthDecision(False, 0.0, 0, Reason.LOW_CORR)
+    corr, shift = _corr_shift(ap_csi, message.payload_csi, n)
     if corr < policy.min_corr:
         return AuthDecision(False, corr, shift, Reason.LOW_CORR)
     if shift > policy.max_shift:
@@ -120,12 +132,9 @@ def run_handshake(ap_csi, sta_csi, policy: AuthPolicy, key: bytes,
     overrides the station's signed report, which lets tests inject
     tampered tags.
     """
-    ap_csi = np.asarray(ap_csi, dtype=np.float64).ravel()
     if message is None:
-        message = sign_csi(np.asarray(sta_csi, dtype=np.float64).ravel(), key)
-    if not verify_tag(message, key):
-        return AuthDecision(False, 0.0, 0, Reason.BAD_SIGNATURE)
-    return _channel_checks(ap_csi, message.payload_csi, policy)
+        message = sign_csi(sta_csi, key)
+    return _decide(ap_csi, message, policy, key)
 
 
 def replay_attack(recorded_s1, recorded_s3: AuthMessage, ap_now,
@@ -140,10 +149,7 @@ def replay_attack(recorded_s1, recorded_s3: AuthMessage, ap_now,
     replayed probe produced at the AP.
     """
     del recorded_s1  # the stale probe itself never reaches the decision
-    ap_now = np.asarray(ap_now, dtype=np.float64).ravel()
-    if not verify_tag(recorded_s3, key):
-        return AuthDecision(False, 0.0, 0, Reason.BAD_SIGNATURE)
-    return _channel_checks(ap_now, recorded_s3.payload_csi, policy)
+    return _decide(ap_now, recorded_s3, policy, key)
 
 
 def temporal_decorrelation_curve(generator, gaps, seed: int = 0
@@ -164,11 +170,5 @@ def temporal_decorrelation_curve(generator, gaps, seed: int = 0
         x, y = generator(float(gap), rng)
         x = np.asarray(x, dtype=np.float64).ravel()
         y = np.asarray(y, dtype=np.float64).ravel()
-        n = min(len(x), len(y))
-        try:
-            corr = pearson(x[:n], y[:n])
-            shift = abs(xcorr_lag(x[:n], y[:n], max(1, n // 3)).lag)
-        except DegenerateSeriesError:
-            corr, shift = 0.0, 0
-        out.append((float(gap), corr, shift))
+        out.append((float(gap), *_corr_shift(x, y, min(len(x), len(y)))))
     return out

@@ -20,8 +20,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import authsim, chansim, keygen
 from .authsim import AuthPolicy, replay_attack, run_handshake, sign_csi
 from .errors import CsiRecipError
@@ -117,20 +115,13 @@ def _load_pair(args, cp):
         return ap, sta, resolved
     cfg = _channel_config(args, cp)
     ap, sta, _truth = chansim.gen_pair(cfg)
-    resolved = {"input": {"simulate": _jsonable(asdict(cfg))}}
+    resolved = {"input": {"simulate": asdict(cfg)}}
     return ap, sta, resolved
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
+def _dumps(obj) -> str:
+    """Indented JSON; numpy scalars and arrays become Python values."""
+    return json.dumps(obj, indent=2, default=lambda o: o.tolist())
 
 
 # --- subcommands ---
@@ -142,9 +133,8 @@ def cmd_simulate(args, cp) -> int:
     for trace, name in ((ap, "ap"), (sta, "sta")):
         with open(out / f"{name}.csv", "w", newline="") as f:
             write_csi_csv(trace, f)
-    truth["config"] = _jsonable(asdict(cfg))
-    with open(out / "truth.json", "w") as f:
-        json.dump(truth, f, indent=2)
+    truth["config"] = asdict(cfg)
+    (out / "truth.json").write_text(_dumps(truth))
     print(f"wrote {out}/ap.csv, {out}/sta.csv, {out}/truth.json")
     return EXIT_OK
 
@@ -173,7 +163,7 @@ def cmd_metrics(args, cp) -> int:
         },
         "wc_summary": coherence_summary(cmap),
     }
-    text = json.dumps(_jsonable(report), indent=2)
+    text = _dumps(report)
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -212,8 +202,7 @@ def cmd_reconstruct(args, cp) -> int:
         "pearson_before": pearson(i_ap.values, i_sta.values),
         "pearson_after": pearson(pre.x, pre.y),
     }
-    with open(out / f"reconstructed_{pipeline}.json", "w") as f:
-        json.dump(_jsonable(meta), f, indent=2)
+    (out / f"reconstructed_{pipeline}.json").write_text(_dumps(meta))
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -237,8 +226,7 @@ def cmd_keygen(args, cp) -> int:
         report = wskg_session(i_ap, i_sta, scfg)
         payload = report.to_dict()
         payload["config"] = resolved
-        with open(out / f"session_{pipe}.json", "w") as f:
-            json.dump(_jsonable(payload), f, indent=2)
+        (out / f"session_{pipe}.json").write_text(_dumps(payload))
         for st in report.per_threshold:
             rows.append((pipe, scenario, st.error_threshold, st.kgr,
                          st.mean_ber, report.overall_ber))
@@ -289,9 +277,8 @@ def cmd_auth(args, cp) -> int:
         "confusion": confusion,
         "decisions": decisions,
     }
-    with open(out / "auth_decisions.json", "w") as f:
-        json.dump(_jsonable(payload), f, indent=2)
-    print(json.dumps(confusion, indent=2))
+    (out / "auth_decisions.json").write_text(_dumps(payload))
+    print(_dumps(confusion))
     return EXIT_OK
 
 

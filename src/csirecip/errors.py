@@ -39,7 +39,7 @@ class UnknownRateError(CsiRecipError):
 # --- metrics ---
 
 class LengthMismatchError(CsiRecipError):
-    """Paired inputs must have equal length."""
+    """Paired inputs (series or key-block lists) must have equal length."""
 
 
 class DegenerateSeriesError(CsiRecipError):
@@ -48,10 +48,6 @@ class DegenerateSeriesError(CsiRecipError):
 
 class ConstantPooledRangeError(CsiRecipError):
     """Pooled values are all identical; histogram edges undefined."""
-
-
-class SeriesTooShortError(CsiRecipError):
-    """Series too short for the requested lag search."""
 
 
 class InvalidMaxLagError(CsiRecipError, ValueError):
@@ -69,7 +65,7 @@ class NonFiniteError(CsiRecipError):
 
 
 class TooShortError(CsiRecipError):
-    """Input shorter than the transform requires."""
+    """Input shorter than the transform, lag search or key block requires."""
 
 
 class EmptyBandError(CsiRecipError):
@@ -98,10 +94,6 @@ class DegenerateBlockError(CsiRecipError):
 
 class LevelOutOfRangeError(CsiRecipError):
     """Quantization level exceeds the configured level count."""
-
-
-class ListMismatchError(CsiRecipError):
-    """Key-block lists cannot be paired."""
 
 
 # --- channel simulation ---

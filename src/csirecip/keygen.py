@@ -12,12 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    DegenerateBlockError,
-    LevelOutOfRangeError,
-    ListMismatchError,
-    TooShortError,
-)
+from .errors import DegenerateBlockError, LengthMismatchError, LevelOutOfRangeError, TooShortError
 from .metrics import xcorr_lag
 from .reconstruct import (
     ReciprocalBand,
@@ -169,16 +164,14 @@ def gray_encode(levels_seq, levels_count: int) -> np.ndarray:
     return ((gray[:, None] >> shifts[None, :]) & 1).astype(np.uint8).ravel()
 
 
-def make_keys(x, block_len: int = BLOCK_LEN, levels: int = 4,
-              whole_trace_thresholds: bool = False) -> tuple[list[KeyBlock], int]:
+def make_keys(x, block_len: int = BLOCK_LEN, levels: int = 4) -> tuple[list[KeyBlock], int]:
     """Cut a series into key blocks: quantize, Gray-encode.
 
     Blocks are consecutive and non-overlapping; a trailing partial block is
     discarded.  Degenerate blocks (the cases :func:`cdf_thresholds` rejects)
     are skipped and counted (second return value).  Thresholds are
-    per-block by default, tracking channel drift; ``whole_trace_thresholds``
-    switches to a single trace-wide quantizer.  All blocks are processed as
-    one (blocks, block_len) matrix.
+    per-block, tracking channel drift.  All blocks are processed as one
+    (blocks, block_len) matrix.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     if block_len < 1:
@@ -189,14 +182,10 @@ def make_keys(x, block_len: int = BLOCK_LEN, levels: int = 4,
         raise TooShortError(f"{len(x)} samples < block_len {block_len}")
     n_blocks = len(x) // block_len
     chunks = x[:n_blocks * block_len].reshape(n_blocks, block_len)
-    if whole_trace_thresholds:
-        th = np.broadcast_to(cdf_thresholds(x, levels).thresholds, (n_blocks, levels - 1))
-        keep = np.ones(n_blocks, dtype=bool)
-    else:
-        th = np.quantile(chunks, np.arange(1, levels) / levels, axis=1, method="linear").T
-        srt = np.sort(chunks, axis=1)
-        distinct = 1 + np.count_nonzero(srt[:, 1:] != srt[:, :-1], axis=1)
-        keep = (distinct >= levels) & ~np.any(np.diff(th, axis=1) <= 0, axis=1)
+    th = np.quantile(chunks, np.arange(1, levels) / levels, axis=1, method="linear").T
+    srt = np.sort(chunks, axis=1)
+    distinct = 1 + np.count_nonzero(srt[:, 1:] != srt[:, :-1], axis=1)
+    keep = (distinct >= levels) & ~np.any(np.diff(th, axis=1) <= 0, axis=1)
     # number of thresholds strictly below each sample: searchsorted(side="left")
     lv = (chunks[keep, :, None] > th[keep, None, :]).sum(-1, dtype=np.int64)
     bits = gray_encode(lv, levels).reshape(len(lv), block_len * (int(levels).bit_length() - 1))
@@ -216,7 +205,7 @@ def evaluate(keys_a: list[KeyBlock], keys_b: list[KeyBlock], total_packets: int,
     covers every paired block regardless of threshold.
     """
     if len(keys_a) != len(keys_b):
-        raise ListMismatchError(f"{len(keys_a)} vs {len(keys_b)} blocks")
+        raise LengthMismatchError(f"{len(keys_a)} vs {len(keys_b)} blocks")
     if total_packets <= 0:
         raise ValueError("total_packets must be positive")
     thresholds = tuple(int(t) for t in thresholds)
@@ -227,7 +216,7 @@ def evaluate(keys_a: list[KeyBlock], keys_b: list[KeyBlock], total_packets: int,
     hams = []
     for a, b in zip(keys_a, keys_b):
         if len(a.bits) != len(b.bits):
-            raise ListMismatchError("paired blocks have different bit lengths")
+            raise LengthMismatchError("paired blocks have different bit lengths")
         hams.append(int(np.count_nonzero(a.bits != b.bits)))
     hams = np.asarray(hams, dtype=np.int64)
 
@@ -332,7 +321,7 @@ def preprocess_pair(ap, sta, cfg: SessionConfig = SessionConfig()) -> Preprocess
     a = _values(ap)
     b = _values(sta)
     if len(a) != len(b):
-        raise ListMismatchError("session inputs must be paired to equal length")
+        raise LengthMismatchError("session inputs must be paired to equal length")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("session inputs must be finite and gap-free; pair with interpolation")
     rate = _rate(ap)
@@ -347,8 +336,7 @@ def preprocess_pair(ap, sta, cfg: SessionConfig = SessionConfig()) -> Preprocess
     pa = _run_pipeline(a[L:], rate, band, cfg.pipeline)
     pb = _run_pipeline(b[L:], rate, band, cfg.pipeline)
     if cfg.sync and lag != 0:
-        aligned = apply_lag(pa, pb, lag)
-        pa, pb = aligned.x_aligned, aligned.y_aligned
+        pa, pb = apply_lag(pa, pb, lag)
 
     return PreprocessResult(x=pa, y=pb, band=band, lag=int(lag), total_packets=n)
 

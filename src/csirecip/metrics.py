@@ -15,7 +15,7 @@ from .errors import (
     DegenerateSeriesError,
     InvalidMaxLagError,
     LengthMismatchError,
-    SeriesTooShortError,
+    TooShortError,
 )
 
 
@@ -160,7 +160,7 @@ def xcorr_lag(x, y, max_lag: int) -> LagEstimate:
     if not isinstance(max_lag, (int, np.integer)) or max_lag < 0:
         raise InvalidMaxLagError(f"max_lag must be a non-negative integer, got {max_lag!r}")
     if n <= 2 * max_lag:
-        raise SeriesTooShortError(f"need length > {2 * max_lag}, got {n}")
+        raise TooShortError(f"need length > {2 * max_lag}, got {n}")
 
     lags = np.arange(-max_lag, max_lag + 1)
     m = n - np.abs(lags)  # window length per lag

@@ -48,14 +48,6 @@ class ReciprocalBand:
             raise ValueError("beta must be in [1, window_len]")
 
 
-@dataclass(frozen=True)
-class SyncResult:
-    lag: int
-    x_aligned: np.ndarray
-    y_aligned: np.ndarray
-    discarded: int
-
-
 # --- baseline pipelines ---
 
 def golay_filter(x, window: int = 11, order: int = 3) -> np.ndarray:
@@ -137,13 +129,12 @@ def wpt_inverse(bands: list[np.ndarray], n: int) -> np.ndarray:
     return bands[0]
 
 
-def wpt_denoise(x, depth: int = 4, threshold: bool = True) -> np.ndarray:
+def wpt_denoise(x, depth: int = 4) -> np.ndarray:
     """Wavelet-packet median nulling.
 
     Decomposes to ``depth`` levels with the 4-tap Daubechies filter bank,
     zeroes every coefficient whose magnitude falls below the median of all
-    coefficient magnitudes, and reconstructs.  ``threshold=False`` gives
-    the plain analysis/synthesis round trip.
+    coefficient magnitudes, and reconstructs.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     n0 = len(x)
@@ -153,9 +144,8 @@ def wpt_denoise(x, depth: int = 4, threshold: bool = True) -> np.ndarray:
     n = ((n0 + block - 1) // block) * block
     xp = np.pad(x, (0, n - n0), mode="reflect") if n != n0 else x
     bands = wpt_forward(xp, depth)
-    if threshold:
-        med = np.median(np.abs(np.concatenate(bands)))
-        bands = [np.where(np.abs(b) < med, 0.0, b) for b in bands]
+    med = np.median(np.abs(np.concatenate(bands)))
+    bands = [np.where(np.abs(b) < med, 0.0, b) for b in bands]
     return wpt_inverse(bands, n)[:n0]
 
 
@@ -166,7 +156,7 @@ def select_reciprocal_freqs(cmap: CoherenceMap, alpha: float, beta: int) -> Reci
 
     The returned band is the closed interval [min, max] over the selected
     bins (the reconstruction contract), while ``f_rec`` records the bins
-    individually for the per-bin ablation path.
+    individually.
     """
     n_times = cmap.wc.shape[1]
     if not 0 < alpha <= 1:
@@ -236,29 +226,19 @@ def adapt_thresholds(cmap: CoherenceMap, window_len: int | None = None) -> Recip
     return best
 
 
-def wt_reconstruct(x, band: ReciprocalBand, params: CwtParams,
-                   contiguous: bool = True) -> np.ndarray:
+def wt_reconstruct(x, band: ReciprocalBand, params: CwtParams) -> np.ndarray:
     """Band-limited wavelet reconstruction of one series.
 
-    With ``contiguous`` (the default) the inverse transform covers the full
-    [min, max] closure of the selected frequencies; otherwise only the
-    individually selected bins are used (ablation path).  The result equals
-    ``icwt(cwt(x, params), ...)`` over those rows, computed as one FFT
-    filter whose response sums the rows' daughter wavelets, so no
-    scalogram is built.
+    The inverse transform covers the full [min, max] closure of the
+    selected frequencies.  The result equals ``icwt(cwt(x, params),
+    band.band)``, computed as one FFT filter whose response sums the rows'
+    daughter wavelets, so no scalogram is built.
     """
-    if contiguous:
-        return _band_filter(x, params, band=band.band)
-    freqs = params.freq_grid()
-    rows = np.flatnonzero(np.isin(np.round(freqs, 12), np.round(band.f_rec, 12)))
-    if rows.size == 0:
-        # selection came from a different grid; fall back to nearest bins
-        rows = np.unique([int(np.argmin(np.abs(freqs - f))) for f in band.f_rec])
-    return _band_filter(x, params, rows=rows)
+    return _band_filter(x, params, band.band)
 
 
-def apply_lag(x, y, lag: int) -> SyncResult:
-    """Align two series given a known shift of y relative to x.
+def apply_lag(x, y, lag: int) -> tuple[np.ndarray, np.ndarray]:
+    """Align two series given a known shift of y relative to x: (x_aligned, y_aligned).
 
     Positive lag means y lags x: y is advanced and both sides truncated to
     the overlap, discarding |lag| samples.
@@ -267,9 +247,7 @@ def apply_lag(x, y, lag: int) -> SyncResult:
     y = np.asarray(y, dtype=np.float64).ravel()
     n = len(x)
     if lag > 0:
-        xa, ya = x[: n - lag], y[lag:]
-    elif lag < 0:
-        xa, ya = x[-lag:], y[: n + lag]
-    else:
-        xa, ya = x, y
-    return SyncResult(lag=int(lag), x_aligned=xa, y_aligned=ya, discarded=abs(int(lag)))
+        return x[: n - lag], y[lag:]
+    if lag < 0:
+        return x[-lag:], y[: n + lag]
+    return x, y

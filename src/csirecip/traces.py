@@ -61,9 +61,10 @@ class CsiTrace:
             )
         if np.any(seqs[1:] <= seqs[:-1]):  # np.diff would wrap past int64
             raise ValueError("seqs must be strictly increasing")
-        bad_t = ~np.isfinite(t)
-        if bad_t.any():
-            raise ValueError(f"non-finite capture time at seq {seqs[bad_t][0]}")
+        for what, bad in (("capture time", ~np.isfinite(t)),
+                          ("i/q value", ~np.isfinite(iq).all(axis=1))):
+            if bad.any():
+                raise ValueError(f"non-finite {what} at seq {seqs[bad][0]}")
         for name, arr in (("seqs", seqs), ("t", t), ("iq", iq)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

@@ -214,43 +214,36 @@ def _recon_plateau(params: CwtParams) -> float:
     return float(g)
 
 
-def _band_rows(freqs: np.ndarray, band: tuple[float, float] | None,
-               rows: np.ndarray | None) -> np.ndarray:
-    """Grid rows an inverse covers: ``rows`` if given, else those inside ``band``."""
-    if rows is None:
-        if band is None:
-            rows = np.arange(len(freqs))
-        else:
-            f_lo, f_hi = band
-            if f_lo > f_hi:
-                raise EmptyBandError(f"inverted band [{f_lo}, {f_hi}]")
-            rows = np.flatnonzero((freqs >= f_lo) & (freqs <= f_hi))
-    rows = np.asarray(rows, dtype=np.intp)
+def _band_rows(freqs: np.ndarray, band: tuple[float, float] | None) -> np.ndarray:
+    """Grid rows inside ``band`` (all rows when None)."""
+    if band is None:
+        return np.arange(len(freqs))
+    f_lo, f_hi = band
+    if f_lo > f_hi:
+        raise EmptyBandError(f"inverted band [{f_lo}, {f_hi}]")
+    rows = np.flatnonzero((freqs >= f_lo) & (freqs <= f_hi))
     if rows.size == 0:
-        raise EmptyBandError(f"no frequency bins selected (band={band}, rows={rows.tolist()})")
+        raise EmptyBandError(f"no frequency bins inside band {band}")
     return rows
 
 
-def icwt(sg: Scalogram, band: tuple[float, float] | None = None,
-         rows: np.ndarray | None = None) -> np.ndarray:
+def icwt(sg: Scalogram, band: tuple[float, float] | None = None) -> np.ndarray:
     """Single-integral inverse transform over a frequency band.
 
     Sums Re(W)/sqrt(s) over the rows whose frequency lies in
     ``band = (f_lo, f_hi)`` (all rows when None), normalized by the
-    reconstruction plateau, and restores the stored mean.  ``rows``
-    overrides the band with an explicit row selection (per-bin ablation).
+    reconstruction plateau, and restores the stored mean.
     """
-    rows = _band_rows(sg.freqs, band, rows)
+    rows = _band_rows(sg.freqs, band)
     scales = sg.params.scales()[rows]
     r = (sg.coeffs[rows].real / np.sqrt(scales)[:, None]).sum(axis=0)
     return 2.0 * r / _recon_plateau(sg.params) + sg.mean
 
 
-def _band_filter(x, params: CwtParams, band: tuple[float, float] | None = None,
-                 rows: np.ndarray | None = None) -> np.ndarray:
-    """``icwt(cwt(x, params), band, rows)`` as one filter: the rows' summed response."""
+def _band_filter(x, params: CwtParams, band: tuple[float, float]) -> np.ndarray:
+    """``icwt(cwt(x, params), band)`` as one filter: the band rows' summed response."""
     spec, k, n, mean = _prepare(x, params)
-    rows = _band_rows(params.freq_grid(), band, rows)
+    rows = _band_rows(params.freq_grid(), band)
     scales = params.scales()[rows]
     resp = (_morlet_bank(scales, k, params) / np.sqrt(scales)[:, None]).sum(axis=0)
     r = np.fft.ifft(spec * resp)[:n].real
@@ -258,7 +251,7 @@ def _band_filter(x, params: CwtParams, band: tuple[float, float] | None = None,
 
 
 def _smooth(mat: np.ndarray, scales: np.ndarray, dt: float, vpo: int) -> np.ndarray:
-    """Coherence smoothing: Gaussian in time (std = scale), boxcar in scale.
+    """Coherence smoothing of real rows: Gaussian in time (std = scale), boxcar in scale.
 
     The boxcar spans 0.6 decorrelation lengths, i.e. 0.6 * voices_per_octave
     bins.  Both stages are positive-weight averages, which is what
@@ -266,13 +259,9 @@ def _smooth(mat: np.ndarray, scales: np.ndarray, dt: float, vpo: int) -> np.ndar
     """
     nb, n = mat.shape
     npad = _next_pow2(n)
-    k = 2 * np.pi * np.fft.fftfreq(npad, d=dt)
-    pad = np.zeros((nb, npad), dtype=np.complex128)
-    pad[:, :n] = mat
+    k = 2 * np.pi * np.fft.rfftfreq(npad, d=dt)
     resp = np.exp(-0.5 * (scales[:, None] * k[None, :]) ** 2)
-    out = np.fft.ifft(np.fft.fft(pad, axis=1) * resp, axis=1)[:, :n]
-    if not np.iscomplexobj(mat):
-        out = out.real
+    out = np.fft.irfft(np.fft.rfft(mat, npad, axis=1) * resp, npad, axis=1)[:, :n]
 
     win = max(1, int(round(0.6 * vpo)))
     if win > 1:
@@ -296,7 +285,10 @@ def wavelet_coherence(x, y, params: CwtParams) -> CoherenceMap:
 
     wc = |S(Wx * conj(Wy) / s)|^2 / (S(|Wx|^2 / s) * S(|Wy|^2 / s)) with S
     the smoothing operator of :func:`_smooth`; phase is the argument of
-    the smoothed cross spectrum (positive when y lags x).
+    the smoothed cross spectrum (positive when y lags x).  The cross
+    spectrum's real and imaginary parts are built and smoothed as real rows,
+    so swapping x and y negates the imaginary part exactly and leaves wc
+    unchanged to the bit.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -310,9 +302,11 @@ def wavelet_coherence(x, y, params: CwtParams) -> CoherenceMap:
     inv_s = (1.0 / scales)[:, None]
     vpo = params.voices_per_octave
 
-    sxx = _smooth(np.abs(sx.coeffs) ** 2 * inv_s, scales, dt, vpo).real
-    syy = _smooth(np.abs(sy.coeffs) ** 2 * inv_s, scales, dt, vpo).real
-    sxy = _smooth(sx.coeffs * np.conj(sy.coeffs) * inv_s, scales, dt, vpo)
+    xr, xi, yr, yi = sx.coeffs.real, sx.coeffs.imag, sy.coeffs.real, sy.coeffs.imag
+    sxx = _smooth(np.abs(sx.coeffs) ** 2 * inv_s, scales, dt, vpo)
+    syy = _smooth(np.abs(sy.coeffs) ** 2 * inv_s, scales, dt, vpo)
+    sxy = (_smooth((xr * yr + xi * yi) * inv_s, scales, dt, vpo)
+           + 1j * _smooth((xi * yr - xr * yi) * inv_s, scales, dt, vpo))
 
     denom = sxx * syy
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -337,7 +331,7 @@ def band_average(cmap: CoherenceMap, band: tuple[float, float]) -> np.ndarray:
     The average skips edge-affected cells; times where the whole band is
     edge-affected fall back to the unmasked average.
     """
-    rows = _band_rows(cmap.freqs, band, None)
+    rows = _band_rows(cmap.freqs, band)
     sub = cmap.wc[rows]
     mask = cmap.coi[rows]
     cnt = mask.sum(axis=0)
@@ -378,13 +372,6 @@ def coherent_gap_width(
 def estimate_lost_packets(gaps: list[tuple[float, float]], rate_hz: float) -> float:
     """Total lost-packet estimate implied by detected gap widths."""
     return sum(w for _, w in gaps) * rate_hz
-
-
-def coherence_to_csv(cmap: CoherenceMap, stream) -> None:
-    """Write the coherence grid as CSV: one row per frequency, times as columns."""
-    stream.write("freq_hz," + ",".join(f"{t:.6f}" for t in cmap.times) + "\n")
-    for f, row in zip(cmap.freqs, cmap.wc):
-        stream.write(f"{f!r}," + ",".join(f"{v:.6f}" for v in row) + "\n")
 
 
 def coherence_summary(

@@ -43,8 +43,7 @@ class TestHandshake:
     def test_tampered_tag_skips_channel_math(self):
         x, y, _ = legit_pair(2)
         msg = sign_csi(y, KEY)
-        bad = AuthMessage(kind=msg.kind, payload_csi=msg.payload_csi,
-                          tag=b"\x00" * 32, sent_at=msg.sent_at)
+        bad = AuthMessage(payload_csi=msg.payload_csi, tag=b"\x00" * 32)
         d = run_handshake(x, y, AuthPolicy(), KEY, message=bad)
         assert not d.accepted
         assert d.reason is Reason.BAD_SIGNATURE
@@ -62,6 +61,26 @@ class TestHandshake:
         d = run_handshake(np.ones(600), np.ones(600), AuthPolicy(), KEY)
         assert not d.accepted
         assert d.reason is Reason.LOW_CORR
+
+    def test_two_sample_window_fails_closed(self):
+        d = run_handshake([1.0, 2.0], [1.0, 2.0], AuthPolicy(), KEY)
+        assert (d.accepted, d.corr, d.shift, d.reason) == (False, 0.0, 0, Reason.LOW_CORR)
+
+    def test_window_too_short_to_see_a_rejectable_shift_fails_closed(self):
+        policy = AuthPolicy()
+        d = run_handshake([1, 2, 3], [1, 3, 2], policy, KEY)
+        assert (d.accepted, d.corr, d.shift, d.reason) == (False, 0.0, 0, Reason.LOW_CORR)
+        # the shortest window whose +-n//3 scan reaches max_shift + 1 is decided
+        x, _, _ = legit_pair(7)
+        n = 3 * (policy.max_shift + 1)
+        assert run_handshake(x[:n], x[:n], policy, KEY).accepted
+        assert not run_handshake(x[:n - 1], x[:n - 1], policy, KEY).accepted
+
+    @pytest.mark.parametrize("max_shift", [-1, 200])
+    def test_max_shift_beyond_the_lag_scan_rejected(self, max_shift):
+        # PROBE_LEN = 600 samples scan +-200 lags: a max_shift of 200 could never be exceeded
+        with pytest.raises(ValueError, match=f"got {max_shift}"):
+            AuthPolicy(max_shift=max_shift)
 
     def test_tag_verifies(self):
         msg = sign_csi(np.arange(32.0), KEY)

@@ -10,7 +10,7 @@ from csirecip.errors import (
     DegenerateSeriesError,
     InvalidMaxLagError,
     LengthMismatchError,
-    SeriesTooShortError,
+    TooShortError,
 )
 from csirecip.metrics import (
     DEGENERATE_RTOL,
@@ -211,7 +211,7 @@ class TestXcorr:
         assert est.lag == 0  # lags -8,-4,0,4,8 all tie at 1.0
 
     def test_too_short(self):
-        with pytest.raises(SeriesTooShortError):
+        with pytest.raises(TooShortError):
             xcorr_lag(np.arange(10.0), np.arange(10.0), 5)
 
     @pytest.mark.parametrize("max_lag", [-3, 2.5], ids=["negative", "non-integral"])

@@ -158,6 +158,12 @@ class TestColumns:
         with pytest.raises(ValueError, match=match):
             CsiTrace("ap", 1, 10.0, seqs, t, iq)
 
+    @pytest.mark.parametrize("iq, seq", [([np.nan, 1, np.inf], 4), ([1, 1, 1j * np.inf], 6)])
+    def test_non_finite_iq_rejected_naming_seq(self, iq, seq):
+        # write_csi_csv would write nan/inf rows that parse_csi_csv drops as bad rows
+        with pytest.raises(ValueError, match=f"non-finite i/q value at seq {seq}"):
+            CsiTrace("ap", 1, 10.0, [4, 5, 6], [0.4, 0.5, 0.6], np.reshape(iq, (3, 1)))
+
     def test_full_int64_span_accepted(self):
         tr = CsiTrace("ap", 1, 10.0, [-2 ** 63, 0, 2 ** 63 - 1], [0.0, 0.1, 0.2], np.ones((3, 1)))
         assert len(tr) == 3
