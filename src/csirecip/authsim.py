@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateSeriesError
+from .errors import DegenerateSeriesError, TooShortError
 from .metrics import pearson, xcorr_lag
 
 PROBE_LEN = 600  # samples of each side's CSI that the channel checks compare
@@ -107,14 +107,16 @@ def _decide(ap_csi, message: AuthMessage, policy: AuthPolicy, key: bytes) -> Aut
     """The AP's decision: the tag gate, then the channel checks.
 
     A window shorter than ``3 * (max_shift + 1)`` samples leaves the lag
-    scan too narrow to see a rejectable shift, so it fails closed like a
+    scan too narrow to see a rejectable shift, and one holding NaN or +-inf
+    on either side carries no channel estimate, so both fail closed like a
     frozen channel.
     """
     ap_csi = np.asarray(ap_csi, dtype=np.float64).ravel()
     if not verify_tag(message, key):
         return AuthDecision(False, 0.0, 0, Reason.BAD_SIGNATURE)
     n = min(len(ap_csi), len(message.payload_csi), PROBE_LEN)
-    if n < 3 * (policy.max_shift + 1):
+    if (n < 3 * (policy.max_shift + 1) or not np.isfinite(ap_csi[:n]).all()
+            or not np.isfinite(message.payload_csi[:n]).all()):
         return AuthDecision(False, 0.0, 0, Reason.LOW_CORR)
     corr, shift = _corr_shift(ap_csi, message.payload_csi, n)
     if corr < policy.min_corr:
@@ -159,16 +161,22 @@ def temporal_decorrelation_curve(generator, gaps, seed: int = 0
     ``generator(gap_s, rng)`` must return the paired (reference, delayed)
     series for one trial; gaps must be ascending and start at 0 so the
     first point anchors the no-gap operating point used to calibrate
-    :class:`AuthPolicy`.
+    :class:`AuthPolicy`.  Series shorter than ``3 * (max_shift + 1)``
+    samples of the default policy, the shortest window it decides, raise
+    :class:`TooShortError`.
     """
     gaps = list(gaps)
     if not gaps or gaps[0] != 0 or gaps != sorted(gaps):
         raise ValueError("gaps must be ascending and start at 0")
     rng = np.random.default_rng(seed)
+    min_len = 3 * (AuthPolicy.max_shift + 1)
     out = []
     for gap in gaps:
         x, y = generator(float(gap), rng)
         x = np.asarray(x, dtype=np.float64).ravel()
         y = np.asarray(y, dtype=np.float64).ravel()
-        out.append((float(gap), *_corr_shift(x, y, min(len(x), len(y)))))
+        n = min(len(x), len(y))
+        if n < min_len:
+            raise TooShortError(f"gap {gap}: series of {n} samples, need at least {min_len}")
+        out.append((float(gap), *_corr_shift(x, y, n)))
     return out

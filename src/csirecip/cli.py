@@ -172,13 +172,12 @@ def cmd_metrics(args, cp) -> int:
 
 
 def cmd_reconstruct(args, cp) -> int:
+    pipeline = _opt(args, cp, "pipelines", "pipeline")
+    if pipeline not in PIPELINES:
+        raise _UsageError(f"unknown pipeline {pipeline!r}")
     ap, sta, resolved = _load_pair(args, cp)
     sub = _opt(args, cp, "input", "subcarrier")
     i_ap, i_sta = pair_traces(ap, sta, sub, gap_policy="interpolate_linear")
-    pipeline = _opt(args, cp, "pipelines", "pipeline")
-    if pipeline not in PIPELINES:
-        print(f"unknown pipeline {pipeline!r}", file=sys.stderr)
-        return EXIT_USAGE
     sync = not args.no_sync
     scfg = SessionConfig(pipeline=pipeline, sync=sync)
     pre = preprocess_pair(i_ap, i_sta, scfg)
@@ -208,20 +207,19 @@ def cmd_reconstruct(args, cp) -> int:
 
 
 def cmd_keygen(args, cp) -> int:
+    pipelines = [p.strip() for p in _opt(args, cp, "pipelines", "list").split(",")]
+    unknown = [p for p in pipelines if p not in PIPELINES]
+    if unknown:  # before any session writes its output
+        raise _UsageError(f"unknown pipeline {unknown[0]!r}")
     ap, sta, resolved = _load_pair(args, cp)
     sub = _opt(args, cp, "input", "subcarrier")
     i_ap, i_sta = pair_traces(ap, sta, sub, gap_policy="interpolate_linear")
-    pipelines = _opt(args, cp, "pipelines", "list").split(",")
     thresholds = tuple(int(t) for t in _opt(args, cp, "pipelines", "thresholds").split(","))
     sync = not args.no_sync
     out = _out_dir(args)
     rows = []
     scenario = "dataset" if "ap" in resolved["input"] else _opt(args, cp, "input", "preset")
     for pipe in pipelines:
-        pipe = pipe.strip()
-        if pipe not in PIPELINES:
-            print(f"unknown pipeline {pipe!r}", file=sys.stderr)
-            return EXIT_USAGE
         scfg = SessionConfig(pipeline=pipe, sync=sync, error_thresholds=thresholds)
         report = wskg_session(i_ap, i_sta, scfg)
         payload = report.to_dict()

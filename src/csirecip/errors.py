@@ -1,9 +1,11 @@
-"""Exception hierarchy for csirecip.
+"""Exception hierarchy for csirecip, and the one finite-input check.
 
 Every data-dependent failure raises a subclass of :class:`CsiRecipError`,
 so callers (and the CLI) can distinguish data errors from programming
 errors with a single except clause.
 """
+
+import numpy as np
 
 
 class CsiRecipError(Exception):
@@ -25,7 +27,7 @@ class SubcarrierOutOfRangeError(CsiRecipError, IndexError):
 
 
 class NoOverlapError(CsiRecipError):
-    """Two traces share no sequence-number range."""
+    """Two traces share no sequence-number range, or none dense enough to interpolate."""
 
 
 class RateMismatchError(CsiRecipError):
@@ -56,12 +58,27 @@ class InvalidMaxLagError(CsiRecipError, ValueError):
 
 # --- wavelet ---
 
-class GapsPresentError(CsiRecipError):
+class GapsPresentError(CsiRecipError, ValueError):
     """Input contains gap markers (NaN); interpolate before transforming."""
 
 
-class NonFiniteError(CsiRecipError):
+class NonFiniteError(CsiRecipError, ValueError):
     """Input contains an infinite sample."""
+
+
+def finite_series(x, name: str = "input") -> np.ndarray:
+    """``x`` as a 1-D float64 array, every sample finite.
+
+    A NaN (gap marker) anywhere raises :class:`GapsPresentError`, else a
+    +-inf raises :class:`NonFiniteError`; each names the first such index.
+    """
+    a = np.asarray(x, dtype=np.float64).ravel()
+    if not np.isfinite(a).all():
+        nan = np.isnan(a)
+        i = int(np.argmax(nan if nan.any() else np.isinf(a)))
+        raise (GapsPresentError if nan[i] else NonFiniteError)(
+            f"{name} sample {i} is {a[i]}; need finite values, gaps interpolated")
+    return a
 
 
 class TooShortError(CsiRecipError):

@@ -12,7 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateBlockError, LengthMismatchError, LevelOutOfRangeError, TooShortError
+from .errors import (DegenerateBlockError, LengthMismatchError, LevelOutOfRangeError,
+                     TooShortError, finite_series)
 from .metrics import xcorr_lag
 from .reconstruct import (
     ReciprocalBand,
@@ -131,7 +132,7 @@ def cdf_thresholds(block, levels: int = 4) -> QuantizerSpec:
     distinct values than levels (or ties collapsing adjacent quantiles)
     is degenerate and should be skipped by the caller.
     """
-    block = np.asarray(block, dtype=np.float64).ravel()
+    block = finite_series(block, "block")
     if levels < 2 or levels & (levels - 1):
         raise ValueError("levels must be a power of two >= 2")
     if len(block) < levels:
@@ -147,7 +148,7 @@ def cdf_thresholds(block, levels: int = 4) -> QuantizerSpec:
 
 def quantize(block, spec: QuantizerSpec) -> np.ndarray:
     """Map every sample to a level; boundary values go to the lower level."""
-    block = np.asarray(block, dtype=np.float64).ravel()
+    block = finite_series(block, "block")
     return np.searchsorted(spec.thresholds, block, side="left").astype(np.int64)
 
 
@@ -173,7 +174,7 @@ def make_keys(x, block_len: int = BLOCK_LEN, levels: int = 4) -> tuple[list[KeyB
     per-block, tracking channel drift.  All blocks are processed as one
     (blocks, block_len) matrix.
     """
-    x = np.asarray(x, dtype=np.float64).ravel()
+    x = finite_series(x, "x")
     if block_len < 1:
         raise ValueError(f"block_len must be >= 1, got {block_len}")
     if levels < 2 or levels & (levels - 1):
@@ -260,12 +261,6 @@ class SessionConfig:
             raise ValueError(f"error_thresholds must be nonempty ascending, got {th}")
 
 
-def _values(series) -> np.ndarray:
-    if isinstance(series, MagnitudeSeries):
-        return np.asarray(series.values, dtype=np.float64)
-    return np.asarray(series, dtype=np.float64).ravel()
-
-
 def _rate(series, default: float = 10.0) -> float:
     return series.rate_hz if isinstance(series, MagnitudeSeries) else default
 
@@ -276,18 +271,17 @@ def _key_params(n: int, rate: float, band: tuple[float, float]) -> CwtParams:
 
 def _agree_thresholds(a: np.ndarray, b: np.ndarray, rate: float) -> tuple[ReciprocalBand, int]:
     """Step 1: probe-window coherence, threshold adaptation, lag estimate."""
-    L = len(a)
     # one full period per probe window: maximizes the octave span so the
     # half-grid selection target stays inside the physically coherent band
-    params = default_params(L, rate, periods=1.0)
+    params = default_params(len(a), rate, periods=1.0)
     cmap = wavelet_coherence(a, b, params)
-    band = adapt_thresholds(cmap, window_len=L)
-    ra = wt_reconstruct(a, band, params)
-    rb = wt_reconstruct(b, band, params)
+    band = adapt_thresholds(cmap)
+    ra = wt_reconstruct(a, band.band, params)
+    rb = wt_reconstruct(b, band.band, params)
     return band, xcorr_lag(ra, rb, MAX_LAG).lag
 
 
-def _run_pipeline(x: np.ndarray, rate: float, band: ReciprocalBand, pipeline: str) -> np.ndarray:
+def _run_pipeline(x: np.ndarray, rate: float, band: tuple, pipeline: str) -> np.ndarray:
     if pipeline == "raw":
         return x
     if pipeline == "golay":
@@ -296,7 +290,7 @@ def _run_pipeline(x: np.ndarray, rate: float, band: ReciprocalBand, pipeline: st
         return fft_reconstruct(x)
     if pipeline == "wpt":
         return wpt_denoise(x)
-    return wt_reconstruct(x, band, _key_params(len(x), rate, band.band))
+    return wt_reconstruct(x, band, _key_params(len(x), rate, band))
 
 
 @dataclass(frozen=True)
@@ -318,12 +312,10 @@ def preprocess_pair(ap, sta, cfg: SessionConfig = SessionConfig()) -> Preprocess
     both devices with the configured pipeline over that agreed band, and
     aligns them by the agreed lag when ``sync`` is on.
     """
-    a = _values(ap)
-    b = _values(sta)
+    a, b = (finite_series(s.values if isinstance(s, MagnitudeSeries) else s, name)
+            for s, name in ((ap, "ap"), (sta, "sta")))
     if len(a) != len(b):
         raise LengthMismatchError("session inputs must be paired to equal length")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("session inputs must be finite and gap-free; pair with interpolation")
     rate = _rate(ap)
     n = len(a)
     L = PROBE_LEN
@@ -333,8 +325,8 @@ def preprocess_pair(ap, sta, cfg: SessionConfig = SessionConfig()) -> Preprocess
         )
 
     band, lag = _agree_thresholds(a[:L], b[:L], rate)
-    pa = _run_pipeline(a[L:], rate, band, cfg.pipeline)
-    pb = _run_pipeline(b[L:], rate, band, cfg.pipeline)
+    pa = _run_pipeline(a[L:], rate, band.band, cfg.pipeline)
+    pb = _run_pipeline(b[L:], rate, band.band, cfg.pipeline)
     if cfg.sync and lag != 0:
         pa, pb = apply_lag(pa, pb, lag)
 

@@ -1,7 +1,8 @@
 """Scalar reciprocity metrics and time-shift estimation.
 
 All functions are pure and operate on plain 1-D float arrays (or anything
-np.asarray accepts).  Gap markers must be removed or filled before calling.
+np.asarray accepts).  Gap markers must be removed or filled before calling:
+a NaN raises GapsPresentError and a +-inf NonFiniteError.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .errors import (
     InvalidMaxLagError,
     LengthMismatchError,
     TooShortError,
+    finite_series,
 )
 
 
@@ -59,17 +61,10 @@ class LagEstimate:
         return int(self.lags[-1])
 
 
-def _as_series(x, name: str = "series") -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64).ravel()
-    if np.isnan(a).any():
-        raise ValueError(f"{name} contains gap markers (NaN)")
-    return a
-
-
 def pearson(x, y) -> float:
     """Sample Pearson correlation coefficient of two equal-length series."""
-    x = _as_series(x, "x")
-    y = _as_series(y, "y")
+    x = finite_series(x, "x")
+    y = finite_series(y, "y")
     if len(x) != len(y):
         raise LengthMismatchError(f"lengths differ: {len(x)} vs {len(y)}")
     if len(x) < 2:
@@ -90,8 +85,8 @@ def jeffrey_divergence(x, y, cfg: DivergenceConfig = DivergenceConfig()) -> floa
     range, smoothed with ``cfg.epsilon`` additive mass per bin, and
     renormalized.  Natural logarithm.
     """
-    x = _as_series(x, "x")
-    y = _as_series(y, "y")
+    x = finite_series(x, "x")
+    y = finite_series(y, "y")
     if len(x) < cfg.bins or len(y) < cfg.bins:
         raise LengthMismatchError(f"need at least {cfg.bins} samples per series")
     pooled_lo = min(x.min(), y.min())
@@ -114,8 +109,8 @@ def wasserstein_1d(x, y) -> float:
     Computed by integrating |F_x^{-1}(u) - F_y^{-1}(u)| du over the merged
     quantile grid; reduces to mean |sorted(x) - sorted(y)| for equal lengths.
     """
-    x = np.sort(_as_series(x, "x"))
-    y = np.sort(_as_series(y, "y"))
+    x = np.sort(finite_series(x, "x"))
+    y = np.sort(finite_series(y, "y"))
     if len(x) == 0 or len(y) == 0:
         raise LengthMismatchError("empty input")
     if len(x) == len(y):
@@ -152,8 +147,8 @@ def xcorr_lag(x, y, max_lag: int) -> LagEstimate:
     centred sum of squares is at most ``DEGENERATE_RTOL`` times its series'
     total has zero variance: its lag contributes correlation 0.
     """
-    x = _as_series(x, "x")
-    y = _as_series(y, "y")
+    x = finite_series(x, "x")
+    y = finite_series(y, "y")
     if len(x) != len(y):
         raise LengthMismatchError(f"lengths differ: {len(x)} vs {len(y)}")
     n = len(x)

@@ -34,7 +34,6 @@ class ReciprocalBand:
     band: tuple[float, float]
     alpha: float
     beta: int
-    window_len: int
 
     def __post_init__(self):
         f = np.asarray(self.f_rec, dtype=np.float64)
@@ -43,9 +42,9 @@ class ReciprocalBand:
         if f.size == 0:
             raise ValueError("f_rec must be nonempty")
         if not 0 < self.alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
-        if not 1 <= self.beta <= self.window_len:
-            raise ValueError("beta must be in [1, window_len]")
+            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
+        if self.beta < 1:
+            raise ValueError(f"beta must be >= 1, got {self.beta}")
 
 
 # --- baseline pipelines ---
@@ -160,9 +159,9 @@ def select_reciprocal_freqs(cmap: CoherenceMap, alpha: float, beta: int) -> Reci
     """
     n_times = cmap.wc.shape[1]
     if not 0 < alpha <= 1:
-        raise ValueError("alpha must be in (0, 1]")
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     if not 1 <= beta <= n_times:
-        raise ValueError(f"beta must be in [1, {n_times}]")
+        raise ValueError(f"beta must be in [1, {n_times}], got {beta}")
     counts = (cmap.wc >= alpha).sum(axis=1)
     sel = np.flatnonzero(counts >= beta)
     if sel.size == 0:
@@ -175,7 +174,6 @@ def select_reciprocal_freqs(cmap: CoherenceMap, alpha: float, beta: int) -> Reci
         band=(float(f_sel.min()), float(f_sel.max())),
         alpha=alpha,
         beta=beta,
-        window_len=n_times,
     )
 
 
@@ -183,58 +181,46 @@ ALPHA_DECAY = 0.95
 ALPHA_FLOOR = 0.05
 
 
-def adapt_thresholds(cmap: CoherenceMap, window_len: int | None = None) -> ReciprocalBand:
+def adapt_thresholds(cmap: CoherenceMap) -> ReciprocalBand:
     """Adapt (alpha, beta) until at least half the frequency bins select.
 
     Starts at alpha just below the map maximum with beta equal to the full
-    window (frequencies coherent the entire time).  If that selects fewer
+    window L (frequencies coherent the entire time).  If that selects fewer
     than half the bins, beta drops to ceil(L/3) and alpha decays
     geometrically until the half-grid target is met or alpha reaches the
-    floor, in which case the largest selection seen so far is returned.
+    floor, where the selection at the last alpha tried is returned.  A bin
+    stays >= alpha for beta samples exactly when its beta-th largest value
+    is >= alpha, so each step compares one order statistic per bin.
     """
-    n_bins, n_times = cmap.wc.shape
-    L = n_times if window_len is None else window_len
+    n_bins, L = cmap.wc.shape
     peak = float(cmap.wc.max())
     if peak <= 0.0:
         raise UnusableCoherenceError("coherence map is identically zero")
     target = (n_bins + 1) // 2
-
-    def try_select(alpha: float, beta: int) -> ReciprocalBand | None:
-        try:
-            return select_reciprocal_freqs(cmap, alpha, beta)
-        except NoFrequencySelectedError:
-            return None
+    srt = np.sort(cmap.wc, axis=1)
 
     alpha = max(peak - 1e-6, ALPHA_FLOOR)
-    sel = try_select(alpha, min(L, n_times))
-    if sel is not None and len(sel.f_rec) >= target:
-        return sel
-
-    beta = min(max(1, int(np.ceil(L / 3))), n_times)
-    best = sel
-    while alpha >= ALPHA_FLOOR:
-        sel = try_select(alpha, beta)
-        if sel is not None and (best is None or len(sel.f_rec) >= len(best.f_rec)):
-            best = sel
-        if sel is not None and len(sel.f_rec) >= target:
-            return sel
-        alpha *= ALPHA_DECAY
-    if best is None:
-        raise UnusableCoherenceError(
-            f"no nonempty selection above alpha floor {ALPHA_FLOOR}"
-        )
-    return best
+    beta = L
+    if np.count_nonzero(srt[:, 0] >= alpha) < target:
+        beta = -(-L // 3)
+        kth = srt[:, L - beta]
+        need = np.sort(kth)[-target]  # alpha <= need selects at least target bins
+        while alpha > need and alpha * ALPHA_DECAY >= ALPHA_FLOOR:
+            alpha *= ALPHA_DECAY
+        if kth.max() < alpha:
+            raise UnusableCoherenceError(
+                f"no nonempty selection above alpha floor {ALPHA_FLOOR}")
+    return select_reciprocal_freqs(cmap, alpha, beta)
 
 
-def wt_reconstruct(x, band: ReciprocalBand, params: CwtParams) -> np.ndarray:
-    """Band-limited wavelet reconstruction of one series.
+def wt_reconstruct(x, band: tuple[float, float], params: CwtParams) -> np.ndarray:
+    """Band-limited wavelet reconstruction of one series over ``band`` = (f_lo, f_hi).
 
-    The inverse transform covers the full [min, max] closure of the
-    selected frequencies.  The result equals ``icwt(cwt(x, params),
-    band.band)``, computed as one FFT filter whose response sums the rows'
-    daughter wavelets, so no scalogram is built.
+    The result equals ``icwt(cwt(x, params), band)``, computed as one FFT
+    filter whose response sums the rows' daughter wavelets, so no scalogram
+    is built.
     """
-    return _band_filter(x, params, band.band)
+    return _band_filter(x, params, band)
 
 
 def apply_lag(x, y, lag: int) -> tuple[np.ndarray, np.ndarray]:

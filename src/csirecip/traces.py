@@ -30,7 +30,6 @@ from .errors import (
     UnknownRateError,
 )
 
-GAP = np.nan  # gap marker used in magnitude series
 RATE_TOLERANCE = 0.01  # relative packet-rate difference pair_traces accepts
 
 
@@ -91,7 +90,7 @@ class CsiTrace:
 
 @dataclass(frozen=True)
 class MagnitudeSeries:
-    """Magnitudes of one subcarrier across a trace; NaN marks a lost packet."""
+    """Magnitudes of one subcarrier across a trace; a seq absent from ``seqs`` is a lost packet."""
 
     subcarrier: int
     values: np.ndarray
@@ -103,8 +102,7 @@ class MagnitudeSeries:
         seqs = np.asarray(self.seqs, dtype=np.int64)
         if values.shape != seqs.shape:
             raise ValueError("values and seqs must have equal length")
-        present = values[~np.isnan(values)]
-        if present.size and present.min() < 0:
+        if np.any(values < 0):
             raise ValueError("magnitudes must be non-negative")
         values.setflags(write=False)
         seqs.setflags(write=False)
@@ -249,9 +247,12 @@ def pair_traces(
 
     ``drop_both`` removes every seq missing on either side (default for
     metric computation: gaps carry no channel information).
-    ``interpolate_linear`` fills interior gaps linearly and trims
-    leading/trailing gaps, yielding the uniformly sampled input the
-    wavelet pipeline requires.
+    ``interpolate_linear`` yields the uniformly sampled input the wavelet
+    pipeline requires: every seq of the run from the later of the two
+    sides' first seqs in the overlap to the earlier of their last ones,
+    each side linear between its own samples, so nothing extrapolates.  A
+    run longer than twice the rows the sparser side holds in it raises
+    :class:`NoOverlapError`, so the work stays bounded by the row count.
     """
     if gap_policy not in ("drop_both", "interpolate_linear"):
         raise ValueError(f"unknown gap_policy {gap_policy!r}")
@@ -265,53 +266,40 @@ def pair_traces(
             f"than {RATE_TOLERANCE:.0%}"
         )
 
-    m_ap = magnitude_series(ap, subcarrier)
-    m_sta = magnitude_series(sta, subcarrier)
-
-    lo = max(m_ap.seqs[0], m_sta.seqs[0])
-    hi = min(m_ap.seqs[-1], m_sta.seqs[-1])
+    sides = (magnitude_series(ap, subcarrier), magnitude_series(sta, subcarrier))
+    lo = max(m.seqs[0] for m in sides)
+    hi = min(m.seqs[-1] for m in sides)
     if lo > hi:
         raise NoOverlapError(f"seq ranges do not overlap ({lo} > {hi})")
 
     if gap_policy == "drop_both":
-        grid, ia, ib = np.intersect1d(m_ap.seqs, m_sta.seqs, assume_unique=True,
+        grid, ia, ib = np.intersect1d(sides[0].seqs, sides[1].seqs, assume_unique=True,
                                       return_indices=True)
-        a, b = m_ap.values[ia], m_sta.values[ib]
-    else:  # once filled, each side's gaps are leading/trailing, so keep is one run
-        grid = np.arange(lo, hi + 1)
-
-        def on_grid(ms: MagnitudeSeries) -> np.ndarray:
-            out = np.full(len(grid), GAP)
-            sel = (ms.seqs >= lo) & (ms.seqs <= hi)
-            out[ms.seqs[sel] - lo] = ms.values[sel]
-            return out
-
-        a = _fill_interior(on_grid(m_ap))
-        b = _fill_interior(on_grid(m_sta))
-    keep = ~(np.isnan(a) | np.isnan(b))
-    grid, a, b = grid[keep], a[keep], b[keep]
-
+        values = sides[0].values[ia], sides[1].values[ib]
+    else:  # every side has a seq >= lo and one <= hi, so both ends exist
+        first = max(m.seqs[np.searchsorted(m.seqs, lo)] for m in sides)
+        last = min(m.seqs[np.searchsorted(m.seqs, hi, "right") - 1] for m in sides)
+        grid, values = _interpolate_run(sides, first, last) if first <= last else ((), ())
     if len(grid) == 0:
         raise NoOverlapError("no jointly present samples in the overlap")
-
-    def mk(v: np.ndarray) -> MagnitudeSeries:
-        return MagnitudeSeries(subcarrier=subcarrier, values=v, seqs=grid,
-                               rate_hz=ap.rate_hz)
-
-    return mk(a), mk(b)
+    return tuple(MagnitudeSeries(subcarrier=subcarrier, values=v, seqs=grid,
+                                 rate_hz=ap.rate_hz) for v in values)
 
 
-def _fill_interior(v: np.ndarray) -> np.ndarray:
-    """Linear interpolation over interior NaN runs; edge NaNs left alone."""
-    nan = np.isnan(v)
-    if not nan.any():
-        return v
-    idx = np.flatnonzero(~nan)
-    if idx.size == 0:
-        return v
-    out = v.copy()
-    interior = nan.copy()
-    interior[: idx[0]] = False
-    interior[idx[-1] + 1:] = False
-    out[interior] = np.interp(np.flatnonzero(interior), idx, v[idx])
-    return out
+def _interpolate_run(sides, first, last) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Seqs first..last and each side's values there, linear between its samples at
+    positions relative to ``first``: exact in float64, where seqs near 2**63 are not."""
+    span = int(last) - int(first) + 1  # Python ints: an int64 difference can wrap
+    rows = [np.searchsorted(m.seqs, last, "right") - np.searchsorted(m.seqs, first)
+            for m in sides]
+    if span > 2 * min(rows):
+        raise NoOverlapError(f"interpolation run of {span} seqs holds only {rows[0]} AP "
+                             f"and {rows[1]} STA rows; need at least half on each side")
+    pos = np.arange(span)
+    values = []
+    for m in sides:  # its samples from the last at or before first to the first at or after last
+        k = slice(np.searchsorted(m.seqs, first, "right") - 1, np.searchsorted(m.seqs, last) + 1)
+        xp = (m.seqs[k] - first).astype(np.float64)  # exact in the run: |xp| < span
+        xp[[0, -1]] = [int(v) - int(first) for v in m.seqs[k][[0, -1]]]  # ends may be 2**64 off
+        values.append(np.interp(pos, xp, m.values[k]))
+    return first + pos, values

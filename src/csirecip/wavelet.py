@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBandError, GapsPresentError, NonFiniteError, TooShortError
+from .errors import EmptyBandError, TooShortError, finite_series
 
 OMEGA0 = 6.0  # Morlet center-frequency parameter (>= 5 keeps the wavelet admissible)
 HYSTERESIS = 0.1  # coherence rise above the floor that ends a detected gap
@@ -148,13 +148,7 @@ def _next_pow2(n: int) -> int:
 
 def _prepare(x, params: CwtParams) -> tuple[np.ndarray, np.ndarray, int, float]:
     """Checked, mean-removed, zero-padded series: (spectrum, bin omegas, n, mean)."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    finite = np.isfinite(x)
-    if not finite.all():
-        if np.isnan(x).any():
-            raise GapsPresentError("input contains gap markers; interpolate first")
-        i = int(np.argmin(finite))
-        raise NonFiniteError(f"input sample {i} is {x[i]}; need finite values")
+    x = finite_series(x)
     n = len(x)
     if n < 32:
         raise TooShortError(f"need at least 32 samples, got {n}")

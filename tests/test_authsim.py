@@ -12,6 +12,7 @@ from csirecip.authsim import (
     verify_tag,
 )
 from csirecip.chansim import ChannelConfig, gen_attacker, gen_pair
+from csirecip.errors import TooShortError
 from csirecip.traces import magnitude_series
 
 KEY = b"test-identity-key"
@@ -81,6 +82,16 @@ class TestHandshake:
         # PROBE_LEN = 600 samples scan +-200 lags: a max_shift of 200 could never be exceeded
         with pytest.raises(ValueError, match=f"got {max_shift}"):
             AuthPolicy(max_shift=max_shift)
+
+    @pytest.mark.parametrize("side", ["ap", "sta"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_window_fails_closed(self, side, bad):
+        # the signed payload comes from outside the AP; inf used to raise IndexError
+        x, y, _ = legit_pair(7)
+        x, y = x.copy(), y.copy()
+        (x if side == "ap" else y)[100] = bad
+        d = run_handshake(x, y, AuthPolicy(), KEY)
+        assert (d.accepted, d.corr, d.shift, d.reason) == (False, 0.0, 0, Reason.LOW_CORR)
 
     def test_tag_verifies(self):
         msg = sign_csi(np.arange(32.0), KEY)
@@ -175,6 +186,15 @@ class TestDecorrelationCurve:
                 self._generator(cfg), [0, 600, 1200], seed=seed)
             ok += curve[0][1] > max(c for _, c, _ in curve[1:])
         assert ok >= 0.95 * trials
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_window_too_short_for_the_default_policy(self, n):
+        # 3 * (max_shift + 1) = 153 samples; 2 used to fail in xcorr_lag, 3 gave a point
+        def gen(gap_s, rng):
+            return rng.normal(size=n), rng.normal(size=n)
+
+        with pytest.raises(TooShortError, match=f"gap 0: series of {n} samples.*153"):
+            temporal_decorrelation_curve(gen, [0, 30], seed=0)
 
     def test_rejects_bad_gaps(self):
         cfg = ChannelConfig(duration_s=30.0, seed=0)

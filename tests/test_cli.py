@@ -190,6 +190,14 @@ class TestKeygen:
                   "--pipelines", "magic", "--out-dir", str(tmp_path)])
         assert rc == EXIT_USAGE
 
+    def test_unknown_pipeline_later_in_list_writes_nothing(self, tmp_path, capsys):
+        # the list used to be checked one session at a time, after session_raw.json
+        rc = run(["keygen", "--preset", "los-short", "--duration", "200",
+                  "--pipelines", "raw,magic", "--out-dir", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        assert "unknown pipeline 'magic'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestAuth:
     def test_confusion_table(self, tmp_path, capsys):
@@ -257,6 +265,16 @@ class TestConfigFile:
         assert payload["trials"] == 1
         assert payload["policy"]["min_corr"] == 0.5
         assert payload["policy"]["max_shift"] == 20
+
+    def test_unknown_pipeline_in_ini_usage_error(self, tmp_path, capsys):
+        ini = tmp_path / "rec.ini"
+        ini.write_text("[pipelines]\npipeline = magic\n")
+        out = tmp_path / "out"
+        rc = run(["reconstruct", "--config", str(ini), "--duration", "150",
+                  "--out-dir", str(out)])
+        assert rc == EXIT_USAGE
+        assert "error: unknown pipeline 'magic'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_exits_2(self, tmp_path):
         rc = run(["keygen", "--config", str(tmp_path / "nope.ini"),

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from csirecip.chansim import ChannelConfig, gen_pair, preset
 from csirecip.errors import (
     DegenerateBlockError,
+    GapsPresentError,
     LengthMismatchError,
     LevelOutOfRangeError,
+    NonFiniteError,
     TooShortError,
 )
 from csirecip.keygen import (
@@ -208,6 +210,22 @@ def test_make_keys_matches_block_loop(series, levels):
 def _mk_block(start, bits):
     bits = np.asarray(bits, dtype=np.uint8)
     return KeyBlock(start_seq=start, levels=np.zeros(len(bits) // 2), bits=bits)
+
+
+def test_non_finite_block_rejected_naming_index():
+    # a NaN at 150 used to quantise its whole block to level 0: 200 zero bits
+    x = np.random.default_rng(0).normal(size=300)
+    x[150] = np.nan
+    with pytest.raises(GapsPresentError, match="sample 150 is nan"):
+        make_keys(x)
+    x[150] = np.inf
+    with pytest.raises(NonFiniteError, match="sample 150 is inf"):
+        make_keys(x)
+    block = np.r_[np.arange(9.0), -np.inf]
+    with pytest.raises(NonFiniteError, match="sample 9 is -inf"):
+        cdf_thresholds(block)
+    with pytest.raises(NonFiniteError, match="sample 9 is -inf"):
+        quantize(block, cdf_thresholds(np.arange(9.0)))
 
 
 class TestEvaluate:

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from csirecip.errors import (
     ConstantPooledRangeError,
     DegenerateSeriesError,
+    GapsPresentError,
     InvalidMaxLagError,
     LengthMismatchError,
+    NonFiniteError,
     TooShortError,
 )
 from csirecip.metrics import (
@@ -219,6 +221,19 @@ class TestXcorr:
         with pytest.raises(InvalidMaxLagError, match=re.escape(repr(max_lag))) as err:
             xcorr_lag(np.arange(10.0), np.arange(10.0), max_lag)
         assert isinstance(err.value, ValueError)
+
+
+@pytest.mark.parametrize("bad, error", [(np.inf, NonFiniteError), (-np.inf, NonFiniteError),
+                                        (np.nan, GapsPresentError)])
+@pytest.mark.parametrize("metric", [pearson, lambda x, y: xcorr_lag(x, y, 5)],
+                         ids=["pearson", "xcorr_lag"])
+def test_non_finite_sample_named(metric, bad, error):
+    # one inf used to give pearson nan and xcorr_lag an IndexError
+    x = np.random.default_rng(0).normal(size=50)
+    y = x.copy()
+    y[7] = bad
+    with pytest.raises(error, match=f"y sample 7 is {bad}"):
+        metric(x, y)
 
 
 def xcorr_loop(x, y, max_lag):

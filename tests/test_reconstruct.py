@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from csirecip.errors import (
     BadWindowError,
@@ -9,6 +12,8 @@ from csirecip.errors import (
 )
 from csirecip.metrics import pearson, xcorr_lag
 from csirecip.reconstruct import (
+    ALPHA_DECAY,
+    ALPHA_FLOOR,
     ReciprocalBand,
     adapt_thresholds,
     apply_lag,
@@ -183,7 +188,7 @@ class TestSelect:
 class TestAdapt:
     def test_uniform_map(self):
         m = make_map(np.full((14, 50), 0.9))
-        band = adapt_thresholds(m, window_len=50)
+        band = adapt_thresholds(m)
         assert len(band.f_rec) == 14
         assert band.alpha == pytest.approx(0.9, abs=1e-5)
 
@@ -192,7 +197,7 @@ class TestAdapt:
         wc = np.full((16, nt), 0.2)
         wc[4:12] = 0.8  # exactly half the bins with long high runs
         m = make_map(wc)
-        band = adapt_thresholds(m, window_len=nt)
+        band = adapt_thresholds(m)
         got_rows = sorted(int(np.flatnonzero(m.freqs == f)[0]) for f in band.f_rec)
         assert got_rows == list(range(4, 12))
         assert 0.2 < band.alpha <= 0.8
@@ -201,10 +206,23 @@ class TestAdapt:
         with pytest.raises(UnusableCoherenceError):
             adapt_thresholds(make_map(np.zeros((8, 30))))
 
+    def test_ladder_ending_on_the_floor_keeps_last_selection(self):
+        band = adapt_thresholds(make_map(floor_map()))
+        assert (round(band.alpha, 4), band.beta, len(band.f_rec)) == (0.0509, 10, 1)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("f_rec", [], "f_rec must be nonempty"),
+        ("alpha", 0.0, "alpha must be in .*got 0.0"),
+        ("alpha", 1.5, "alpha must be in .*got 1.5"),
+        ("beta", 0, "beta must be >= 1, got 0"),
+    ])
+    def test_band_checks_name_the_bad_value(self, field, value, match):
+        kwargs = dict(f_rec=[0.2], band=(0.2, 0.2), alpha=0.5, beta=3)
+        with pytest.raises(ValueError, match=match):
+            ReciprocalBand(**{**kwargs, field: value})
+
     def test_terminates_within_decay_budget(self):
-        # alpha decays geometrically from <=1 to the 0.05 floor
-        max_iters = int(np.ceil(np.log(0.05) / np.log(0.95))) + 1
-        rng = np.random.default_rng(1)
+        # the decay ladder runs on order statistics; only the result is selected
         for seed in range(20):
             wc = np.random.default_rng(seed).uniform(0, 0.4, size=(10, 40))
             m = make_map(wc)
@@ -219,19 +237,80 @@ class TestAdapt:
 
             R.select_reciprocal_freqs = counting
             try:
-                adapt_thresholds(m, window_len=40)
+                adapt_thresholds(m)
             except UnusableCoherenceError:
                 pass
             finally:
                 R.select_reciprocal_freqs = orig
-            assert calls <= max_iters + 1  # +1 for the beta=L opening attempt
+            assert calls <= 1
+
+
+def adapt_by_retry(cmap):
+    """The selection retry loop adapt_thresholds replaced: the equivalence reference."""
+    n_bins, n_times = cmap.wc.shape
+    L = n_times
+    peak = float(cmap.wc.max())
+    if peak <= 0.0:
+        raise UnusableCoherenceError("coherence map is identically zero")
+    target = (n_bins + 1) // 2
+
+    def try_select(alpha, beta):
+        try:
+            return select_reciprocal_freqs(cmap, alpha, beta)
+        except NoFrequencySelectedError:
+            return None
+
+    alpha = max(peak - 1e-6, ALPHA_FLOOR)
+    sel = try_select(alpha, min(L, n_times))
+    if sel is not None and len(sel.f_rec) >= target:
+        return sel
+    beta = min(max(1, int(np.ceil(L / 3))), n_times)
+    best = sel
+    while alpha >= ALPHA_FLOOR:
+        sel = try_select(alpha, beta)
+        if sel is not None and (best is None or len(sel.f_rec) >= len(best.f_rec)):
+            best = sel
+        if sel is not None and len(sel.f_rec) >= target:
+            return sel
+        alpha *= ALPHA_DECAY
+    if best is None:
+        raise UnusableCoherenceError(f"no nonempty selection above alpha floor {ALPHA_FLOOR}")
+    return best
+
+
+def floor_map():
+    """One row at 0.9 and the rest at 0.01: the ladder runs out on the floor."""
+    wc = np.full((10, 30), 0.01)
+    wc[3] = 0.9
+    return wc
+
+
+# coherence values with ties (a few repeated levels), spikes (a sparse map over
+# a constant fill) and all-zero maps
+coherence_values = st.one_of(st.sampled_from([0.0, 0.01, 0.05, 0.3, 0.9, 1.0]),
+                             st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 40)),
+              elements=coherence_values, fill=st.sampled_from([0.0, 0.01, 0.5])))
+@example(floor_map())
+@example(np.zeros((8, 30)))
+def test_adapt_thresholds_equals_retry_loop(wc):
+    m = make_map(wc)
+    try:
+        want = adapt_by_retry(m)
+    except UnusableCoherenceError as e:
+        with pytest.raises(UnusableCoherenceError) as got:
+            adapt_thresholds(m)
+        assert str(got.value) == str(e)
+        return
+    got = adapt_thresholds(m)
+    assert got.f_rec.tobytes() == want.f_rec.tobytes()
+    assert (got.band, got.alpha, got.beta) == (want.band, want.alpha, want.beta)
 
 
 class TestWtReconstruct:
-    def _band(self, f_lo, f_hi, L=100):
-        return ReciprocalBand(f_rec=np.array([f_lo, f_hi]), band=(f_lo, f_hi),
-                              alpha=0.8, beta=10, window_len=L)
-
     def test_full_band_round_trip(self):
         rng = np.random.default_rng(0)
         n = 2000
@@ -240,8 +319,7 @@ class TestWtReconstruct:
         x = np.sum([np.cos(2 * np.pi * f * t + rng.uniform(0, 6)) for f in fk],
                    axis=0)
         p = CwtParams(min_freq=4.0 / (n / FS), max_freq=FS / 2, sample_rate=FS)
-        band = self._band(p.min_freq, p.max_freq)
-        rec = wt_reconstruct(x, band, p)
+        rec = wt_reconstruct(x, (p.min_freq, p.max_freq), p)
         assert np.linalg.norm(rec - x) / np.linalg.norm(x) <= 0.05
 
     def test_band_attenuates_spur(self):
@@ -250,7 +328,7 @@ class TestWtReconstruct:
         sig = np.sin(2 * np.pi * 0.1 * t)
         spur = 0.3 * np.sin(2 * np.pi * 2.0 * t)
         p = CwtParams(min_freq=0.02, max_freq=FS / 2, sample_rate=FS)
-        rec = wt_reconstruct(sig + spur, self._band(0.05, 0.4), p)
+        rec = wt_reconstruct(sig + spur, (0.05, 0.4), p)
         # spur power in the reconstruction down at least 20 dB
         spec = np.abs(np.fft.rfft(rec - rec.mean()))
         freqs = np.fft.rfftfreq(n, 1 / FS)
@@ -262,12 +340,12 @@ class TestWtReconstruct:
 
     def test_zero_input(self):
         p = CwtParams(min_freq=0.1, max_freq=5.0, sample_rate=FS)
-        rec = wt_reconstruct(np.zeros(128), self._band(0.2, 1.0), p)
+        rec = wt_reconstruct(np.zeros(128), (0.2, 1.0), p)
         np.testing.assert_allclose(rec, 0.0, atol=1e-12)
 
     def test_linear_in_input(self):
         p = CwtParams(min_freq=0.05, max_freq=5.0, sample_rate=FS)
-        band = self._band(0.1, 1.0)
+        band = (0.1, 1.0)
         rng = np.random.default_rng(1)
         x1 = rng.normal(size=512)
         x2 = rng.normal(size=512)
@@ -337,7 +415,7 @@ class TestEnhancementContract:
             p = CwtParams(min_freq=1.0 / 30.0, max_freq=FS / 2, sample_rate=FS)
             cm = wavelet_coherence(x, y, p)
             band = adapt_thresholds(cm)
-            wins["wt"] += pearson(wt_reconstruct(x, band, p),
-                                  wt_reconstruct(y, band, p)) >= p0
+            wins["wt"] += pearson(wt_reconstruct(x, band.band, p),
+                                  wt_reconstruct(y, band.band, p)) >= p0
         for pipe, w in wins.items():
             assert w >= 0.9 * trials, f"{pipe}: {w}/{trials}"

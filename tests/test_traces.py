@@ -273,6 +273,65 @@ class TestMagnitude:
         np.testing.assert_array_equal(magnitude_series(tr, 0).values, [3.0, 1.0, 2.0])
 
 
+def pair_by_grid_fill(ap, sta, subcarrier):
+    """The grid fill interpolate_linear replaced: the equivalence reference.
+
+    Both sides go onto one NaN grid over the overlap, interior NaN runs are
+    filled linearly, and seqs still NaN on either side are trimmed.
+    """
+    m_ap, m_sta = magnitude_series(ap, subcarrier), magnitude_series(sta, subcarrier)
+    lo = max(m_ap.seqs[0], m_sta.seqs[0])
+    hi = min(m_ap.seqs[-1], m_sta.seqs[-1])
+    if lo > hi:
+        raise NoOverlapError(f"seq ranges do not overlap ({lo} > {hi})")
+    grid = np.arange(lo, hi + 1)
+
+    def filled(ms):
+        v = np.full(len(grid), np.nan)
+        sel = (ms.seqs >= lo) & (ms.seqs <= hi)
+        v[ms.seqs[sel] - lo] = ms.values[sel]
+        idx = np.flatnonzero(~np.isnan(v))
+        if idx.size:
+            interior = np.isnan(v)
+            interior[: idx[0]] = False
+            interior[idx[-1] + 1:] = False
+            v[interior] = np.interp(np.flatnonzero(interior), idx, v[idx])
+        return v
+
+    a, b = filled(m_ap), filled(m_sta)
+    keep = ~(np.isnan(a) | np.isnan(b))
+    if not keep.any():
+        raise NoOverlapError("no jointly present samples in the overlap")
+    return grid[keep], a[keep], b[keep]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([0, -7, 2 ** 62 - 40, -(2 ** 62), 2 ** 63 - 130]),
+       st.sets(st.integers(0, 80), min_size=1), st.sets(st.integers(0, 80), min_size=1),
+       st.integers(0, 2 ** 32 - 1))
+@example(2 ** 62, {0, 2, 4}, {0, 1, 2, 3, 4}, 0)  # np.interp on absolute seqs is inexact here
+def test_interpolate_linear_equals_grid_fill(offset, s1, s2, seed):
+    rng = np.random.default_rng(seed)
+    seqs = [offset + np.array(sorted(s), dtype=np.int64) for s in (s1, s2)]
+    ap = make_trace(seqs[0], rng.uniform(0, 5, len(s1)))
+    sta = make_trace(seqs[1], rng.uniform(0, 5, len(s2)), device="sta")
+    try:
+        grid, want_a, want_b = pair_by_grid_fill(ap, sta, 0)
+    except NoOverlapError:
+        with pytest.raises(NoOverlapError):
+            pair_traces(ap, sta, 0, gap_policy="interpolate_linear")
+        return
+    rows = [np.count_nonzero((s >= grid[0]) & (s <= grid[-1])) for s in seqs]
+    if len(grid) > 2 * min(rows):  # a run the bound rejects
+        with pytest.raises(NoOverlapError, match="interpolation run"):
+            pair_traces(ap, sta, 0, gap_policy="interpolate_linear")
+        return
+    a, b = pair_traces(ap, sta, 0, gap_policy="interpolate_linear")
+    assert a.seqs.tobytes() == b.seqs.tobytes() == grid.tobytes()
+    assert a.values.tobytes() == want_a.tobytes()
+    assert b.values.tobytes() == want_b.tobytes()
+
+
 class TestPair:
     def test_no_gaps(self):
         ap = make_trace([1, 2, 3], [1, 2, 3])
@@ -310,6 +369,23 @@ class TestPair:
         a, b = pair_traces(ap, sta, 0, gap_policy="interpolate_linear")
         # overlap [2,4]; sta missing seq 2 leading -> trimmed
         assert list(a.seqs) == [3, 4]
+
+    def test_interpolate_work_bounded_by_rows_not_seq_span(self):
+        # a grid over the run would need 10**12 cells; the bound rejects it first
+        ap = make_trace([0, 10 ** 12], [1, 2])
+        sta = make_trace([0, 10 ** 12], [3, 4], device="sta")
+        with pytest.raises(NoOverlapError, match=r"run of 1000000000001 seqs.*2 AP and 2 STA"):
+            pair_traces(ap, sta, 0, gap_policy="interpolate_linear")
+
+    def test_interpolate_across_the_full_int64_range(self):
+        # the AP's sample before the run lies 2**64 - 4 seqs back: past an int64 difference
+        top = 2 ** 63 - 1
+        ap = make_trace([-top, top - 1], [1.0, 3.0])
+        sta = make_trace([-top - 1, top - 2, top - 1], [5.0, 6.0, 7.0], device="sta")
+        a, b = pair_traces(ap, sta, 0, gap_policy="interpolate_linear")
+        assert a.seqs.tolist() == [top - 2, top - 1]
+        np.testing.assert_allclose(a.values, [3.0, 3.0], rtol=1e-15)
+        assert b.values.tolist() == [6.0, 7.0]
 
     def test_no_overlap(self):
         ap = make_trace([1, 2], [1, 2])

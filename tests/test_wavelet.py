@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csirecip.errors import EmptyBandError, GapsPresentError, NonFiniteError, TooShortError
-from csirecip.reconstruct import ReciprocalBand, wt_reconstruct
+from csirecip.reconstruct import wt_reconstruct
 from csirecip.wavelet import (
     OMEGA0,
     CwtParams,
@@ -85,11 +85,9 @@ class TestCwt:
         x = np.random.default_rng(0).normal(size=64)
         x[17] = bad
         p = params(64)
-        band = ReciprocalBand(f_rec=p.freq_grid(), band=(p.min_freq, p.max_freq),
-                              alpha=0.5, beta=1, window_len=64)
         calls = {
             "cwt": lambda: cwt(x, p),
-            "wt_reconstruct": lambda: wt_reconstruct(x, band, p),
+            "wt_reconstruct": lambda: wt_reconstruct(x, (p.min_freq, p.max_freq), p),
             "wavelet_coherence": lambda: wavelet_coherence(np.zeros(64), x, p),
         }
         with pytest.raises(NonFiniteError, match="sample 17"):
@@ -203,11 +201,10 @@ def reconstruction_case(draw):
 def test_wt_reconstruct_equals_icwt_of_cwt(case):
     x, p, picked, shift = case
     f = p.freq_grid()[picked] * shift
-    band = ReciprocalBand(f_rec=f, band=(float(f.min()), float(f.max())),
-                          alpha=0.5, beta=1, window_len=len(x))
+    band = (float(f.min()), float(f.max()))
     sg = cwt(x, p)
     try:
-        want = icwt(sg, band=band.band)
+        want = icwt(sg, band=band)
     except EmptyBandError:
         with pytest.raises(EmptyBandError):
             wt_reconstruct(x, band, p)
