@@ -15,11 +15,12 @@ horizon (for delayed replay) preserves earlier samples bit-exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import inf, isfinite
 
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import InvalidBandError
+from .errors import InvalidBandError, InvalidParameterError
 from .traces import CsiTrace
 
 MAGNITUDE_OFFSET = 10.0  # keeps simulated magnitudes positive
@@ -54,8 +55,12 @@ class ChannelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rate_hz <= 0:
-            raise ValueError("rate_hz must be positive")
+        for name in ("duration_s", "rate_hz", "coherence_time_s"):
+            value = getattr(self, name)
+            if not (isfinite(value) and value > 0):
+                raise InvalidParameterError(f"{name} must be finite and positive, got {value!r}")
+        if not self.snr_db > -inf:  # NaN or -inf; +inf is noise-free
+            raise InvalidParameterError(f"snr_db must be a number above -inf, got {self.snr_db!r}")
         f_lo, f_hi = self.base_band
         if not (0 < f_lo < f_hi):
             raise InvalidBandError(f"need 0 < f_lo < f_hi, got [{f_lo}, {f_hi}]")
@@ -64,7 +69,7 @@ class ChannelConfig:
                 f"base band top {f_hi} Hz exceeds Nyquist {self.rate_hz / 2} Hz"
             )
         if self.n_samples < 1:
-            raise ValueError(
+            raise InvalidParameterError(
                 f"duration_s must give at least one sample at {self.rate_hz} Hz, "
                 f"got {self.duration_s}"
             )

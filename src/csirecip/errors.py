@@ -12,6 +12,10 @@ class CsiRecipError(Exception):
     """Base class for all csirecip data errors."""
 
 
+class InvalidParameterError(CsiRecipError, ValueError):
+    """A rate, duration or other parameter is not finite or outside its range."""
+
+
 # --- trace ingestion / pairing ---
 
 class MalformedHeaderError(CsiRecipError):

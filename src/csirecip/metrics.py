@@ -8,6 +8,7 @@ a NaN raises GapsPresentError and a +-inf NonFiniteError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import frexp
 
 import numpy as np
 
@@ -61,6 +62,24 @@ class LagEstimate:
         return int(self.lags[-1])
 
 
+def _unit_peak(v: np.ndarray) -> np.ndarray:
+    """``v`` times the power of two that brings its largest |value| into [0.5, 1).
+
+    The scaling is exact, so a correlation keeps every bit, and a sum of
+    squares lies between 0.25 and the sample count: it cannot overflow or
+    underflow.
+    """
+    _, exponent = frexp(float(np.abs(v).max(initial=0.0)))  # 0 for an all-zero v
+    return np.ldexp(v, -exponent)
+
+
+def _centred(v: np.ndarray) -> np.ndarray:
+    """``v`` less its mean, each scaled by :func:`_unit_peak`: before, so the mean
+    cannot overflow, and after, so a small spread about a large mean cannot underflow."""
+    v = _unit_peak(v)
+    return _unit_peak(v - v.mean())
+
+
 def pearson(x, y) -> float:
     """Sample Pearson correlation coefficient of two equal-length series."""
     x = finite_series(x, "x")
@@ -69,8 +88,8 @@ def pearson(x, y) -> float:
         raise LengthMismatchError(f"lengths differ: {len(x)} vs {len(y)}")
     if len(x) < 2:
         raise LengthMismatchError("need at least 2 samples")
-    xd = x - x.mean()
-    yd = y - y.mean()
+    xd = _centred(x)
+    yd = _centred(y)
     sx = float(xd @ xd)
     sy = float(yd @ yd)
     if sx == 0.0 or sy == 0.0:
@@ -159,8 +178,8 @@ def xcorr_lag(x, y, max_lag: int) -> LagEstimate:
 
     lags = np.arange(-max_lag, max_lag + 1)
     m = n - np.abs(lags)  # window length per lag
-    xc = x - x.mean()
-    yc = y - y.mean()
+    xc = _centred(x)
+    yc = _centred(y)
     sx, vx = _window_moments(xc, m, lags >= 0)  # x's window is a prefix at lag >= 0
     sy, vy = _window_moments(yc, m, lags < 0)
     sxy = np.correlate(yc, xc, "full")[n - 1 - max_lag:n + max_lag]

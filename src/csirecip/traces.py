@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     EmptyTraceError,
+    InvalidParameterError,
     MalformedHeaderError,
     NoOverlapError,
     RateMismatchError,
@@ -46,8 +47,9 @@ class CsiTrace:
     parse_stats: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        if self.rate_hz <= 0:
-            raise ValueError("rate_hz must be positive")
+        if not (isfinite(self.rate_hz) and self.rate_hz > 0):
+            raise InvalidParameterError(
+                f"rate_hz must be finite and positive, got {self.rate_hz!r}")
         if any(c in self.device_id for c in ",\n\r"):  # would break its CSV row
             raise ValueError(f"device_id {self.device_id!r} must not hold ',', '\\n' or '\\r'")
         seqs = np.ascontiguousarray(self.seqs, dtype=np.int64)
@@ -122,9 +124,13 @@ def parse_csi_csv(stream, rate_hz: float | None = None) -> CsiTrace:
     numbers keep the first occurrence.  Counts of everything dropped live
     in ``trace.parse_stats``.
 
+    A clean file is parsed in one columnar pass through numpy's C reader;
+    any other file goes through the row loop, with the same result.
+
     When ``rate_hz`` is None the nominal packet rate is inferred from the
     seq/time span of the accepted rows; :class:`UnknownRateError` is
-    raised when they hold one row or their times do not increase.
+    raised when they hold one row, or their times do not increase, or the
+    spans give no finite positive rate.
     """
     if isinstance(stream, bytes):
         text = stream.decode("utf-8")
@@ -135,7 +141,8 @@ def parse_csi_csv(stream, rate_hz: float | None = None) -> CsiTrace:
         if isinstance(text, bytes):
             text = text.decode("utf-8")
 
-    lines = [ln for ln in text.removeprefix("\ufeff").split("\n") if ln.strip()]
+    text = text.removeprefix("\ufeff")
+    lines = [ln for ln in text.split("\n") if ln.strip()]
     if not lines:
         raise MalformedHeaderError("empty input")
 
@@ -148,6 +155,70 @@ def parse_csi_csv(stream, rate_hz: float | None = None) -> CsiTrace:
     if n_sub == 0 or iq_cols != expected:
         raise MalformedHeaderError("header does not declare i0,q0,...,i{N-1},q{N-1}")
 
+    body = lines[1:]
+    seqs, ts, iq, device_id, parse_stats = (_parse_columns(text, body, n_sub)
+                                            or _parse_rows(body, n_sub))
+    if not len(seqs):
+        raise EmptyTraceError("no rows survived parsing")
+
+    if rate_hz is None:
+        t0, t1 = float(ts[0]), float(ts[-1])
+        if len(seqs) == 1 or not t1 > t0:
+            why = (f"t that does not increase ({t0!r} to {t1!r})" if len(seqs) > 1
+                   else "a single row")
+            raise UnknownRateError(f"cannot infer the packet rate from {why}; pass rate_hz")
+        rate_hz = (int(seqs[-1]) - int(seqs[0])) / (t1 - t0)
+        if not (isfinite(rate_hz) and rate_hz > 0):
+            raise UnknownRateError(f"seqs {int(seqs[0])} to {int(seqs[-1])} over t {t0!r} to "
+                                   f"{t1!r} give rate {rate_hz!r} Hz; pass rate_hz")
+
+    return CsiTrace(
+        device_id=device_id,
+        subcarriers=n_sub,
+        rate_hz=float(rate_hz),
+        seqs=seqs,
+        t=ts,
+        iq=iq.view(np.complex128),  # i, q interleaved
+        parse_stats=parse_stats,
+    )
+
+
+def _parse_columns(text: str, body: list[str], n_sub: int):
+    """The columnar pass over ``body``, the lines of ``text`` after its header: None
+    unless every row holds 3 + 2 * n_sub fields, all finite and from one device.
+
+    Within ASCII, numpy's reader reads a field as ``int()`` and ``float()`` do,
+    except that it strips \\x1c-\\x1f; beyond ASCII it misreads some characters
+    as digits.  So text holding either goes to the row loop.
+    """
+    if (not body or not text.isascii() or any(c in text for c in "\x1c\x1d\x1e\x1f")
+            or {ln.count(",") for ln in body} != {2 + 2 * n_sub}):
+        return None
+    devs = {ln.split(",", 3)[2] for ln in body}
+    device_id = devs.pop()
+    if devs or "\r" in device_id:
+        return None
+    dtype = np.dtype([("seq", np.int64), ("t", np.float64), ("iq", np.float64, (2 * n_sub,))])
+    try:
+        cols = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None, ndmin=1,
+                          usecols=[0, 1, *range(3, 3 + 2 * n_sub)])
+    except ValueError:  # a field neither int64 nor float, or a \r inside a row
+        return None
+    seq, t, iq = cols["seq"], cols["t"], cols["iq"]
+    if not (np.isfinite(t).all() and np.isfinite(iq).all()):
+        return None
+    # a row is kept iff its seq exceeds every earlier one: equal is a duplicate
+    prev_max = np.maximum.accumulate(seq)[:-1]
+    later = seq[1:]
+    keep = np.r_[True, later > prev_max]
+    n_dup = int(np.count_nonzero(later == prev_max))
+    n_ooo = int(np.count_nonzero(later < prev_max))
+    return (seq[keep], t[keep], iq[keep], device_id,
+            {"bad_rows": [], "duplicates": n_dup, "out_of_order": n_ooo})
+
+
+def _parse_rows(body: list[str], n_sub: int):
+    """The row loop: ``float()`` on every value, each bad row recorded by its index."""
     seqs: list[int] = []
     ts: list[float] = []
     rows: list[list[float]] = []
@@ -155,7 +226,7 @@ def parse_csi_csv(stream, rate_hz: float | None = None) -> CsiTrace:
     bad_rows: list[int] = []
     n_dup = 0
     n_ooo = 0
-    for idx, line in enumerate(lines[1:], start=1):
+    for idx, line in enumerate(body, start=1):
         parts = line.split(",")
         if len(parts) != 3 + 2 * n_sub:
             bad_rows.append(idx)
@@ -181,26 +252,9 @@ def parse_csi_csv(stream, rate_hz: float | None = None) -> CsiTrace:
         seqs.append(seq)
         ts.append(t)
         rows.append(vals)
-
-    if not seqs:
-        raise EmptyTraceError("no rows survived parsing")
-
-    if rate_hz is None:
-        if len(seqs) == 1 or not ts[-1] > ts[0]:
-            why = (f"t that does not increase ({ts[0]!r} to {ts[-1]!r})" if len(seqs) > 1
-                   else "a single row")
-            raise UnknownRateError(f"cannot infer the packet rate from {why}; pass rate_hz")
-        rate_hz = (seqs[-1] - seqs[0]) / (ts[-1] - ts[0])
-
-    return CsiTrace(
-        device_id=device_id,
-        subcarriers=n_sub,
-        rate_hz=float(rate_hz),
-        seqs=np.array(seqs, dtype=np.int64),
-        t=np.array(ts, dtype=np.float64),
-        iq=np.array(rows, dtype=np.float64).view(np.complex128),  # i, q interleaved
-        parse_stats={"bad_rows": bad_rows, "duplicates": n_dup, "out_of_order": n_ooo},
-    )
+    return (np.array(seqs, dtype=np.int64), np.array(ts, dtype=np.float64),
+            np.array(rows, dtype=np.float64).reshape(len(rows), 2 * n_sub), device_id,
+            {"bad_rows": bad_rows, "duplicates": n_dup, "out_of_order": n_ooo})
 
 
 def write_csi_csv(trace: CsiTrace, stream=None) -> str | None:

@@ -41,6 +41,12 @@ class TestHandshake:
         assert d.corr == pytest.approx(1.0)
         assert d.shift == 0
 
+    def test_identical_csi_at_extreme_scale(self):
+        # pearson's product of sums of squares overflowed: corr 0.0, rejected as low_corr
+        x, _, _ = legit_pair(1)
+        d = run_handshake(x * 1e150, x * 1e150, AuthPolicy(), KEY)
+        assert (d.accepted, d.corr, d.shift, d.reason) == (True, 1.0, 0, Reason.OK)
+
     def test_tampered_tag_skips_channel_math(self):
         x, y, _ = legit_pair(2)
         msg = sign_csi(y, KEY)

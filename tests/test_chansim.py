@@ -11,7 +11,7 @@ from csirecip.chansim import (
     preset,
     preset_names,
 )
-from csirecip.errors import InvalidBandError
+from csirecip.errors import CsiRecipError, InvalidBandError
 from csirecip.metrics import pearson, xcorr_lag
 from csirecip.traces import magnitude_series, parse_csi_csv, write_csi_csv
 
@@ -95,6 +95,18 @@ class TestGenPair:
     def test_duration_without_samples_rejected(self, duration):
         with pytest.raises(ValueError, match=f"duration_s.*{duration}"):
             ChannelConfig(duration_s=duration)
+
+    @pytest.mark.parametrize("field, value", [
+        ("duration_s", np.nan), ("duration_s", np.inf), ("rate_hz", np.nan),
+        ("rate_hz", np.inf), ("rate_hz", 0.0), ("coherence_time_s", np.nan),
+        ("coherence_time_s", np.inf), ("coherence_time_s", 0.0), ("coherence_time_s", -1.0),
+        ("snr_db", np.nan), ("snr_db", -np.inf),
+    ])
+    def test_non_finite_or_non_positive_field_named(self, field, value):
+        # duration_s inf used to raise OverflowError, nan "cannot convert float NaN"
+        with pytest.raises(CsiRecipError, match=f"{field} .*got {value!r}") as err:
+            ChannelConfig(**{field: value})
+        assert isinstance(err.value, ValueError)
 
     def test_csv_round_trip(self):
         cfg = ChannelConfig(duration_s=15.0, seed=8,

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from csirecip import chansim
 from csirecip.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
@@ -280,3 +286,29 @@ class TestConfigFile:
         rc = run(["keygen", "--config", str(tmp_path / "nope.ini"),
                   "--out-dir", str(tmp_path)])
         assert rc == EXIT_DATA
+
+
+@settings(max_examples=40, deadline=None)  # a large finite duration would ask for gigabytes
+@given(duration=st.sampled_from(["nan", "inf", "-inf", "0", "-2.5"]) | st.floats(0.5, 20).map(repr),
+       snr=st.sampled_from([None, "nan", "inf", "-inf", "12.5"]),
+       lag=st.sampled_from([None, "nan", "inf", "-inf", "3"]),
+       preset=st.sampled_from(["los-short", "nlos-long", "no-such-preset"]))
+@example(duration="inf", snr=None, lag=None, preset="los-short")  # was an OverflowError
+@example(duration="nan", snr=None, lag=None, preset="los-short")
+@example(duration="5.0", snr="inf", lag=None, preset="nlos-long")  # noise-free
+@example(duration="5.0", snr="-inf", lag=None, preset="nlos-long")
+def test_simulate_exits_0_1_or_2_without_traceback(duration, snr, lag, preset):
+    argv = ["simulate", f"--duration={duration}", f"--preset={preset}", "--seed=1"]
+    argv += [f"--{flag}={v}" for flag, v in (("snr-db", snr), ("lag", lag)) if v is not None]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as d, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = main([*argv, f"--out-dir={d}"])
+    assert "Traceback" not in err.getvalue()
+    if lag not in (None, "3"):  # --lag takes an int
+        assert rc == EXIT_USAGE
+    elif (preset == "no-such-preset" or not 0 < float(duration) < math.inf
+          or snr in ("nan", "-inf")):
+        assert rc == EXIT_DATA
+    else:
+        assert rc == EXIT_OK

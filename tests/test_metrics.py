@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -311,6 +312,40 @@ def test_closed_form_matches_per_lag_loop(case):
         # only an exact tie, which rounding decides, may resolve differently:
         # e.g. every two-sample window correlates at exactly +-1
         assert want_curve.max() - want_curve[est.lag + max_lag] <= 1e-12
+
+
+# --- extreme scales --------------------------------------------------------
+
+def _scale_pair():
+    rng = np.random.default_rng(5)
+    x = np.cumsum(rng.normal(size=600))
+    return x, np.roll(x, 3) + 0.5 * rng.normal(size=600)
+
+
+@pytest.mark.parametrize("k", [-900, -1, 1, 300, 900])
+def test_power_of_two_scale_is_exact(k):
+    # a power of two scales every sum and product exactly, so nothing may move
+    x, y = _scale_pair()
+    c = 2.0 ** k
+    assert pearson(x * c, y * c) == pearson(x, y)
+    got, want = xcorr_lag(x * c, y * c, 50), xcorr_lag(x, y, 50)
+    assert got.lag == want.lag
+    assert got.curve.tobytes() == want.curve.tobytes()
+
+
+@pytest.mark.parametrize("c", [1e150, 1e154, 1e-160, 1e-170])
+def test_extreme_scale_without_overflow_or_underflow(c):
+    # products of sums of squares used to overflow (pearson 0.0, nan) or
+    # underflow (DegenerateSeriesError, an infinite peak_corr)
+    x, y = _scale_pair()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pearson(x * c, x * c) == 1.0
+        assert pearson(x * c, y * c) == pytest.approx(pearson(x, y), rel=0, abs=1e-12)
+        got = xcorr_lag(x * c, y * c, 50)
+    want = xcorr_lag(x, y, 50)
+    assert got.lag == want.lag == 3
+    np.testing.assert_allclose(got.curve, want.curve, rtol=0, atol=1e-12)
 
 
 # --- ber ------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import hashlib
 import io
+import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,9 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from csirecip import traces
 from csirecip.chansim import gen_attacker, gen_pair, preset
 from csirecip.errors import (
     EmptyTraceError,
+    InvalidParameterError,
     MalformedHeaderError,
     NoOverlapError,
     RateMismatchError,
@@ -127,6 +131,25 @@ class TestParse:
             assert list(tr.seqs) == [1, 2]
             assert write_csi_csv(tr) == text
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0])
+    def test_given_rate_must_be_finite_and_positive(self, rate):
+        # nan and inf used to give a trace with that rate
+        text = make_csv([row(1, 0.1, [1, 1]), row(2, 0.2, [1, 1])])
+        with pytest.raises(InvalidParameterError, match=f"rate_hz .*got {rate!r}") as err:
+            parse_csi_csv(text, rate_hz=rate)
+        assert isinstance(err.value, ValueError)
+
+    @pytest.mark.parametrize("seqs, ts, rate", [
+        ((1, 2), (-1e308, 1e308), 0.0),  # the t span overflows to inf
+        ((0, 10 ** 18), (0.0, 5e-324), math.inf),
+    ])
+    def test_inferred_rate_must_be_finite_and_positive(self, seqs, ts, rate):
+        # the first used to reach CsiTrace as rate 0
+        text = make_csv([row(s, t, [1, 1]) for s, t in zip(seqs, ts)])
+        with pytest.raises(UnknownRateError,
+                           match=re.escape(f"over t {ts[0]!r} to {ts[1]!r} give rate {rate!r}")):
+            parse_csi_csv(text)
+
     def test_roundtrip_bit_exact(self):
         rng = np.random.default_rng(7)
         rows = [row(s, s * 0.1, rng.normal(size=2) + 1j * rng.normal(size=2))
@@ -171,6 +194,12 @@ class TestColumns:
     def test_rate_must_be_positive(self):
         with pytest.raises(ValueError, match="rate_hz"):
             CsiTrace("ap", 1, 0.0, [1], [0.1], np.ones((1, 1)))
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_rate_must_be_finite(self, rate):
+        # accepted before; the message also names the value now
+        with pytest.raises(InvalidParameterError, match=f"rate_hz .*got {rate!r}"):
+            CsiTrace("ap", 1, rate, [1], [0.1], np.ones((1, 1)))
 
     @pytest.mark.parametrize("dev", ["a,b", "a\nb", "a\rb"])
     def test_device_id_breaking_csv_rows_rejected(self, dev):
@@ -244,6 +273,155 @@ def test_write_parse_write_byte_identical(tr):
     assert write_csi_csv(back) == text
     seqs = tr.seqs.tolist()
     assert back.missing_seqs().tolist() == sorted(set(range(seqs[0], seqs[-1] + 1)) - set(seqs))
+
+
+# --- the columnar pass against the row loop ---------------------------------
+
+# Spellings int()/float() and numpy's reader both accept, with equal values.
+SEQ_BOTH = [str, lambda n: f"{n:+}", lambda n: f" {n}\t", lambda n: f"{n:03}"]
+FLOAT_BOTH = [repr, lambda v: f"\t{v!r} ", lambda v: f"{v:+e}", lambda v: f"{v:.3g}"]
+# Odd spellings: most are rejected by one parser or both, or are not finite.
+SEQ_TRAPS = ["5.0", "5e0", str(2 ** 63), str(-2 ** 63 - 1), str(-2 ** 63), "1_0", "٥",
+             "5Ǿ", "\x1c5", "", " ", "-0", "0x5"]
+FLOAT_TRAPS = ["nan", "inf", "-Infinity", "1e400", "1e-400", "-0", ".5", "5.", "1_0",
+               "١.5", "１", "1.0#x", "", " ", "0x10", "1.0\x00", "\x1f1.0",
+               "1.0\x0b", "1.0\x85", "1.0 ", "1.0\u3000", "1e", "nan(1)"]
+
+
+def csv_text(n_sub, rows, eol="\n", bom=""):
+    header = "seq,t,dev," + ",".join(f"i{k},q{k}" for k in range(n_sub))
+    return bom + eol.join([header, *rows]) + eol
+
+
+@st.composite
+def fuzzed_csv(draw):
+    """CSV text whose rows mix clean spellings with every trap; with ``clean`` drawn
+    true, only spellings both parsers read alike, so the columnar pass mostly accepts."""
+    clean = draw(st.booleans())
+    n_sub = draw(st.integers(1, 3))
+    floats = st.floats(-1e6, 1e6, allow_subnormal=True) | st.sampled_from([-0.0, 5e-324, 1e308])
+    seq_field = st.builds(lambda f, n: f(n), st.sampled_from(SEQ_BOTH), st.integers(-3, 30))
+    float_field = st.builds(lambda f, v: f(v), st.sampled_from(FLOAT_BOTH), floats)
+    dev = draw(st.sampled_from(["ap", "sta-1", ""]))
+    dev_field = st.sampled_from([dev, "sta"]) if draw(st.booleans()) else st.just(dev)
+    if not clean:
+        seq_field |= st.sampled_from(SEQ_TRAPS)
+        float_field |= st.sampled_from(FLOAT_TRAPS)
+        dev_field |= st.sampled_from(["a\rb", "α"])
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        fields = [draw(seq_field), draw(float_field), draw(dev_field),
+                  *(draw(float_field) for _ in range(2 * n_sub))]
+        line = ",".join(fields)
+        if not clean:
+            edit = draw(st.sampled_from(["none", "none", "drop", "extra", "comma", "cr", "blank"]))
+            if edit == "drop":
+                line = line.rsplit(",", 1)[0]
+            elif edit == "extra":
+                line += ",1.0"
+            elif edit == "comma":
+                line += ","
+            elif edit == "cr":  # a lone \r inside the row
+                k = draw(st.integers(0, len(line)))
+                line = line[:k] + "\r" + line[k:]
+            elif edit == "blank":
+                rows.append(draw(st.sampled_from(["", " ", "\t", "\x0b", "\r"])))
+        rows.append(line)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return csv_text(n_sub, rows, eol, bom=draw(st.sampled_from(["", "\ufeff"])))
+
+
+def outcome(text):
+    """parse_csi_csv's trace, every bit of it, or its exception's type and message."""
+    try:
+        tr = parse_csi_csv(text)
+    except Exception as e:  # noqa: BLE001 - the exception is the outcome compared
+        return type(e), str(e)
+    return (tr.device_id, tr.subcarriers, repr(tr.rate_hz), tr.parse_stats,
+            *(a.tobytes() for a in (tr.seqs, tr.t, tr.iq)))
+
+
+def parse_both_ways(text):
+    """parse_csi_csv's outcome as it stands and with the row loop alone, and what the
+    columnar pass and the row loop returned on the way."""
+    seen = {}
+
+    def spy(name):
+        real = getattr(traces, name)
+
+        def call(*args):
+            seen[name] = real(*args)
+            return seen[name]
+        return call
+
+    with mock.patch.object(traces, "_parse_columns", spy("_parse_columns")):
+        got = outcome(text)
+    with mock.patch.object(traces, "_parse_columns", lambda *args: None), \
+            mock.patch.object(traces, "_parse_rows", spy("_parse_rows")):
+        want = outcome(text)
+    return got, want, seen.get("_parse_columns"), seen.get("_parse_rows")
+
+
+def _columns_key(parsed):
+    seqs, t, iq, device_id, stats = parsed
+    return ([(a.dtype, a.shape, a.tobytes()) for a in (seqs, t, iq)], device_id, stats)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzzed_csv())
+@example(csv_text(1, ["1,0.1,ap,1.0,2.0,", "2,0.2,ap,1.0,2.0"]))  # a trailing comma
+@example(csv_text(1, ["1,0.1,ap,1.0,2.0,3.0", "2,0.2,ap,1.0,2.0"]))  # an extra field
+@example(csv_text(1, ["1,0.1,ap,1.0,2.0#x", "2,0.2,ap,1.0,2.0"]))  # a comment mark
+@example(csv_text(1, ["1,nan,ap,inf,2.0", "2,0.2,ap,Infinity,2.0"]))  # not finite
+@example(csv_text(1, ["1,0.1,ap,1.0,2.0", " \t ", "2,0.2,ap,1.0,2.0"]))  # whitespace line
+@example(csv_text(1, ["1_0,0.1,ap,1_0,2.0", "11,0.2,ap,1.0,2.0"]))  # underscores
+@example(csv_text(1, ["١,0.1,ap,١.5,2.0", "2,0.2,ap,1.0,2.0"]))  # non-ASCII digits
+@example(csv_text(1, ["5Ǿ,0.1,ap,1.0,2.0", "2,0.2,ap,1.0,2.0"]))  # numpy reads U+01FE as a digit
+@example(csv_text(1, ["\x1c1,0.1,ap,1.0,2.0\x1f", "2,0.2,ap,1.0,2.0"]))  # numpy strips these
+@example(csv_text(1, ["1,0.1,ap,1.0\x0b,2.0\x85", "2,0.2 ,ap,1.0,2.0"]))  # splitlines
+@example(csv_text(1, ["+5,\t.5 ,ap,-0, 1e400", "6,0.6,ap,5.,-0"], eol="\r\n"))  # both accept
+@example(csv_text(1, ["+5, .5 ,ap,-0,\t1e-400", "6,0.6,ap,5.,-0"], eol="\r\n"))  # both accept
+@example(csv_text(1, ["5.0,0.1,ap,1.0,2.0", "6,0.2,ap,1.0,2.0"]))  # a seq written as a float
+@example(csv_text(1, [f"{2 ** 63},0.1,ap,1.0,2.0", "6,0.2,ap,1.0,2.0"]))  # beyond int64
+@example(csv_text(1, [f"{-2 ** 63},0.1,ap,1.0,2.0", "6,0.2,ap,1.0,2.0"]))  # int64's floor
+@example(csv_text(1, ["1,0.1,ap,1.0", "2,0.2,ap,1.0,2.0"]))  # a missing field
+@example(csv_text(1, ["1,0.1,ap,1.0\r,2.0", "2,0.2,ap,1.0,2.0"]))  # a lone \r in a row
+@example(csv_text(1, ["1,0.1,ap,1.0,2.0", "2,0.2,ap,1.0,2.0"], bom="\ufeff"))  # a BOM
+@example(csv_text(1, ["", "1,0.1,ap,1.0,2.0", "", "2,0.2,ap,1.0,2.0", ""]))  # blank lines
+@example(csv_text(1, ["1,0.1,ap,1.0,2.0", "2,0.2,sta,1.0,2.0"]))  # mixed device ids
+@example(csv_text(1, ["1,0.1,a\rb,1.0,2.0", "2,0.2,a\rb,1.0,2.0"]))  # \r in the device id
+@example(csv_text(1, ["3,0.1,ap,1.0,2.0", "3,0.2,ap,1.0,2.0", "1,0.3,ap,1.0,2.0",
+                      "4,0.4,ap,1.0,2.0"]))  # a duplicate and an out-of-order row
+def test_columnar_pass_equals_row_loop(text):
+    got, want, columns, rows = parse_both_ways(text)
+    assert got == want
+    if columns is not None:
+        assert _columns_key(columns) == _columns_key(rows)
+
+
+@pytest.fixture(scope="module")
+def nlos_long_csvs():
+    ap, sta, _ = gen_pair(preset("nlos-long", 300, seed=4))
+    return [write_csi_csv(tr) for tr in (ap, sta)]
+
+
+def test_clean_files_take_the_columnar_pass(nlos_long_csvs, monkeypatch):
+    # a columnar pass that always declined would pass every other test
+    want = [parse_csi_csv(text) for text in nlos_long_csvs]
+
+    def no_row_loop(*args):
+        raise AssertionError("the row loop ran")
+
+    monkeypatch.setattr(traces, "_parse_rows", no_row_loop)
+    for text, tr in zip(nlos_long_csvs, want):
+        lines = text.split("\n")
+        shuffled = [*lines[:11], lines[10], *lines[11:21], lines[5], *lines[21:]]
+        for variant, dup_ooo in ((text, 0), (text.replace("\n", "\r\n"), 0),
+                                 ("\n".join(shuffled), 1)):
+            got = parse_csi_csv(variant)
+            assert got == tr and got.device_id == tr.device_id
+            assert got.parse_stats == {"bad_rows": [], "duplicates": dup_ooo,
+                                       "out_of_order": dup_ooo}
 
 
 class TestMagnitude:
