@@ -18,9 +18,8 @@ from dataclasses import dataclass, replace
 from math import inf, isfinite
 
 import numpy as np
-from scipy.signal import lfilter
 
-from .errors import InvalidBandError, InvalidParameterError
+from .errors import InvalidBandError, InvalidParameterError, UnknownPresetError
 from .traces import CsiTrace
 
 MAGNITUDE_OFFSET = 10.0  # keeps simulated magnitudes positive
@@ -37,9 +36,9 @@ class LossEvent:
 
     def __post_init__(self):
         if self.side not in ("ap", "sta"):
-            raise ValueError(f"side must be 'ap' or 'sta', got {self.side!r}")
+            raise InvalidParameterError(f"LossEvent.side must be 'ap' or 'sta', got {self.side!r}")
         if self.count < 0:
-            raise ValueError("count must be non-negative")
+            raise InvalidParameterError(f"LossEvent.count must be >= 0, got {self.count!r}")
 
 
 @dataclass(frozen=True)
@@ -87,17 +86,32 @@ def ou_process(n: int, dt: float, tau: float, rng: np.random.Generator,
     Autocorrelation at lag k*dt is exp(-k*dt/tau) in expectation; the
     stationary start draws x[0] from the stationary law.
     """
-    rho = np.exp(-dt / tau)
+    rho = float(np.exp(-dt / tau))
     if complex_valued:
         # interleaved draws keep sample i independent of the horizon n,
         # which is what makes delayed-replay windows prefix-stable
-        z = rng.standard_normal((n, 2))
-        innov = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2)
+        innov = _innovations(rng.standard_normal((n, 2)))
     else:
         innov = rng.standard_normal(n)
     drive = np.sqrt(1 - rho * rho) * innov
     drive[0] = innov[0]
-    return lfilter([1.0], [1.0, -rho], drive)
+    y = drive.tolist()
+    for i in range(1, n):
+        y[i] += rho * y[i - 1]
+    return np.array(y, dtype=drive.dtype)
+
+
+def _innovations(z: np.ndarray) -> np.ndarray:
+    """Unit-variance complex innovations from (re, im) normal pairs, in place.
+
+    Equals ``(z[..., 0] + 1j * z[..., 1]) / np.sqrt(2)`` bit for bit:
+    numpy divides a complex by a real by multiplying by its reciprocal.
+    """
+    z *= 1 / np.sqrt(2)
+    return z.view(np.complex128)[..., 0]
+
+
+BLOCK = 256  # samples per step of the streamed carrier simulation
 
 
 def base_signal(cfg: ChannelConfig, n: int, start_s: float = 0.0) -> np.ndarray:
@@ -106,20 +120,53 @@ def base_signal(cfg: ChannelConfig, n: int, start_s: float = 0.0) -> np.ndarray:
     Deterministic in (cfg.seed, sample position): sample i of any window
     starting at ``start_s`` equals sample i+offset of the window starting
     at zero, provided offsets are whole samples.
+
+    Equals the sum over carriers of ``ou_process(..., complex_valued=True)``
+    times the carrier phasor, bit for bit.  Time is streamed in blocks of
+    BLOCK samples through fixed buffers, and each sample advances the OU
+    recurrence of all carriers in one vector step.
     """
     dt = 1.0 / cfg.rate_hz
     offset = int(round(start_s / dt))
     total = offset + n
-    seeds = np.random.SeedSequence(cfg.seed).spawn(N_CARRIERS)
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(N_CARRIERS)]
     f_lo, f_hi = cfg.base_band
-    carriers = np.geomspace(f_lo, f_hi, N_CARRIERS)
-    t = np.arange(total) * dt
-    x = np.zeros(total)
-    for k in range(N_CARRIERS):
-        rng = np.random.default_rng(seeds[k])
-        c = ou_process(total, dt, cfg.coherence_time_s, rng, complex_valued=True)
-        x += (c * np.exp(2j * np.pi * carriers[k] * t)).real
-    return x[offset:] / np.sqrt(N_CARRIERS / 2.0)
+    omega = 2 * np.pi * np.geomspace(f_lo, f_hi, N_CARRIERS)
+    rho = np.exp(-dt / cfg.coherence_time_s)
+    gain = np.sqrt(1 - rho * rho)
+    rho_row = np.full(2 * N_CARRIERS, rho)
+    draws = np.empty((N_CARRIERS, BLOCK, 2))  # carrier-major, as drawn
+    terms = draws.view(np.complex128)[..., 0]  # reuses the draws once they are copied
+    coef = np.empty((BLOCK, N_CARRIERS), dtype=np.complex128)  # time-major
+    rows = list(coef.view(np.float64))  # one time step of all carriers each
+    prev = np.zeros(2 * N_CARRIERS)  # the step before the block
+    step = np.empty(2 * N_CARRIERS)
+    x = np.zeros(n)
+    for a in range(0, total, BLOCK):
+        m = min(BLOCK, total - a)
+        for k, rng in enumerate(rngs):
+            rng.standard_normal(out=draws[k, :m])
+        innov = _innovations(draws[:, :m])
+        draws[:, 1 if a == 0 else 0:m] *= gain  # the stationary start keeps its draw
+        np.copyto(coef[:m], innov.T)
+        for row in rows[:m]:
+            np.multiply(prev, rho_row, step)
+            np.add(row, step, row)
+            prev = row
+        prev = prev.copy()  # the buffers are refilled by the next block
+        lo = max(offset - a, 0)  # samples before the window only advance the state
+        if lo < m:
+            t = np.arange(a + lo, a + m) * dt
+            ph = terms[:, :m - lo]
+            # numpy's complex product 2j * pi * f * t is exactly 0 + 1j * (2 * pi * f) * t
+            ph.real = 0.0
+            np.multiply(omega[:, None], t, out=ph.imag)
+            np.exp(ph, out=ph)
+            np.multiply(coef[lo:m].T, ph, out=ph)
+            acc = x[a + lo - offset:a + m - offset]
+            for k in range(N_CARRIERS):
+                acc += ph[k].real
+    return x / np.sqrt(N_CARRIERS / 2.0)
 
 
 def _device_trace(cfg: ChannelConfig, device_id: str, magnitudes: np.ndarray,
@@ -228,7 +275,7 @@ def preset(name: str, duration_s: float = 600.0, seed: int = 0,
     """Named scenario presets; any field can be overridden."""
     key = name.lower().replace("_", "-")
     if key not in _PRESETS:
-        raise ValueError(f"unknown preset {name!r}; choose from {sorted(_PRESETS)}")
+        raise UnknownPresetError(f"unknown preset {name!r}; choose from {sorted(_PRESETS)}")
     kw = dict(_PRESETS[key])
     kw.update(overrides)
     return ChannelConfig(duration_s=duration_s, seed=seed, **kw)

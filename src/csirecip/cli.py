@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import authsim, chansim, keygen
 from .authsim import AuthPolicy, replay_attack, run_handshake, sign_csi
-from .errors import CsiRecipError
+from .errors import CsiRecipError, UnknownPresetError
 from .keygen import PIPELINES, SessionConfig, preprocess_pair, wskg_session
 from .metrics import DivergenceConfig, jeffrey_divergence, pearson, wasserstein_1d, xcorr_lag
 from .traces import magnitude_series, pair_traces, parse_csi_csv, write_csi_csv
@@ -363,16 +363,43 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_FLOAT_FLAGS = ("--duration", "--snr-db", "--min-corr")
+
+
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_float_values(argv: list[str]) -> list[str]:
+    """Spell ``--snr-db -inf`` as ``--snr-db=-inf``.
+
+    argparse reads a token such as ``-inf`` or ``-1e3`` as an option, so a
+    float flag followed by any token that ``float()`` accepts takes that
+    token as its value.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _FLOAT_FLAGS and _is_float(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_float_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         cp = _load_config(getattr(args, "config", None))
         return args.fn(args, cp)
-    except _UsageError as e:
+    except (_UsageError, UnknownPresetError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (CsiRecipError, OSError, ValueError) as e:

@@ -121,3 +121,7 @@ class LevelOutOfRangeError(CsiRecipError):
 
 class InvalidBandError(CsiRecipError):
     """Simulated fading band violates the Nyquist constraint."""
+
+
+class UnknownPresetError(CsiRecipError, ValueError):
+    """No channel preset has the requested name."""

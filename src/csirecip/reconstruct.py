@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import savgol_filter
 
 from .errors import (
     BadWindowError,
@@ -53,7 +52,7 @@ def golay_filter(x, window: int = 11, order: int = 3) -> np.ndarray:
     """Savitzky-Golay smoothing (local least-squares polynomial fit).
 
     Endpoints are handled by fitting the polynomial over the one-sided
-    edge window and evaluating it there.
+    edge window and evaluating it there (scipy's ``mode="interp"``).
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     if window % 2 == 0 or window < 3:
@@ -62,7 +61,14 @@ def golay_filter(x, window: int = 11, order: int = 3) -> np.ndarray:
         raise BadWindowError(f"order {order} must be < window {window}")
     if window > len(x):
         raise BadWindowError(f"window {window} exceeds series length {len(x)}")
-    return savgol_filter(x, window_length=window, polyorder=order, mode="interp")
+    half = window // 2
+    vander = np.vander(np.arange(-half, half + 1.0), order + 1, increasing=True)
+    hat = vander @ np.linalg.pinv(vander)  # row j: the fit's value at window position j
+    y = np.empty_like(x)
+    y[half:len(x) - half] = np.correlate(x, hat[half], "valid")
+    y[:half] = hat[:half] @ x[:window]
+    y[len(x) - half:] = hat[half + 1:] @ x[-window:]
+    return y
 
 
 def fft_reconstruct(x, power_keep: float = 0.98) -> np.ndarray:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from csirecip.chansim import (
+    BLOCK,
+    N_CARRIERS,
     ChannelConfig,
     LossEvent,
     base_signal,
@@ -11,12 +14,55 @@ from csirecip.chansim import (
     preset,
     preset_names,
 )
-from csirecip.errors import CsiRecipError, InvalidBandError
+from csirecip.errors import (
+    CsiRecipError,
+    InvalidBandError,
+    InvalidParameterError,
+    UnknownPresetError,
+)
 from csirecip.metrics import pearson, xcorr_lag
 from csirecip.traces import magnitude_series, parse_csi_csv, write_csi_csv
 
 
+def lfilter_ou_process(n, dt, tau, rng, complex_valued=False):
+    """Reference: the OU drive run through ``scipy.signal.lfilter``."""
+    rho = np.exp(-dt / tau)
+    if complex_valued:
+        z = rng.standard_normal((n, 2))
+        innov = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2)
+    else:
+        innov = rng.standard_normal(n)
+    drive = np.sqrt(1 - rho * rho) * innov
+    drive[0] = innov[0]
+    return lfilter([1.0], [1.0, -rho], drive)
+
+
+def per_carrier_base_signal(cfg, n, start_s=0.0):
+    """Reference: one whole-horizon lfilter OU path per carrier, summed in order."""
+    dt = 1.0 / cfg.rate_hz
+    offset = int(round(start_s / dt))
+    total = offset + n
+    seeds = np.random.SeedSequence(cfg.seed).spawn(N_CARRIERS)
+    carriers = np.geomspace(*cfg.base_band, N_CARRIERS)
+    t = np.arange(total) * dt
+    x = np.zeros(total)
+    for k in range(N_CARRIERS):
+        rng = np.random.default_rng(seeds[k])
+        c = lfilter_ou_process(total, dt, cfg.coherence_time_s, rng, complex_valued=True)
+        x += (c * np.exp(2j * np.pi * carriers[k] * t)).real
+    return x[offset:] / np.sqrt(N_CARRIERS / 2.0)
+
+
 class TestOu:
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    def test_bit_equal_to_lfilter(self, seed, complex_valued):
+        for n, tau in ((1, 3.0), (2, 0.5), (997, 12.0)):
+            got = ou_process(n, 0.1, tau, np.random.default_rng(seed), complex_valued)
+            want = lfilter_ou_process(n, 0.1, tau, np.random.default_rng(seed), complex_valued)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
     def test_autocorrelation_matches_exponential(self):
         # n >= 1e4, tau up to 3 coherence times, +/-0.05 band
         dt, tau, n = 0.1, 5.0, 200_000
@@ -108,6 +154,13 @@ class TestGenPair:
             ChannelConfig(**{field: value})
         assert isinstance(err.value, ValueError)
 
+    @pytest.mark.parametrize("side, count, match", [
+        ("both", 3, "side .*'both'"), ("ap", -1, "count .*-1"),
+    ])
+    def test_loss_event_fields_named(self, side, count, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            LossEvent(side, 10.0, count)
+
     def test_csv_round_trip(self):
         cfg = ChannelConfig(duration_s=15.0, seed=8,
                             loss=(LossEvent("ap", 5.0, 10),))
@@ -119,6 +172,16 @@ class TestGenPair:
 
 
 class TestBaseSignal:
+    @pytest.mark.parametrize("seed", [0, 3, 42])
+    def test_bit_equal_to_per_carrier_lfilter(self, seed):
+        cfg = ChannelConfig(duration_s=30.0, seed=seed, coherence_time_s=15.0 + seed)
+        # horizons inside, at and across block edges; offsets inside and across blocks
+        for n, start_s in ((1, 0.0), (1, 0.7), (BLOCK, 0.0), (BLOCK + 1, 0.0),
+                           (3 * BLOCK - 7, 0.0), (BLOCK - 3, 5.1),
+                           (BLOCK + 40, 0.1 * BLOCK), (97, 0.1 * (2 * BLOCK + 3))):
+            np.testing.assert_array_equal(base_signal(cfg, n, start_s),
+                                          per_carrier_base_signal(cfg, n, start_s))
+
     def test_prefix_stability_across_horizons(self):
         cfg = ChannelConfig(duration_s=30.0, seed=9)
         short = base_signal(cfg, 100)
@@ -191,8 +254,9 @@ class TestPresets:
         assert cfg.seed == 5
 
     def test_unknown(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnknownPresetError, match="'urban-canyon'.*los-short") as err:
             preset("urban-canyon")
+        assert isinstance(err.value, CsiRecipError) and isinstance(err.value, ValueError)
 
     def test_reciprocal_preset_pins_contract_values(self):
         cfg = preset("reciprocal", duration_s=300.0)

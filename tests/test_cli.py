@@ -2,13 +2,17 @@ import contextlib
 import io
 import json
 import math
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import csirecip
 from csirecip import chansim
 from csirecip.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from csirecip.keygen import PROBE_LEN
@@ -231,6 +235,10 @@ class TestFlagGroups:
     def test_unread_flag_is_usage_error(self, argv, tmp_path):
         assert run(argv + ["--out-dir", str(tmp_path)]) == EXIT_USAGE
 
+    def test_negative_float_value_reaches_value_check(self, tmp_path, capsys):
+        assert run(["auth", "--min-corr", "-1e-1", "--out-dir", str(tmp_path)]) == EXIT_DATA
+        assert "min_corr" in capsys.readouterr().err
+
 
 class TestReport:
     def test_aggregates_sessions(self, tmp_path):
@@ -282,6 +290,14 @@ class TestConfigFile:
         assert "error: unknown pipeline 'magic'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unknown_preset_in_ini_usage_error(self, tmp_path, capsys):
+        ini = tmp_path / "sim.ini"
+        ini.write_text("[input]\npreset = urban-canyon\n")
+        rc = run(["simulate", "--config", str(ini), "--duration", "5",
+                  "--out-dir", str(tmp_path / "out")])
+        assert rc == EXIT_USAGE
+        assert "error: unknown preset 'urban-canyon'" in capsys.readouterr().err
+
     def test_missing_config_exits_2(self, tmp_path):
         rc = run(["keygen", "--config", str(tmp_path / "nope.ini"),
                   "--out-dir", str(tmp_path)])
@@ -290,25 +306,45 @@ class TestConfigFile:
 
 @settings(max_examples=40, deadline=None)  # a large finite duration would ask for gigabytes
 @given(duration=st.sampled_from(["nan", "inf", "-inf", "0", "-2.5"]) | st.floats(0.5, 20).map(repr),
-       snr=st.sampled_from([None, "nan", "inf", "-inf", "12.5"]),
+       snr=st.sampled_from([None, "nan", "inf", "-inf", "12.5", "-1e3"]),
        lag=st.sampled_from([None, "nan", "inf", "-inf", "3"]),
-       preset=st.sampled_from(["los-short", "nlos-long", "no-such-preset"]))
-@example(duration="inf", snr=None, lag=None, preset="los-short")  # was an OverflowError
-@example(duration="nan", snr=None, lag=None, preset="los-short")
-@example(duration="5.0", snr="inf", lag=None, preset="nlos-long")  # noise-free
-@example(duration="5.0", snr="-inf", lag=None, preset="nlos-long")
-def test_simulate_exits_0_1_or_2_without_traceback(duration, snr, lag, preset):
-    argv = ["simulate", f"--duration={duration}", f"--preset={preset}", "--seed=1"]
-    argv += [f"--{flag}={v}" for flag, v in (("snr-db", snr), ("lag", lag)) if v is not None]
+       preset=st.sampled_from(["los-short", "nlos-long", "no-such-preset"]),
+       joined=st.booleans())
+# duration inf was an OverflowError
+@example(duration="inf", snr=None, lag=None, preset="los-short", joined=True)
+@example(duration="nan", snr=None, lag=None, preset="los-short", joined=True)
+@example(duration="5.0", snr="inf", lag=None, preset="nlos-long", joined=True)  # noise-free
+@example(duration="5.0", snr="-inf", lag=None, preset="nlos-long", joined=True)
+# a separate negative exponent or inf value was read as an option (exit 1)
+@example(duration="5.0", snr="-1e3", lag=None, preset="los-short", joined=False)
+@example(duration="5.0", snr="-inf", lag=None, preset="los-short", joined=False)
+@example(duration="-inf", snr=None, lag=None, preset="los-short", joined=False)
+def test_simulate_exits_0_1_or_2_without_traceback(duration, snr, lag, preset, joined):
+    flags = [("duration", duration), ("preset", preset), ("seed", "1"),
+             ("snr-db", snr), ("lag", lag)]
+    argv = ["simulate"]
+    for flag, v in flags:
+        if v is not None:
+            argv += [f"--{flag}={v}"] if joined else [f"--{flag}", v]
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as d, contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
         rc = main([*argv, f"--out-dir={d}"])
     assert "Traceback" not in err.getvalue()
-    if lag not in (None, "3"):  # --lag takes an int
+    if lag not in (None, "3") or preset == "no-such-preset":  # --lag takes an int
         assert rc == EXIT_USAGE
-    elif (preset == "no-such-preset" or not 0 < float(duration) < math.inf
-          or snr in ("nan", "-inf")):
+    elif not 0 < float(duration) < math.inf or snr in ("nan", "-inf"):
         assert rc == EXIT_DATA
+        assert ("snr_db" if 0 < float(duration) < math.inf else "duration_s") in err.getvalue()
     else:
         assert rc == EXIT_OK
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only reference; a cold start pays for numpy alone
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import csirecip, csirecip.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy')])")
+    src = str(Path(csirecip.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, src],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -70,6 +70,20 @@ class TestGolay:
             want = proj @ x[i - half:i + half + 1]
             assert got[i] == pytest.approx(want, abs=1e-9)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), half=st.integers(1, 10))
+    def test_matches_scipy_savgol_interp(self, data, half):
+        # scipy's own polyfit warns of a poor fit above order 5
+        from scipy.signal import savgol_filter
+
+        window = 2 * half + 1
+        order = data.draw(st.integers(0, min(5, window - 1)), label="order")
+        x = data.draw(arrays(np.float64, st.integers(window, window + 60),
+                             elements=st.floats(-1e6, 1e6, allow_subnormal=False)), label="x")
+        want = savgol_filter(x, window, order, mode="interp")
+        np.testing.assert_allclose(golay_filter(x, window, order), want, rtol=0,
+                                   atol=1e-11 * np.max(np.abs(x)))
+
     def test_bad_window(self):
         x = np.arange(30.0)
         with pytest.raises(BadWindowError):
