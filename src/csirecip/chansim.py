@@ -86,6 +86,11 @@ def ou_process(n: int, dt: float, tau: float, rng: np.random.Generator,
     Autocorrelation at lag k*dt is exp(-k*dt/tau) in expectation; the
     stationary start draws x[0] from the stationary law.
     """
+    if n < 1:
+        raise InvalidParameterError(f"n must be >= 1, got {n!r}")
+    for name, value in (("dt", dt), ("tau", tau)):
+        if not (isfinite(value) and value > 0):
+            raise InvalidParameterError(f"{name} must be finite and positive, got {value!r}")
     rho = float(np.exp(-dt / tau))
     if complex_valued:
         # interleaved draws keep sample i independent of the horizon n,

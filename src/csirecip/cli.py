@@ -46,9 +46,12 @@ def _out_dir(args) -> Path:
 def _load_config(path: str | None) -> configparser.ConfigParser:
     cp = configparser.ConfigParser()
     if path:
-        if not Path(path).exists():
-            raise FileNotFoundError(f"config file not found: {path}")
-        cp.read(path)
+        # open() itself, not cp.read(), which skips a file it cannot open
+        with open(path) as f:
+            try:
+                cp.read_file(f)
+            except configparser.Error as e:  # no section header, a repeated key or section
+                raise _UsageError(f"config file {path}: {e}") from None
     return cp
 
 
@@ -287,19 +290,24 @@ def cmd_report(args, cp) -> int:
     if not files:
         print(f"no session_*.json under {src}", file=sys.stderr)
         return EXIT_DATA
+    rows = []
+    for path in files:
+        try:
+            d = json.loads(path.read_text())
+            ob = "" if d["overall_ber"] is None else repr(d["overall_ber"])
+            for st in d["per_threshold"]:
+                mb = "" if st["mean_ber"] is None else repr(st["mean_ber"])
+                rows.append(f"{d['pipeline']},{d['sync']},{st['error_threshold']},"
+                            f"{st['kgr']!r},{mb},{ob},{d['blocks']},{d['lag']}\n")
+        except (KeyError, TypeError, ValueError) as e:  # not a session report
+            print(f"error: {path}: not a session report ({type(e).__name__}: {e})",
+                  file=sys.stderr)
+            return EXIT_DATA
     out = _out_dir(args)
     csv_path = out / "report.csv"
     with open(csv_path, "w", newline="") as f:
         f.write("pipeline,sync,theta,kgr,mean_ber,overall_ber,blocks,lag\n")
-        for path in files:
-            d = json.loads(path.read_text())
-            for st in d["per_threshold"]:
-                mb = "" if st["mean_ber"] is None else repr(st["mean_ber"])
-                ob = "" if d["overall_ber"] is None else repr(d["overall_ber"])
-                f.write(
-                    f"{d['pipeline']},{d['sync']},{st['error_threshold']},"
-                    f"{st['kgr']!r},{mb},{ob},{d['blocks']},{d['lag']}\n"
-                )
+        f.writelines(rows)
     print(f"wrote {csv_path}")
     return EXIT_OK
 

@@ -9,11 +9,12 @@ bit-error thresholds.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import (DegenerateBlockError, LengthMismatchError, LevelOutOfRangeError,
-                     TooShortError, finite_series)
+from .errors import (DegenerateBlockError, InvalidParameterError, LengthMismatchError,
+                     LevelOutOfRangeError, TooShortError, finite_series)
 from .metrics import xcorr_lag
 from .reconstruct import (
     ReciprocalBand,
@@ -31,6 +32,7 @@ PIPELINES = ("raw", "golay", "fft", "wpt", "wt")
 PROBE_LEN = 500  # public probe window, samples: agreement only, never key material
 MAX_LAG = 50  # lag search on the probe window, samples
 BLOCK_LEN = 100  # samples per key block
+_AGREEMENTS = 8  # probe agreements kept: sessions over one pair agree once
 
 
 @dataclass(frozen=True)
@@ -45,11 +47,13 @@ class QuantizerSpec:
         th.setflags(write=False)
         object.__setattr__(self, "thresholds", th)
         if self.levels < 2 or self.levels & (self.levels - 1):
-            raise ValueError("levels must be a power of two >= 2")
+            raise InvalidParameterError(f"levels must be a power of two >= 2, got {self.levels!r}")
         if len(th) != self.levels - 1:
-            raise ValueError("need levels-1 thresholds")
+            raise InvalidParameterError(
+                f"need levels-1 = {self.levels - 1} thresholds, got {len(th)}: {th.tolist()}")
         if np.any(np.diff(th) <= 0):
-            raise ValueError("thresholds must be strictly increasing")
+            raise InvalidParameterError(
+                f"thresholds must be strictly increasing, got {th.tolist()}")
 
 
 @dataclass(frozen=True)
@@ -134,7 +138,7 @@ def cdf_thresholds(block, levels: int = 4) -> QuantizerSpec:
     """
     block = finite_series(block, "block")
     if levels < 2 or levels & (levels - 1):
-        raise ValueError("levels must be a power of two >= 2")
+        raise InvalidParameterError(f"levels must be a power of two >= 2, got {levels!r}")
     if len(block) < levels:
         raise DegenerateBlockError(f"block of {len(block)} < {levels} levels")
     if len(np.unique(block)) < levels:
@@ -176,9 +180,9 @@ def make_keys(x, block_len: int = BLOCK_LEN, levels: int = 4) -> tuple[list[KeyB
     """
     x = finite_series(x, "x")
     if block_len < 1:
-        raise ValueError(f"block_len must be >= 1, got {block_len}")
+        raise InvalidParameterError(f"block_len must be >= 1, got {block_len}")
     if levels < 2 or levels & (levels - 1):
-        raise ValueError("levels must be a power of two >= 2")
+        raise InvalidParameterError(f"levels must be a power of two >= 2, got {levels!r}")
     if len(x) < block_len:
         raise TooShortError(f"{len(x)} samples < block_len {block_len}")
     n_blocks = len(x) // block_len
@@ -208,10 +212,11 @@ def evaluate(keys_a: list[KeyBlock], keys_b: list[KeyBlock], total_packets: int,
     if len(keys_a) != len(keys_b):
         raise LengthMismatchError(f"{len(keys_a)} vs {len(keys_b)} blocks")
     if total_packets <= 0:
-        raise ValueError("total_packets must be positive")
+        raise InvalidParameterError(f"total_packets must be positive, got {total_packets!r}")
     thresholds = tuple(int(t) for t in thresholds)
     if not thresholds or list(thresholds) != sorted(thresholds):
-        raise ValueError("thresholds must be nonempty ascending")
+        raise InvalidParameterError(
+            f"thresholds must be nonempty ascending, got {list(thresholds)}")
 
     key_bits = len(keys_a[0].bits) if keys_a else 0
     hams = []
@@ -246,7 +251,8 @@ class SessionConfig:
     """What a session caller chooses; the scheme's constants are module level.
 
     Both devices reconstruct over the one band agreed on the probe window.
-    Invalid values raise ``ValueError`` naming the field at construction.
+    Invalid values raise ``InvalidParameterError`` (a ``ValueError``) naming
+    the field at construction.
     """
 
     pipeline: str = "wt"
@@ -255,10 +261,11 @@ class SessionConfig:
 
     def __post_init__(self):
         if self.pipeline not in PIPELINES:
-            raise ValueError(f"pipeline must be one of {PIPELINES}, got {self.pipeline!r}")
+            raise InvalidParameterError(
+                f"pipeline must be one of {PIPELINES}, got {self.pipeline!r}")
         th = list(self.error_thresholds)
         if not th or th != sorted(th):
-            raise ValueError(f"error_thresholds must be nonempty ascending, got {th}")
+            raise InvalidParameterError(f"error_thresholds must be nonempty ascending, got {th}")
 
 
 def _rate(series, default: float = 10.0) -> float:
@@ -270,7 +277,17 @@ def _key_params(n: int, rate: float, band: tuple[float, float]) -> CwtParams:
 
 
 def _agree_thresholds(a: np.ndarray, b: np.ndarray, rate: float) -> tuple[ReciprocalBand, int]:
-    """Step 1: probe-window coherence, threshold adaptation, lag estimate."""
+    """Step 1: probe-window coherence, threshold adaptation, lag estimate.
+
+    Memoized on the exact probe bytes and the rate, so sessions that
+    compare pipelines over one pair agree once.  The result is immutable.
+    """
+    return _agree_cached(a.tobytes(), b.tobytes(), rate)
+
+
+@lru_cache(maxsize=_AGREEMENTS)
+def _agree_cached(a: bytes, b: bytes, rate: float) -> tuple[ReciprocalBand, int]:
+    a, b = np.frombuffer(a), np.frombuffer(b)
     # one full period per probe window: maximizes the octave span so the
     # half-grid selection target stays inside the physically coherent band
     params = default_params(len(a), rate, periods=1.0)
@@ -344,7 +361,10 @@ def wskg_session(ap, sta, cfg: SessionConfig = SessionConfig()) -> SessionReport
     trim leaves shorter than one block yields no blocks.
 
     ``ap`` and ``sta`` must already be paired (equal length, gap-free),
-    e.g. via ``pair_traces(..., gap_policy="interpolate_linear")``.
+    e.g. via ``pair_traces(..., gap_policy="interpolate_linear")``.  Plain
+    arrays are taken as sampled at 10 Hz; pass ``MagnitudeSeries`` for any
+    other rate.  Sessions over the same probe bytes and rate reuse one
+    step-1 agreement.
     """
     pre = preprocess_pair(ap, sta, cfg)
     short = len(pre.x) < BLOCK_LEN

@@ -63,6 +63,18 @@ class TestOu:
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
 
+    # n=0 was an IndexError, tau=0 a ZeroDivisionError, tau<0 a NaN path
+    @pytest.mark.parametrize("n, dt, tau, field", [
+        (0, 0.1, 1.0, "n"), (-3, 0.1, 1.0, "n"),
+        (5, 0.0, 1.0, "dt"), (5, -0.1, 1.0, "dt"), (5, np.nan, 1.0, "dt"),
+        (5, np.inf, 1.0, "dt"), (5, 0.1, 0.0, "tau"), (5, 0.1, -1.0, "tau"),
+        (5, 0.1, np.nan, "tau"), (5, 0.1, np.inf, "tau"),
+    ])
+    def test_bad_argument_named(self, n, dt, tau, field):
+        value = {"n": n, "dt": dt, "tau": tau}[field]
+        with pytest.raises(InvalidParameterError, match=f"^{field} .*got {value!r}$"):
+            ou_process(n, dt, tau, np.random.default_rng(0))
+
     def test_autocorrelation_matches_exponential(self):
         # n >= 1e4, tau up to 3 coherence times, +/-0.05 band
         dt, tau, n = 0.1, 5.0, 200_000

@@ -254,6 +254,22 @@ class TestReport:
     def test_empty_dir_exits_2(self, tmp_path):
         assert run(["report", str(tmp_path)]) == EXIT_DATA
 
+    # a JSON list was a TypeError, a missing per_threshold a KeyError
+    @pytest.mark.parametrize("content", [
+        "[1, 2]",
+        '{"pipeline": "raw", "sync": true, "overall_ber": 0.1, "blocks": 3, "lag": 0}',
+        "{not json",
+    ])
+    def test_not_a_session_report_exits_2(self, tmp_path, capsys, content):
+        bad = tmp_path / "session_raw.json"
+        bad.write_text(content)
+        rc = run(["report", str(tmp_path), "--out-dir", str(tmp_path / "out")])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert str(bad) in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestConfigFile:
     def test_ini_defaults_with_flag_override(self, tmp_path):
@@ -298,10 +314,33 @@ class TestConfigFile:
         assert rc == EXIT_USAGE
         assert "error: unknown preset 'urban-canyon'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "preset = nlos-short\n",  # no section header
+        "[input]\nseed = 1\nseed = 2\n",  # repeated key
+    ])
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys, text):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(text)
+        rc = run(["simulate", "--config", str(ini), "--duration", "5",
+                  "--out-dir", str(tmp_path / "out")])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith(f"error: config file {ini}")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exits_2(self, tmp_path):
         rc = run(["keygen", "--config", str(tmp_path / "nope.ini"),
                   "--out-dir", str(tmp_path)])
         assert rc == EXIT_DATA
+
+    def test_directory_as_config_exits_2(self, tmp_path, capsys):
+        # configparser.read skips what it cannot open: this ran on the defaults
+        rc = run(["simulate", "--config", str(tmp_path), "--duration", "5",
+                  "--out-dir", str(tmp_path / "out")])
+        assert rc == EXIT_DATA
+        assert str(tmp_path) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 @settings(max_examples=40, deadline=None)  # a large finite duration would ask for gigabytes

@@ -6,20 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csirecip import keygen
 from csirecip.chansim import ChannelConfig, gen_pair, preset
 from csirecip.errors import (
     DegenerateBlockError,
     GapsPresentError,
+    InvalidParameterError,
     LengthMismatchError,
     LevelOutOfRangeError,
     NonFiniteError,
     TooShortError,
+    UnusableCoherenceError,
 )
 from csirecip.keygen import (
     BLOCK_LEN,
     PIPELINES,
     PROBE_LEN,
     KeyBlock,
+    QuantizerSpec,
     SessionConfig,
     cdf_thresholds,
     evaluate,
@@ -29,7 +33,7 @@ from csirecip.keygen import (
     wskg_session,
 )
 from csirecip.metrics import ber
-from csirecip.traces import pair_traces
+from csirecip.traces import MagnitudeSeries, pair_traces
 
 
 def order_statistic_quantile(xs, q):
@@ -286,6 +290,23 @@ class TestEvaluate:
             evaluate([_mk_block(0, [0, 1])], [], 10)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: QuantizerSpec(3, [0.0, 1.0]), "levels must be a power of two >= 2, got 3"),
+    (lambda: QuantizerSpec(4, [0.0, 1.0]), "need levels-1 = 3 thresholds, got 2: [0.0, 1.0]"),
+    (lambda: QuantizerSpec(4, [0.0, 2.0, 1.0]),
+     "thresholds must be strictly increasing, got [0.0, 2.0, 1.0]"),
+    (lambda: cdf_thresholds(np.arange(10.0), 6), "levels must be a power of two >= 2, got 6"),
+    (lambda: make_keys(np.arange(10.0), 5, 1), "levels must be a power of two >= 2, got 1"),
+    (lambda: evaluate([], [], 0), "total_packets must be positive, got 0"),
+    (lambda: evaluate([], [], 10, (15, 5)), "thresholds must be nonempty ascending, got [15, 5]"),
+    (lambda: evaluate([], [], 10, ()), "thresholds must be nonempty ascending, got []"),
+])
+def test_bad_parameter_names_value(call, message):
+    with pytest.raises(InvalidParameterError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def session_pair(seed, duration=420.0, snr_db=10.0, lag=5, loss=()):
     cfg = ChannelConfig(duration_s=duration, snr_db=snr_db, lag_samples=lag,
                         loss=loss, seed=seed)
@@ -379,17 +400,75 @@ class TestSession:
 SESSION_DIGEST = "21c6f387270bb341525f197775075ace8fc012ac24008e191994c39b59206ea2"
 
 
-def test_session_digest_pinned():
-    """Sorted-key to_dict() JSON of 3 presets x seed 0 x 5 pipelines x sync on/off, 400 s.
-
-    A change meant to keep outputs must keep this digest byte for byte.
-    """
-    h = hashlib.sha256()
+def digest_sweep(before_each=lambda: None) -> list[str]:
+    """Sorted-key to_dict() JSON of 3 presets x seed 0 x 5 pipelines x sync on/off, 400 s."""
+    out = []
     for name in ("los-short", "nlos-short", "nlos-long"):
         ap, sta, _ = gen_pair(preset(name, duration_s=400.0, seed=0))
         a, b = pair_traces(ap, sta, 6, gap_policy="interpolate_linear")
         for pipeline in PIPELINES:
             for sync in (True, False):
+                before_each()
                 d = wskg_session(a, b, SessionConfig(pipeline=pipeline, sync=sync)).to_dict()
-                h.update(json.dumps(d, sort_keys=True).encode())
+                out.append(json.dumps(d, sort_keys=True))
+    return out
+
+
+def test_session_digest_pinned():
+    """A change meant to keep outputs must keep this digest byte for byte."""
+    h = hashlib.sha256()
+    for d in digest_sweep():
+        h.update(d.encode())
     assert h.hexdigest() == SESSION_DIGEST
+
+
+AGREE = keygen._agree_cached  # step 1, memoized on the exact probe bytes and the rate
+
+
+class TestAgreementMemo:
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        AGREE.cache_clear()
+
+    def test_cold_cache_equals_warm(self):
+        warm = digest_sweep()
+        assert digest_sweep(AGREE.cache_clear) == warm
+
+    def test_five_pipelines_agree_once(self):
+        a, b = session_pair(5)
+        for pipe in PIPELINES:
+            wskg_session(a, b, SessionConfig(pipeline=pipe))
+        assert (AGREE.cache_info().misses, AGREE.cache_info().hits) == (1, 4)
+
+    def test_probe_changed_in_place_is_not_a_stale_hit(self):
+        a, b = session_pair(5)
+        x, y = a.values.copy(), b.values.copy()
+        cfg = SessionConfig(pipeline="raw")
+        first = wskg_session(x, y, cfg)
+        y[:PROBE_LEN] = np.roll(y[:PROBE_LEN], 3)
+        changed = wskg_session(x, y, cfg)
+        AGREE.cache_clear()
+        cold = wskg_session(x, y, cfg)
+
+        def step1(r):
+            return r.band, r.alpha, r.beta, r.lag
+        assert step1(changed) == step1(cold)
+        assert step1(changed) != step1(first)
+
+    def test_rate_is_part_of_the_key(self):
+        a, b = session_pair(5)
+        at20 = [MagnitudeSeries(s.subcarrier, s.values, s.seqs, 20.0) for s in (a, b)]
+        fast = wskg_session(*at20, SessionConfig(pipeline="raw"))
+        plain = wskg_session(a.values, b.values, SessionConfig(pipeline="raw"))  # 10 Hz
+        assert (AGREE.cache_info().misses, AGREE.cache_info().hits) == (2, 0)
+        assert fast.band != plain.band
+
+    def test_errors_are_not_cached(self):
+        a, b = session_pair(5)
+        x = a.values.copy()
+        x[:PROBE_LEN] = 5.0
+        for _ in range(2):
+            with pytest.raises(UnusableCoherenceError):
+                wskg_session(x, b.values, SessionConfig(pipeline="raw"))
+        info = AGREE.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 0, 0)
