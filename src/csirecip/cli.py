@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import authsim, chansim, keygen
 from .authsim import AuthPolicy, replay_attack, run_handshake, sign_csi
-from .errors import CsiRecipError, UnknownPresetError
+from .errors import CsiRecipError, InvalidParameterError, UnknownPresetError
 from .keygen import PIPELINES, SessionConfig, preprocess_pair, wskg_session
 from .metrics import DivergenceConfig, jeffrey_divergence, pearson, wasserstein_1d, xcorr_lag
 from .traces import magnitude_series, pair_traces, parse_csi_csv, write_csi_csv
@@ -44,7 +44,7 @@ def _out_dir(args) -> Path:
 
 
 def _load_config(path: str | None) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)  # values are read raw: '%' is literal
     if path:
         # open() itself, not cp.read(), which skips a file it cannot open
         with open(path) as f:
@@ -80,7 +80,13 @@ def _opt(args, cp, section: str, key: str):
     value = getattr(args, flag)
     if value is None:
         value = cp.get(section, key, fallback=default)
-    return None if value is None else kind(value)
+    if value is None:
+        return None
+    try:
+        return kind(value)
+    except ValueError:
+        raise InvalidParameterError(
+            f"{section}.{key} must be {kind.__name__}, got {value!r}") from None
 
 
 def _channel_config(args, cp) -> chansim.ChannelConfig:

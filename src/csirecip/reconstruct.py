@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     BadWindowError,
+    InvalidParameterError,
     NoFrequencySelectedError,
     TooShortError,
     UnusableCoherenceError,
@@ -39,11 +40,11 @@ class ReciprocalBand:
         f.setflags(write=False)
         object.__setattr__(self, "f_rec", f)
         if f.size == 0:
-            raise ValueError("f_rec must be nonempty")
+            raise InvalidParameterError(f"f_rec must be nonempty, got {f.tolist()}")
         if not 0 < self.alpha <= 1:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
+            raise InvalidParameterError(f"alpha must be in (0, 1], got {self.alpha}")
         if self.beta < 1:
-            raise ValueError(f"beta must be >= 1, got {self.beta}")
+            raise InvalidParameterError(f"beta must be >= 1, got {self.beta}")
 
 
 # --- baseline pipelines ---
@@ -81,7 +82,7 @@ def fft_reconstruct(x, power_keep: float = 0.98) -> np.ndarray:
     if len(x) < 8:
         raise TooShortError(f"need at least 8 samples, got {len(x)}")
     if not 0 < power_keep <= 1:
-        raise ValueError("power_keep must be in (0, 1]")
+        raise InvalidParameterError(f"power_keep must be in (0, 1], got {power_keep}")
     mean = x.mean()
     spec = np.fft.rfft(x - mean)
     power = np.abs(spec) ** 2
@@ -109,9 +110,11 @@ def _wp_analyze(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _wp_synthesize(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
-    y = np.zeros(n)
-    pos = (2 * np.arange(n // 2)[:, None] + np.arange(4)[None, :]) % n
-    np.add.at(y, pos, lo[:, None] * _DB4_LO[None, :] + hi[:, None] * _DB4_HI[None, :])
+    """Output 2m + p (p = 0, 1) sums tap p of pair m and tap p + 2 of pair m - 1 (periodic)."""
+    y = np.zeros(n)  # adding onto zeros keeps the sign of zero as a scatter-add does
+    for p in (0, 1):
+        y[p::2] += np.roll(lo * _DB4_LO[p + 2] + hi * _DB4_HI[p + 2], 1)
+        y[p::2] += lo * _DB4_LO[p] + hi * _DB4_HI[p]
     return y
 
 
@@ -165,9 +168,9 @@ def select_reciprocal_freqs(cmap: CoherenceMap, alpha: float, beta: int) -> Reci
     """
     n_times = cmap.wc.shape[1]
     if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+        raise InvalidParameterError(f"alpha must be in (0, 1], got {alpha}")
     if not 1 <= beta <= n_times:
-        raise ValueError(f"beta must be in [1, {n_times}], got {beta}")
+        raise InvalidParameterError(f"beta must be in [1, {n_times}], got {beta}")
     counts = (cmap.wc >= alpha).sum(axis=1)
     sel = np.flatnonzero(counts >= beta)
     if sel.size == 0:

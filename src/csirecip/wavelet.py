@@ -8,7 +8,14 @@ boxcar across scales); without smoothing, coherence is identically one.
 Band-limited reconstruction builds no scalogram: ``icwt(cwt(x), band)`` is
 linear and shift-invariant, so it equals one FFT filter, ``Re(IFFT(FFT(x) *
 sum_j psi_hat_j / sqrt(s_j)))`` over the band's rows times ``2 / plateau``
-plus the mean, computed from the same entry and Morlet matrix as :func:`cwt`.
+plus the mean.  The summed response depends only on the grid, the band and
+the padded length, so it is built once per such triple and shared by every
+series filtered with it (both devices of a pair).
+
+Every Morlet row is evaluated only where it can be nonzero: the Gaussian
+``exp(-z**2 / 2)``, ``z = s*k - w0``, underflows to exactly 0.0 once
+``|z| > sqrt(1500)``, so skipping those entries changes no bit of the
+transform or of the response.
 
 Conventions
 -----------
@@ -23,13 +30,16 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import EmptyBandError, TooShortError, finite_series
+from .errors import EmptyBandError, InvalidParameterError, TooShortError, finite_series
 
 OMEGA0 = 6.0  # Morlet center-frequency parameter (>= 5 keeps the wavelet admissible)
 HYSTERESIS = 0.1  # coherence rise above the floor that ends a detected gap
+_LIVE_Z = np.sqrt(1500.0)  # |s*k - OMEGA0| beyond this: exp(-z**2/2) is exactly 0.0
+_RESPONSES = 8  # band responses kept: both devices of a pair share one
 
 
 @dataclass(frozen=True)
@@ -53,9 +63,10 @@ class CwtParams:
 
     def __post_init__(self):
         if self.voices_per_octave < 4:
-            raise ValueError("voices_per_octave must be >= 4")
+            raise InvalidParameterError(
+                f"voices_per_octave must be >= 4, got {self.voices_per_octave}")
         if not (0 < self.min_freq < self.max_freq <= self.sample_rate / 2):
-            raise ValueError(
+            raise InvalidParameterError(
                 "need 0 < min_freq < max_freq <= sample_rate/2, got "
                 f"[{self.min_freq}, {self.max_freq}] at rate {self.sample_rate}"
             )
@@ -111,7 +122,9 @@ class Scalogram:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.coeffs.shape != (len(self.freqs), len(self.coi)):
-            raise ValueError("coeffs shape inconsistent with freqs/coi")
+            raise InvalidParameterError(
+                f"coeffs shape {self.coeffs.shape} inconsistent with "
+                f"{len(self.freqs)} freqs and {len(self.coi)} coi entries")
 
     def coi_mask(self) -> np.ndarray:
         """Boolean (n_bins, n_times) mask, True inside the cone of influence."""
@@ -137,13 +150,22 @@ class CoherenceMap:
             object.__setattr__(self, name, arr)
         nb, nt = self.wc.shape
         if self.phase.shape != (nb, nt) or self.coi.shape != (nb, nt):
-            raise ValueError("phase/coi shape mismatch")
+            raise InvalidParameterError(
+                f"phase shape {self.phase.shape} and coi shape {self.coi.shape} "
+                f"must equal wc shape {(nb, nt)}")
         if len(self.freqs) != nb or len(self.times) != nt:
-            raise ValueError("freqs/times length mismatch")
+            raise InvalidParameterError(
+                f"{len(self.freqs)} freqs and {len(self.times)} times do not match "
+                f"wc shape {(nb, nt)}")
 
 
 def _next_pow2(n: int) -> int:
     return int(2 ** np.ceil(np.log2(n)))
+
+
+def _omegas(npad: int, sample_rate: float) -> np.ndarray:
+    """Angular frequency of each FFT bin of a ``npad``-point transform."""
+    return 2 * np.pi * np.fft.fftfreq(npad, d=1.0 / sample_rate)
 
 
 def _prepare(x, params: CwtParams) -> tuple[np.ndarray, np.ndarray, int, float]:
@@ -156,21 +178,39 @@ def _prepare(x, params: CwtParams) -> tuple[np.ndarray, np.ndarray, int, float]:
     npad = _next_pow2(n)
     xp = np.zeros(npad)
     xp[:n] = x - mean
-    k = 2 * np.pi * np.fft.fftfreq(npad, d=1.0 / params.sample_rate)
-    return np.fft.fft(xp), k, n, mean
+    return np.fft.fft(xp), _omegas(npad, params.sample_rate), n, mean
+
+
+def _morlet_entries(
+    scales: np.ndarray, k: np.ndarray, params: CwtParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Morlet bank's live entries: (count per row, their values row by row).
+
+    Row j can be nonzero only where ``k > 0`` and ``|s_j*k - OMEGA0| <=
+    _LIVE_Z``.  Since OMEGA0 < _LIVE_Z, that is a prefix ``k[1:1 + live_j]``
+    of the positive bins, which come first and ascending in FFT order.
+    """
+    dt = 1.0 / params.sample_rate
+    live = np.searchsorted(k[1:(len(k) + 1) // 2], (OMEGA0 + _LIVE_Z) / scales, side="right")
+    k_live = np.concatenate([k[1:1 + m] for m in live])
+    amp = np.sqrt(2 * np.pi * scales / dt) * np.pi ** -0.25
+    return live, np.repeat(amp, live) * np.exp(
+        -0.5 * (np.repeat(scales, live) * k_live - OMEGA0) ** 2)
 
 
 def _morlet_bank(scales: np.ndarray, k: np.ndarray, params: CwtParams) -> np.ndarray:
     """Fourier-domain daughter wavelets, one energy-normalized row per scale."""
-    dt = 1.0 / params.sample_rate
-    pos = k > 0
+    live, vals = _morlet_entries(scales, k, params)
+    cols = np.arange(len(k))
     out = np.zeros((len(scales), len(k)))
-    out[:, pos] = (
-        np.sqrt(2 * np.pi * scales / dt)[:, None]
-        * np.pi ** -0.25
-        * np.exp(-0.5 * (scales[:, None] * k[pos] - OMEGA0) ** 2)
-    )
+    out[(cols >= 1) & (cols <= live[:, None])] = vals
     return out
+
+
+def _coi(scales: np.ndarray, n: int, dt: float) -> np.ndarray:
+    """Deepest edge-free row per time: sqrt(2)*scale <= distance to edge."""
+    dist = np.minimum(np.arange(n), n - 1 - np.arange(n)) * dt
+    return np.searchsorted(np.sqrt(2.0) * scales, dist, side="right") - 1
 
 
 def cwt(x, params: CwtParams) -> Scalogram:
@@ -183,12 +223,7 @@ def cwt(x, params: CwtParams) -> Scalogram:
     spec, k, n, mean = _prepare(x, params)
     scales = params.scales()
     coeffs = np.fft.ifft(spec * _morlet_bank(scales, k, params), axis=1)[:, :n]
-
-    # deepest edge-free row per time: sqrt(2)*scale <= distance to edge
-    dt = 1.0 / params.sample_rate
-    dist = np.minimum(np.arange(n), n - 1 - np.arange(n)) * dt
-    coi = np.searchsorted(np.sqrt(2.0) * scales, dist, side="right") - 1
-
+    coi = _coi(scales, n, 1.0 / params.sample_rate)
     return Scalogram(coeffs=coeffs, freqs=params.freq_grid(), params=params, coi=coi, mean=mean)
 
 
@@ -234,12 +269,26 @@ def icwt(sg: Scalogram, band: tuple[float, float] | None = None) -> np.ndarray:
     return 2.0 * r / _recon_plateau(sg.params) + sg.mean
 
 
+@lru_cache(maxsize=_RESPONSES)
+def _band_response(params: CwtParams, band: tuple[float, float], npad: int) -> np.ndarray:
+    """``sum_j psi_hat_j / sqrt(s_j)`` over the band's rows at ``npad`` points; read-only.
+
+    Rows are added in grid order, each only over its live entries; adding
+    the skipped 0.0 entries would change no bit.
+    """
+    scales = params.scales()[_band_rows(params.freq_grid(), band)]
+    live, vals = _morlet_entries(scales, _omegas(npad, params.sample_rate), params)
+    cols = 1 + np.arange(len(vals)) - np.repeat(np.cumsum(live) - live, live)  # FFT bins
+    resp = np.bincount(cols, weights=vals / np.repeat(np.sqrt(scales), live), minlength=npad)
+    resp.setflags(write=False)
+    return resp
+
+
 def _band_filter(x, params: CwtParams, band: tuple[float, float]) -> np.ndarray:
     """``icwt(cwt(x, params), band)`` as one filter: the band rows' summed response."""
-    spec, k, n, mean = _prepare(x, params)
-    rows = _band_rows(params.freq_grid(), band)
-    scales = params.scales()[rows]
-    resp = (_morlet_bank(scales, k, params) / np.sqrt(scales)[:, None]).sum(axis=0)
+    spec, _, n, mean = _prepare(x, params)
+    f_lo, f_hi = band  # as a float tuple: one cache key for a list, tuple or numpy floats
+    resp = _band_response(params, (float(f_lo), float(f_hi)), len(spec))
     r = np.fft.ifft(spec * resp)[:n].real
     return 2.0 * r / _recon_plateau(params) + mean
 
@@ -287,18 +336,22 @@ def wavelet_coherence(x, y, params: CwtParams) -> CoherenceMap:
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
     if len(x) != len(y):
-        raise ValueError(f"lengths differ: {len(x)} vs {len(y)}")
-    sx = cwt(x, params)
-    sy = cwt(y, params)
+        raise InvalidParameterError(f"lengths differ: {len(x)} vs {len(y)}")
+    spec_x, k, n, _ = _prepare(x, params)
+    spec_y = _prepare(y, params)[0]
+    scales = params.scales()
+    bank = _morlet_bank(scales, k, params)  # one bank serves both transforms
+    wx = np.fft.ifft(spec_x * bank, axis=1)[:, :n]
+    wy = np.fft.ifft(spec_y * bank, axis=1)[:, :n]
+    del bank  # as large as a transform's real part; smoothing needs the memory more
 
     dt = 1.0 / params.sample_rate
-    scales = params.scales()
     inv_s = (1.0 / scales)[:, None]
     vpo = params.voices_per_octave
 
-    xr, xi, yr, yi = sx.coeffs.real, sx.coeffs.imag, sy.coeffs.real, sy.coeffs.imag
-    sxx = _smooth(np.abs(sx.coeffs) ** 2 * inv_s, scales, dt, vpo)
-    syy = _smooth(np.abs(sy.coeffs) ** 2 * inv_s, scales, dt, vpo)
+    xr, xi, yr, yi = wx.real, wx.imag, wy.real, wy.imag
+    sxx = _smooth(np.abs(wx) ** 2 * inv_s, scales, dt, vpo)
+    syy = _smooth(np.abs(wy) ** 2 * inv_s, scales, dt, vpo)
     sxy = (_smooth((xr * yr + xi * yi) * inv_s, scales, dt, vpo)
            + 1j * _smooth((xi * yr - xr * yi) * inv_s, scales, dt, vpo))
 
@@ -308,13 +361,12 @@ def wavelet_coherence(x, y, params: CwtParams) -> CoherenceMap:
     wc[denom <= 0] = 0.0
     wc = np.clip(wc, 0.0, 1.0)
 
-    n = len(x)
     return CoherenceMap(
         wc=wc,
         phase=np.angle(sxy),
-        freqs=sx.freqs,
+        freqs=params.freq_grid(),
         times=np.arange(n) * dt,
-        coi=sx.coi_mask(),
+        coi=np.arange(len(scales))[:, None] <= _coi(scales, n, dt)[None, :],
         params=params,
     )
 

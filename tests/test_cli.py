@@ -329,6 +329,18 @@ class TestConfigFile:
         assert err.startswith(f"error: config file {ini}")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["%d", "abc"])  # '%' once began an interpolation
+    def test_unparsable_value_names_its_key(self, tmp_path, capsys, value):
+        ini = tmp_path / "sim.ini"
+        ini.write_text(f"[input]\nduration_s = {value}\n")
+        rc = run(["simulate", "--config", str(ini), "--out-dir", str(tmp_path / "out")])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: input.duration_s ")
+        assert repr(value) in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exits_2(self, tmp_path):
         rc = run(["keygen", "--config", str(tmp_path / "nope.ini"),
                   "--out-dir", str(tmp_path)])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csirecip import keygen
+from csirecip import keygen, wavelet
 from csirecip.chansim import ChannelConfig, gen_pair, preset
 from csirecip.errors import (
     DegenerateBlockError,
@@ -472,3 +472,13 @@ class TestAgreementMemo:
                 wskg_session(x, b.values, SessionConfig(pipeline="raw"))
         info = AGREE.cache_info()
         assert (info.misses, info.hits, info.currsize) == (2, 0, 0)
+
+
+def test_wt_session_builds_one_response_per_pair():
+    """The devices share the band response: one build for the probes, one for the key windows."""
+    a, b = session_pair(5)
+    AGREE.cache_clear()
+    wavelet._band_response.cache_clear()
+    wskg_session(a, b, SessionConfig(pipeline="wt"))
+    info = wavelet._band_response.cache_info()
+    assert (info.misses, info.hits) == (2, 2)

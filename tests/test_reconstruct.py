@@ -4,8 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import csirecip.reconstruct as R
 from csirecip.errors import (
     BadWindowError,
+    InvalidParameterError,
     NoFrequencySelectedError,
     TooShortError,
     UnusableCoherenceError,
@@ -25,7 +27,7 @@ from csirecip.reconstruct import (
     wpt_inverse,
     wt_reconstruct,
 )
-from csirecip.wavelet import CoherenceMap, CwtParams, wavelet_coherence
+from csirecip.wavelet import CoherenceMap, CwtParams, Scalogram, wavelet_coherence
 
 FS = 10.0
 
@@ -153,6 +155,68 @@ class TestWpt:
         np.testing.assert_allclose(wpt_inverse(bands, 128), x, atol=1e-9)
 
 
+def synthesize_by_scatter(lo, hi, n):
+    """One synthesis step as a scatter-add of every tap: the reference."""
+    y = np.zeros(n)
+    pos = (2 * np.arange(n // 2)[:, None] + np.arange(4)[None, :]) % n
+    np.add.at(y, pos, lo[:, None] * R._DB4_LO[None, :] + hi[:, None] * R._DB4_HI[None, :])
+    return y
+
+
+@st.composite
+def synthesis_pair(draw):
+    """Coefficient pairs with zeros of both signs, tiny and large magnitudes."""
+    m = draw(st.integers(1, 64))
+    values = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e6, 1e6),
+                       st.floats(-1e-300, 1e-300))
+    return tuple(draw(arrays(np.float64, m, elements=values)) for _ in range(2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(synthesis_pair())
+def test_wp_synthesize_equals_scatter_add(pair):
+    lo, hi = pair
+    got = R._wp_synthesize(lo, hi, 2 * len(lo))
+    want = synthesize_by_scatter(lo, hi, 2 * len(lo))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))  # bit for bit, -0.0 too
+
+
+def test_wpt_denoise_equals_scatter_add(monkeypatch):
+    x = np.random.default_rng(9).normal(size=5500).cumsum()
+    got = wpt_denoise(x)
+    monkeypatch.setattr(R, "_wp_synthesize", synthesize_by_scatter)
+    assert np.array_equal(got, wpt_denoise(x))
+
+
+_P = CwtParams(0.05, 5.0, 10.0)
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda: CwtParams(0.05, 5.0, 10.0, voices_per_octave=3), "got 3"),
+    (lambda: CwtParams(6.0, 5.0, 10.0), "[6.0, 5.0]"),
+    (lambda: Scalogram(np.zeros((3, 5)), np.ones(2), _P, np.zeros(5, int)), "(3, 5)"),
+    (lambda: CoherenceMap(np.zeros((2, 4)), np.zeros((2, 3)), np.ones(2), np.arange(4.0),
+                          np.ones((2, 4), bool), _P), "(2, 3)"),
+    (lambda: CoherenceMap(np.zeros((2, 4)), np.zeros((2, 4)), np.ones(3), np.arange(4.0),
+                          np.ones((2, 4), bool), _P), "3 freqs"),
+    (lambda: wavelet_coherence(np.zeros(40), np.zeros(41), _P), "41"),
+    (lambda: ReciprocalBand([], (0.2, 0.2), 0.5, 3), "got []"),
+    (lambda: ReciprocalBand([0.2], (0.2, 0.2), 1.5, 3), "got 1.5"),
+    (lambda: ReciprocalBand([0.2], (0.2, 0.2), 0.5, 0), "got 0"),
+    (lambda: fft_reconstruct(np.arange(16.0), power_keep=1.25), "got 1.25"),
+    (lambda: select_reciprocal_freqs(make_map(np.ones((4, 10))), -0.5, 3), "got -0.5"),
+    (lambda: select_reciprocal_freqs(make_map(np.ones((4, 10))), 0.5, 11), "got 11"),
+], ids=["voices_per_octave", "freq_range", "scalogram_shape", "coherence_shape",
+        "coherence_axes", "coherence_lengths", "f_rec", "band_alpha", "band_beta",
+        "power_keep", "select_alpha", "select_beta"])
+def test_bad_value_named(call, value):
+    """Every wavelet and reconstruct parameter check raises one error type naming the value."""
+    with pytest.raises(InvalidParameterError) as exc:
+        call()
+    assert isinstance(exc.value, ValueError)
+    assert value in str(exc.value)
+
+
 class TestSelect:
     def test_saturated_map_selects_all(self):
         m = make_map(np.ones((12, 40)))
@@ -241,7 +305,6 @@ class TestAdapt:
             wc = np.random.default_rng(seed).uniform(0, 0.4, size=(10, 40))
             m = make_map(wc)
             calls = 0
-            import csirecip.reconstruct as R
             orig = R.select_reciprocal_freqs
 
             def counting(*a, **k):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from csirecip import wavelet
 from csirecip.errors import EmptyBandError, GapsPresentError, NonFiniteError, TooShortError
 from csirecip.reconstruct import wt_reconstruct
 from csirecip.wavelet import (
@@ -211,6 +212,75 @@ def test_wt_reconstruct_equals_icwt_of_cwt(case):
         return
     got = wt_reconstruct(x, band, p)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def dense_bank(scales, k, p):
+    """The Morlet bank evaluated at every bin, zero where k <= 0: the reference."""
+    dt = 1.0 / p.sample_rate
+    pos = k > 0
+    out = np.zeros((len(scales), len(k)))
+    out[:, pos] = (
+        np.sqrt(2 * np.pi * scales / dt)[:, None]
+        * np.pi ** -0.25
+        * np.exp(-0.5 * (scales[:, None] * k[pos] - OMEGA0) ** 2)
+    )
+    return out
+
+
+@st.composite
+def response_case(draw):
+    """A grid, a band on it (one row, the full grid or a random run) and a padded length."""
+    npad = 2 ** draw(st.integers(5, 15))
+    rate = draw(st.sampled_from([1.0, 10.0, 100.0, 1000.0]))
+    p = CwtParams(min_freq=rate / npad * draw(st.floats(1.0, 4.0)), max_freq=rate / 2,
+                  sample_rate=rate, voices_per_octave=draw(st.integers(4, 16)))
+    freqs = p.freq_grid()
+    kind = draw(st.sampled_from(["one", "full", "run"]))
+    if kind == "full":
+        return p, (float(freqs[-1]), float(freqs[0])), npad
+    hi = draw(st.integers(0, len(freqs) - 1))
+    lo = hi if kind == "one" else draw(st.integers(hi, len(freqs) - 1))
+    return p, (float(freqs[lo]), float(freqs[hi])), npad
+
+
+@settings(max_examples=30, deadline=None)
+@given(response_case())
+@example((CwtParams(4.0 / 550, 5.0, 10.0), (0.05, 1.0), 8192))  # a key window's grid
+def test_band_response_equals_dense_row_sum(case):
+    """Live slices only, yet bit-equal to the dense bank's row sum in grid order."""
+    p, band, npad = case
+    rows = np.flatnonzero((p.freq_grid() >= band[0]) & (p.freq_grid() <= band[1]))
+    scales = p.scales()[rows]
+    k = 2 * np.pi * np.fft.fftfreq(npad, d=1.0 / p.sample_rate)
+    got = wavelet._band_response(p, band, npad)
+    if len(scales) * npad <= 2 ** 20:
+        want = (dense_bank(scales, k, p) / np.sqrt(scales)[:, None]).sum(axis=0)
+    else:  # the same row-order sum, one dense row at a time
+        want = np.zeros(npad)
+        for s in scales:
+            want += dense_bank(np.array([s]), k, p)[0] / np.sqrt(s)
+    assert np.array_equal(got, want)
+    head = scales[:8]
+    assert np.array_equal(wavelet._morlet_bank(head, k, p), dense_bank(head, k, p))
+
+
+def test_band_response_is_shared_and_read_only():
+    p = params(500)
+    band = (0.1, 1.0)
+    resp = wavelet._band_response(p, band, 512)
+    assert wavelet._band_response(p, band, 512) is resp
+    assert not resp.flags.writeable
+    with pytest.raises(ValueError):
+        resp[1] = 0.0
+
+
+def test_coherence_builds_one_bank(monkeypatch):
+    built = []
+    bank = wavelet._morlet_bank
+    monkeypatch.setattr(wavelet, "_morlet_bank", lambda *a: built.append(a) or bank(*a))
+    x = band_limited_fixture(0, 500)
+    wavelet_coherence(x, x + 0.1 * np.random.default_rng(0).normal(size=500), params(500))
+    assert len(built) == 1
 
 
 class TestCoherence:
