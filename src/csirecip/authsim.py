@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateSeriesError, TooShortError
+from .errors import DegenerateSeriesError, InvalidParameterError, TooShortError, _freeze
 from .metrics import pearson, xcorr_lag
 
 PROBE_LEN = 600  # samples of each side's CSI that the channel checks compare
@@ -42,9 +42,10 @@ class AuthPolicy:
 
     def __post_init__(self):
         if not 0 < self.min_corr < 1:
-            raise ValueError("min_corr must be in (0, 1)")
+            raise InvalidParameterError(f"min_corr must be in (0, 1), got {self.min_corr!r}")
         if not 0 <= self.max_shift < PROBE_LEN // 3:
-            raise ValueError(f"max_shift must be in [0, {PROBE_LEN // 3}), got {self.max_shift}")
+            raise InvalidParameterError(
+                f"max_shift must be in [0, {PROBE_LEN // 3}), got {self.max_shift}")
 
 
 @dataclass(frozen=True)
@@ -55,9 +56,7 @@ class AuthMessage:
     tag: bytes
 
     def __post_init__(self):
-        arr = np.asarray(self.payload_csi, dtype=np.float64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "payload_csi", arr)
+        _freeze(self, payload_csi=np.float64)
 
 
 @dataclass(frozen=True)
@@ -167,7 +166,7 @@ def temporal_decorrelation_curve(generator, gaps, seed: int = 0
     """
     gaps = list(gaps)
     if not gaps or gaps[0] != 0 or gaps != sorted(gaps):
-        raise ValueError("gaps must be ascending and start at 0")
+        raise InvalidParameterError(f"gaps must be ascending and start at 0, got {gaps}")
     rng = np.random.default_rng(seed)
     min_len = 3 * (AuthPolicy.max_shift + 1)
     out = []

@@ -19,7 +19,7 @@ from math import inf, isfinite
 
 import numpy as np
 
-from .errors import InvalidBandError, InvalidParameterError, UnknownPresetError
+from .errors import InvalidParameterError, UnknownPresetError
 from .traces import CsiTrace
 
 MAGNITUDE_OFFSET = 10.0  # keeps simulated magnitudes positive
@@ -62,10 +62,10 @@ class ChannelConfig:
             raise InvalidParameterError(f"snr_db must be a number above -inf, got {self.snr_db!r}")
         f_lo, f_hi = self.base_band
         if not (0 < f_lo < f_hi):
-            raise InvalidBandError(f"need 0 < f_lo < f_hi, got [{f_lo}, {f_hi}]")
+            raise InvalidParameterError(f"base_band needs 0 < f_lo < f_hi, got [{f_lo}, {f_hi}]")
         if f_hi > self.rate_hz / 2:
-            raise InvalidBandError(
-                f"base band top {f_hi} Hz exceeds Nyquist {self.rate_hz / 2} Hz"
+            raise InvalidParameterError(
+                f"base_band top {f_hi} Hz exceeds Nyquist {self.rate_hz / 2} Hz"
             )
         if self.n_samples < 1:
             raise InvalidParameterError(
@@ -244,7 +244,7 @@ def gen_attacker(cfg: ChannelConfig, mode: str = "independent",
     elif mode == "delayed_replay":
         base = base_signal(cfg, n, start_s=gap_s)
     else:
-        raise ValueError(f"unknown attacker mode {mode!r}")
+        raise InvalidParameterError(f"unknown attacker mode {mode!r}")
     rng_stream = 303 if mode == "independent" else 404
     return _device_trace(
         cfg, f"attacker-{mode}", MAGNITUDE_OFFSET + base, rng_stream,

@@ -55,6 +55,10 @@ def _load_config(path: str | None) -> configparser.ConfigParser:
     return cp
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in text.split(","))
+
+
 # INI section.key -> (flag that overrides it, default, type)
 _OPTIONS = {
     ("input", "preset"): ("preset", "los-short", str),
@@ -66,7 +70,7 @@ _OPTIONS = {
     ("pipelines", "pipeline"): ("pipeline", SessionConfig.pipeline, str),
     ("pipelines", "list"): ("pipelines", ",".join(PIPELINES), str),
     ("pipelines", "thresholds"): ("thresholds",
-                                  ",".join(map(str, SessionConfig.error_thresholds)), str),
+                                  ",".join(map(str, SessionConfig.error_thresholds)), _int_list),
     ("auth", "trials"): ("trials", 12, int),
     ("auth", "seed"): ("seed", 0, int),
     ("auth", "min_corr"): ("min_corr", AuthPolicy.min_corr, float),
@@ -85,8 +89,8 @@ def _opt(args, cp, section: str, key: str):
     try:
         return kind(value)
     except ValueError:
-        raise InvalidParameterError(
-            f"{section}.{key} must be {kind.__name__}, got {value!r}") from None
+        what = kind.__name__.strip("_").replace("_", " ")  # int, float, str or int list
+        raise InvalidParameterError(f"{section}.{key} must be {what}, got {value!r}") from None
 
 
 def _channel_config(args, cp) -> chansim.ChannelConfig:
@@ -126,6 +130,14 @@ def _load_pair(args, cp):
     ap, sta, _truth = chansim.gen_pair(cfg)
     resolved = {"input": {"simulate": asdict(cfg)}}
     return ap, sta, resolved
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    """Write ``header`` and one line per row: None as "", a float by repr, anything else by str."""
+    with open(path, "w", newline="") as f:
+        f.write(header + "\n")
+        f.writelines(",".join("" if v is None else repr(float(v)) if isinstance(v, float)
+                              else str(v) for v in row) + "\n" for row in rows)
 
 
 def _dumps(obj) -> str:
@@ -195,10 +207,7 @@ def cmd_reconstruct(args, cp) -> int:
     # AP seq of each row; a negative agreed lag drops |lag| leading AP samples
     start = keygen.PROBE_LEN + (max(-pre.lag, 0) if sync else 0)
     seqs = i_ap.seqs[start:start + len(pre.x)]
-    with open(path, "w", newline="") as f:
-        f.write("seq,ap,sta\n")
-        for s, va, vs in zip(seqs, pre.x, pre.y):
-            f.write(f"{s},{float(va)!r},{float(vs)!r}\n")
+    _write_csv(path, "seq,ap,sta", zip(seqs, pre.x, pre.y))
     meta = {
         "config": resolved,
         "pipeline": pipeline,
@@ -220,10 +229,10 @@ def cmd_keygen(args, cp) -> int:
     unknown = [p for p in pipelines if p not in PIPELINES]
     if unknown:  # before any session writes its output
         raise _UsageError(f"unknown pipeline {unknown[0]!r}")
+    thresholds = _opt(args, cp, "pipelines", "thresholds")
     ap, sta, resolved = _load_pair(args, cp)
     sub = _opt(args, cp, "input", "subcarrier")
     i_ap, i_sta = pair_traces(ap, sta, sub, gap_policy="interpolate_linear")
-    thresholds = tuple(int(t) for t in _opt(args, cp, "pipelines", "thresholds").split(","))
     sync = not args.no_sync
     out = _out_dir(args)
     rows = []
@@ -238,12 +247,7 @@ def cmd_keygen(args, cp) -> int:
             rows.append((pipe, scenario, st.error_threshold, st.kgr,
                          st.mean_ber, report.overall_ber))
     csv_path = out / "keygen_comparison.csv"
-    with open(csv_path, "w", newline="") as f:
-        f.write("pipeline,scenario,theta,kgr,mean_ber,overall_ber\n")
-        for pipe, scen, theta, kgr, mber, ober in rows:
-            mb = "" if mber is None else repr(mber)
-            ob = "" if ober is None else repr(ober)
-            f.write(f"{pipe},{scen},{theta},{kgr!r},{mb},{ob}\n")
+    _write_csv(csv_path, "pipeline,scenario,theta,kgr,mean_ber,overall_ber", rows)
     print(f"wrote {csv_path} and per-pipeline session JSON")
     return EXIT_OK
 
@@ -300,20 +304,16 @@ def cmd_report(args, cp) -> int:
     for path in files:
         try:
             d = json.loads(path.read_text())
-            ob = "" if d["overall_ber"] is None else repr(d["overall_ber"])
-            for st in d["per_threshold"]:
-                mb = "" if st["mean_ber"] is None else repr(st["mean_ber"])
-                rows.append(f"{d['pipeline']},{d['sync']},{st['error_threshold']},"
-                            f"{st['kgr']!r},{mb},{ob},{d['blocks']},{d['lag']}\n")
+            ober = d["overall_ber"]
+            rows += [(d["pipeline"], d["sync"], st["error_threshold"], st["kgr"],
+                      st["mean_ber"], ober, d["blocks"], d["lag"]) for st in d["per_threshold"]]
         except (KeyError, TypeError, ValueError) as e:  # not a session report
             print(f"error: {path}: not a session report ({type(e).__name__}: {e})",
                   file=sys.stderr)
             return EXIT_DATA
     out = _out_dir(args)
     csv_path = out / "report.csv"
-    with open(csv_path, "w", newline="") as f:
-        f.write("pipeline,sync,theta,kgr,mean_ber,overall_ber,blocks,lag\n")
-        f.writelines(rows)
+    _write_csv(csv_path, "pipeline,sync,theta,kgr,mean_ber,overall_ber,blocks,lag", rows)
     print(f"wrote {csv_path}")
     return EXIT_OK
 

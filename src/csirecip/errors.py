@@ -1,8 +1,10 @@
-"""Exception hierarchy for csirecip, and the one finite-input check.
+"""Exception hierarchy for csirecip, the one finite-input check and the one
+frozen-array rule.
 
 Every data-dependent failure raises a subclass of :class:`CsiRecipError`,
 so callers (and the CLI) can distinguish data errors from programming
-errors with a single except clause.
+errors with a single except clause.  Any bad argument or field raises
+:class:`InvalidParameterError` (also a ``ValueError``) naming the value.
 """
 
 import numpy as np
@@ -13,7 +15,7 @@ class CsiRecipError(Exception):
 
 
 class InvalidParameterError(CsiRecipError, ValueError):
-    """A rate, duration or other parameter is not finite or outside its range."""
+    """An argument or field is outside its range: a rate, window, lag bound, band or level."""
 
 
 # --- trace ingestion / pairing ---
@@ -49,15 +51,7 @@ class LengthMismatchError(CsiRecipError):
 
 
 class DegenerateSeriesError(CsiRecipError):
-    """A series has zero variance where variance is required."""
-
-
-class ConstantPooledRangeError(CsiRecipError):
-    """Pooled values are all identical; histogram edges undefined."""
-
-
-class InvalidMaxLagError(CsiRecipError, ValueError):
-    """Lag search bound is negative or not an integer."""
+    """A series, or two pooled, has zero variance or range where spread is required."""
 
 
 # --- wavelet ---
@@ -85,6 +79,18 @@ def finite_series(x, name: str = "input") -> np.ndarray:
     return a
 
 
+def _freeze(obj, **dtypes) -> None:
+    """Set each named field of the frozen dataclass ``obj`` to a read-only C-ordered
+    array of its dtype (None: as given).  An array already read-only is kept; any
+    other is copied, so the caller's own array stays writeable and apart."""
+    for name, dtype in dtypes.items():
+        a = np.asarray(getattr(obj, name), dtype=dtype, order="C")
+        if a.flags.writeable:
+            a = a.copy()
+            a.setflags(write=False)
+        object.__setattr__(obj, name, a)
+
+
 class TooShortError(CsiRecipError):
     """Input shorter than the transform, lag search or key block requires."""
 
@@ -95,16 +101,8 @@ class EmptyBandError(CsiRecipError):
 
 # --- reconstruction ---
 
-class BadWindowError(CsiRecipError):
-    """Invalid smoothing window (even, too small, or larger than input)."""
-
-
-class NoFrequencySelectedError(CsiRecipError):
-    """Coherence thresholding selected no frequency bins."""
-
-
 class UnusableCoherenceError(CsiRecipError):
-    """Coherence map too weak to support any threshold adaptation."""
+    """Coherence map too weak for any frequency bin to be selected."""
 
 
 # --- key generation ---
@@ -113,15 +111,7 @@ class DegenerateBlockError(CsiRecipError):
     """Too few distinct values in a block to place quantizer thresholds."""
 
 
-class LevelOutOfRangeError(CsiRecipError):
-    """Quantization level exceeds the configured level count."""
-
-
 # --- channel simulation ---
-
-class InvalidBandError(CsiRecipError):
-    """Simulated fading band violates the Nyquist constraint."""
-
 
 class UnknownPresetError(CsiRecipError, ValueError):
     """No channel preset has the requested name."""

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (DegenerateBlockError, InvalidParameterError, LengthMismatchError,
-                     LevelOutOfRangeError, TooShortError, finite_series)
+                     TooShortError, _freeze, finite_series)
 from .metrics import xcorr_lag
 from .reconstruct import (
     ReciprocalBand,
@@ -43,11 +43,9 @@ class QuantizerSpec:
     thresholds: np.ndarray
 
     def __post_init__(self):
-        th = np.asarray(self.thresholds, dtype=np.float64)
-        th.setflags(write=False)
-        object.__setattr__(self, "thresholds", th)
-        if self.levels < 2 or self.levels & (self.levels - 1):
-            raise InvalidParameterError(f"levels must be a power of two >= 2, got {self.levels!r}")
+        _freeze(self, thresholds=np.float64)
+        th = self.thresholds
+        _check_levels(self.levels)
         if len(th) != self.levels - 1:
             raise InvalidParameterError(
                 f"need levels-1 = {self.levels - 1} thresholds, got {len(th)}: {th.tolist()}")
@@ -65,10 +63,7 @@ class KeyBlock:
     bits: np.ndarray
 
     def __post_init__(self):
-        for name in ("levels", "bits"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, levels=None, bits=None)
 
 
 @dataclass(frozen=True)
@@ -129,6 +124,26 @@ class SessionReport:
         }
 
 
+def _check_levels(levels: int) -> None:
+    if levels < 2 or levels & (levels - 1):
+        raise InvalidParameterError(f"levels must be a power of two >= 2, got {levels!r}")
+
+
+def _cdf_rows(chunks: np.ndarray, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's thresholds at its k/levels quantiles (linear between order
+    statistics), and which rows can be quantized: those with at least
+    ``levels`` distinct values and strictly increasing thresholds."""
+    th = np.quantile(chunks, np.arange(1, levels) / levels, axis=1, method="linear").T
+    srt = np.sort(chunks, axis=1)
+    distinct = 1 + np.count_nonzero(srt[:, 1:] != srt[:, :-1], axis=1)
+    return th, (distinct >= levels) & ~np.any(np.diff(th, axis=1) <= 0, axis=1)
+
+
+def _level_rows(chunks: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """Each sample's level: how many of its row's thresholds lie strictly below it."""
+    return (chunks[:, :, None] > th[:, None, :]).sum(-1, dtype=np.int64)
+
+
 def cdf_thresholds(block, levels: int = 4) -> QuantizerSpec:
     """Quantizer thresholds at the k/levels empirical quantiles of a block.
 
@@ -137,30 +152,27 @@ def cdf_thresholds(block, levels: int = 4) -> QuantizerSpec:
     is degenerate and should be skipped by the caller.
     """
     block = finite_series(block, "block")
-    if levels < 2 or levels & (levels - 1):
-        raise InvalidParameterError(f"levels must be a power of two >= 2, got {levels!r}")
+    _check_levels(levels)
     if len(block) < levels:
         raise DegenerateBlockError(f"block of {len(block)} < {levels} levels")
-    if len(np.unique(block)) < levels:
-        raise DegenerateBlockError("fewer distinct values than levels")
-    qs = np.arange(1, levels) / levels
-    th = np.quantile(block, qs, method="linear")
-    if np.any(np.diff(th) <= 0):
-        raise DegenerateBlockError("ties collapse adjacent quantiles")
-    return QuantizerSpec(levels=levels, thresholds=th)
+    th, keep = _cdf_rows(block[None], levels)
+    if not keep[0]:
+        raise DegenerateBlockError(f"fewer than {levels} distinct values, or ties collapse "
+                                   f"adjacent quantiles {th[0].tolist()}")
+    return QuantizerSpec(levels=levels, thresholds=th[0])
 
 
 def quantize(block, spec: QuantizerSpec) -> np.ndarray:
     """Map every sample to a level; boundary values go to the lower level."""
     block = finite_series(block, "block")
-    return np.searchsorted(spec.thresholds, block, side="left").astype(np.int64)
+    return _level_rows(block[None], spec.thresholds[None])[0]
 
 
 def gray_encode(levels_seq, levels_count: int) -> np.ndarray:
     """Binary-reflected Gray code of each level, MSB first, concatenated."""
     lv = np.asarray(levels_seq, dtype=np.int64).ravel()
     if lv.size and (lv.min() < 0 or lv.max() >= levels_count):
-        raise LevelOutOfRangeError(
+        raise InvalidParameterError(
             f"levels outside [0, {levels_count}): {lv.min()}..{lv.max()}"
         )
     width = int(levels_count).bit_length() - 1
@@ -181,19 +193,16 @@ def make_keys(x, block_len: int = BLOCK_LEN, levels: int = 4) -> tuple[list[KeyB
     x = finite_series(x, "x")
     if block_len < 1:
         raise InvalidParameterError(f"block_len must be >= 1, got {block_len}")
-    if levels < 2 or levels & (levels - 1):
-        raise InvalidParameterError(f"levels must be a power of two >= 2, got {levels!r}")
+    _check_levels(levels)
     if len(x) < block_len:
         raise TooShortError(f"{len(x)} samples < block_len {block_len}")
     n_blocks = len(x) // block_len
     chunks = x[:n_blocks * block_len].reshape(n_blocks, block_len)
-    th = np.quantile(chunks, np.arange(1, levels) / levels, axis=1, method="linear").T
-    srt = np.sort(chunks, axis=1)
-    distinct = 1 + np.count_nonzero(srt[:, 1:] != srt[:, :-1], axis=1)
-    keep = (distinct >= levels) & ~np.any(np.diff(th, axis=1) <= 0, axis=1)
-    # number of thresholds strictly below each sample: searchsorted(side="left")
-    lv = (chunks[keep, :, None] > th[keep, None, :]).sum(-1, dtype=np.int64)
+    th, keep = _cdf_rows(chunks, levels)
+    lv = _level_rows(chunks[keep], th[keep])
     bits = gray_encode(lv, levels).reshape(len(lv), block_len * (int(levels).bit_length() - 1))
+    lv.setflags(write=False)  # the blocks take row views without a copy
+    bits.setflags(write=False)
     starts = np.flatnonzero(keep) * block_len
     blocks = [KeyBlock(start_seq=int(s), levels=l, bits=b)
               for s, l, b in zip(starts, lv, bits)]

@@ -13,9 +13,8 @@ from math import frexp
 import numpy as np
 
 from .errors import (
-    ConstantPooledRangeError,
     DegenerateSeriesError,
-    InvalidMaxLagError,
+    InvalidParameterError,
     LengthMismatchError,
     TooShortError,
     finite_series,
@@ -38,9 +37,9 @@ class DivergenceConfig:
 
     def __post_init__(self):
         if self.bins < 2:
-            raise ValueError("bins must be >= 2")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+            raise InvalidParameterError(f"bins must be >= 2, got {self.bins!r}")
+        if not self.epsilon > 0:
+            raise InvalidParameterError(f"epsilon must be positive, got {self.epsilon!r}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,7 @@ def jeffrey_divergence(x, y, cfg: DivergenceConfig = DivergenceConfig()) -> floa
     pooled_lo = min(x.min(), y.min())
     pooled_hi = max(x.max(), y.max())
     if pooled_lo == pooled_hi:
-        raise ConstantPooledRangeError("all pooled values identical")
+        raise DegenerateSeriesError(f"all pooled values identical ({pooled_lo!r})")
     edges = np.linspace(pooled_lo, pooled_hi, cfg.bins + 1)
     p, _ = np.histogram(x, bins=edges)
     q, _ = np.histogram(y, bins=edges)
@@ -172,7 +171,7 @@ def xcorr_lag(x, y, max_lag: int) -> LagEstimate:
         raise LengthMismatchError(f"lengths differ: {len(x)} vs {len(y)}")
     n = len(x)
     if not isinstance(max_lag, (int, np.integer)) or max_lag < 0:
-        raise InvalidMaxLagError(f"max_lag must be a non-negative integer, got {max_lag!r}")
+        raise InvalidParameterError(f"max_lag must be a non-negative integer, got {max_lag!r}")
     if n <= 2 * max_lag:
         raise TooShortError(f"need length > {2 * max_lag}, got {n}")
 

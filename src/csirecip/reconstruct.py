@@ -13,11 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BadWindowError,
     InvalidParameterError,
-    NoFrequencySelectedError,
     TooShortError,
     UnusableCoherenceError,
+    _freeze,
 )
 from .wavelet import CoherenceMap, CwtParams, _band_filter
 
@@ -36,11 +35,9 @@ class ReciprocalBand:
     beta: int
 
     def __post_init__(self):
-        f = np.asarray(self.f_rec, dtype=np.float64)
-        f.setflags(write=False)
-        object.__setattr__(self, "f_rec", f)
-        if f.size == 0:
-            raise InvalidParameterError(f"f_rec must be nonempty, got {f.tolist()}")
+        _freeze(self, f_rec=np.float64)
+        if self.f_rec.size == 0:
+            raise InvalidParameterError(f"f_rec must be nonempty, got {self.f_rec.tolist()}")
         if not 0 < self.alpha <= 1:
             raise InvalidParameterError(f"alpha must be in (0, 1], got {self.alpha}")
         if self.beta < 1:
@@ -57,11 +54,11 @@ def golay_filter(x, window: int = 11, order: int = 3) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     if window % 2 == 0 or window < 3:
-        raise BadWindowError(f"window must be odd and >= 3, got {window}")
+        raise InvalidParameterError(f"window must be odd and >= 3, got {window}")
     if order >= window:
-        raise BadWindowError(f"order {order} must be < window {window}")
+        raise InvalidParameterError(f"order {order} must be < window {window}")
     if window > len(x):
-        raise BadWindowError(f"window {window} exceeds series length {len(x)}")
+        raise InvalidParameterError(f"window {window} exceeds series length {len(x)}")
     half = window // 2
     vander = np.vander(np.arange(-half, half + 1.0), order + 1, increasing=True)
     hat = vander @ np.linalg.pinv(vander)  # row j: the fit's value at window position j
@@ -174,7 +171,7 @@ def select_reciprocal_freqs(cmap: CoherenceMap, alpha: float, beta: int) -> Reci
     counts = (cmap.wc >= alpha).sum(axis=1)
     sel = np.flatnonzero(counts >= beta)
     if sel.size == 0:
-        raise NoFrequencySelectedError(
+        raise UnusableCoherenceError(
             f"no bin stays >= {alpha:.3f} for {beta} samples"
         )
     f_sel = cmap.freqs[sel]

@@ -29,6 +29,7 @@ from .errors import (
     RateMismatchError,
     SubcarrierOutOfRangeError,
     UnknownRateError,
+    _freeze,
 )
 
 RATE_TOLERANCE = 0.01  # relative packet-rate difference pair_traces accepts
@@ -51,24 +52,24 @@ class CsiTrace:
             raise InvalidParameterError(
                 f"rate_hz must be finite and positive, got {self.rate_hz!r}")
         if any(c in self.device_id for c in ",\n\r"):  # would break its CSV row
-            raise ValueError(f"device_id {self.device_id!r} must not hold ',', '\\n' or '\\r'")
-        seqs = np.ascontiguousarray(self.seqs, dtype=np.int64)
-        t = np.ascontiguousarray(self.t, dtype=np.float64)
-        iq = np.ascontiguousarray(self.iq, dtype=np.complex128)
+            raise InvalidParameterError(
+                f"device_id {self.device_id!r} must not hold ',', '\\n' or '\\r'")
+        _freeze(self, seqs=np.int64, t=np.float64, iq=np.complex128)
+        seqs, t, iq = self.seqs, self.t, self.iq
         if seqs.ndim != 1 or t.shape != seqs.shape or iq.shape != (len(seqs), self.subcarriers):
-            raise ValueError(
+            raise InvalidParameterError(
                 f"need seqs and t of one length and iq of (len(seqs), {self.subcarriers}); "
                 f"got seqs {seqs.shape}, t {t.shape}, iq {iq.shape}"
             )
         if np.any(seqs[1:] <= seqs[:-1]):  # np.diff would wrap past int64
-            raise ValueError("seqs must be strictly increasing")
-        for what, bad in (("capture time", ~np.isfinite(t)),
-                          ("i/q value", ~np.isfinite(iq).all(axis=1))):
-            if bad.any():
-                raise ValueError(f"non-finite {what} at seq {seqs[bad][0]}")
-        for name, arr in (("seqs", seqs), ("t", t), ("iq", iq)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            i = int(np.argmax(seqs[1:] <= seqs[:-1])) + 1
+            raise InvalidParameterError(
+                f"seqs must be strictly increasing, got {seqs[i]} after {seqs[i - 1]} at row {i}")
+        for what, vals in (("capture time", t[:, None]), ("i/q value", iq)):
+            if not np.isfinite(vals).all():
+                row, col = np.argwhere(~np.isfinite(vals))[0]
+                raise InvalidParameterError(
+                    f"non-finite {what} at seq {seqs[row]}: {vals[row, col].item()!r}")
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -100,16 +101,14 @@ class MagnitudeSeries:
     rate_hz: float
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        seqs = np.asarray(self.seqs, dtype=np.int64)
-        if values.shape != seqs.shape:
-            raise ValueError("values and seqs must have equal length")
-        if np.any(values < 0):
-            raise ValueError("magnitudes must be non-negative")
-        values.setflags(write=False)
-        seqs.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "seqs", seqs)
+        _freeze(self, values=np.float64, seqs=np.int64)
+        if self.values.shape != self.seqs.shape:
+            raise InvalidParameterError(f"values and seqs must have equal length, got shapes "
+                                        f"{self.values.shape} and {self.seqs.shape}")
+        if np.any(self.values < 0):
+            i = int(np.argmax(self.values < 0))
+            raise InvalidParameterError(
+                f"magnitudes must be non-negative, got {self.values.flat[i]} at index {i}")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -160,6 +159,8 @@ def parse_csi_csv(stream, rate_hz: float | None = None) -> CsiTrace:
                                             or _parse_rows(body, n_sub))
     if not len(seqs):
         raise EmptyTraceError("no rows survived parsing")
+    for col in (seqs, ts, iq):  # built here, so the trace takes them without a copy
+        col.setflags(write=False)
 
     if rate_hz is None:
         t0, t1 = float(ts[0]), float(ts[-1])
@@ -309,11 +310,12 @@ def pair_traces(
     :class:`NoOverlapError`, so the work stays bounded by the row count.
     """
     if gap_policy not in ("drop_both", "interpolate_linear"):
-        raise ValueError(f"unknown gap_policy {gap_policy!r}")
+        raise InvalidParameterError(f"unknown gap_policy {gap_policy!r}")
     if not len(ap) or not len(sta):
         raise EmptyTraceError("cannot pair an empty trace")
     if ap.subcarriers != sta.subcarriers:
-        raise ValueError("traces declare different subcarrier counts")
+        raise InvalidParameterError(f"traces declare different subcarrier counts: "
+                                    f"AP {ap.subcarriers}, STA {sta.subcarriers}")
     if abs(ap.rate_hz - sta.rate_hz) > RATE_TOLERANCE * max(ap.rate_hz, sta.rate_hz):
         raise RateMismatchError(
             f"AP rate {ap.rate_hz} Hz and STA rate {sta.rate_hz} Hz differ by more "

@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EmptyBandError, InvalidParameterError, TooShortError, finite_series
+from .errors import EmptyBandError, InvalidParameterError, TooShortError, _freeze, finite_series
 
 OMEGA0 = 6.0  # Morlet center-frequency parameter (>= 5 keeps the wavelet admissible)
 HYSTERESIS = 0.1  # coherence rise above the floor that ends a detected gap
@@ -117,10 +117,7 @@ class Scalogram:
     mean: float = 0.0
 
     def __post_init__(self):
-        for name in ("coeffs", "freqs", "coi"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, coeffs=None, freqs=None, coi=None)
         if self.coeffs.shape != (len(self.freqs), len(self.coi)):
             raise InvalidParameterError(
                 f"coeffs shape {self.coeffs.shape} inconsistent with "
@@ -144,10 +141,7 @@ class CoherenceMap:
     params: CwtParams
 
     def __post_init__(self):
-        for name in ("wc", "phase", "freqs", "times", "coi"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, wc=None, phase=None, freqs=None, times=None, coi=None)
         nb, nt = self.wc.shape
         if self.phase.shape != (nb, nt) or self.coi.shape != (nb, nt):
             raise InvalidParameterError(
@@ -360,10 +354,13 @@ def wavelet_coherence(x, y, params: CwtParams) -> CoherenceMap:
         wc = np.abs(sxy) ** 2 / denom
     wc[denom <= 0] = 0.0
     wc = np.clip(wc, 0.0, 1.0)
+    phase = np.angle(sxy)
+    for grid in (wc, phase):  # built here, so the map takes them without a copy
+        grid.setflags(write=False)
 
     return CoherenceMap(
         wc=wc,
-        phase=np.angle(sxy),
+        phase=phase,
         freqs=params.freq_grid(),
         times=np.arange(n) * dt,
         coi=np.arange(len(scales))[:, None] <= _coi(scales, n, dt)[None, :],

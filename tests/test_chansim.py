@@ -16,7 +16,6 @@ from csirecip.chansim import (
 )
 from csirecip.errors import (
     CsiRecipError,
-    InvalidBandError,
     InvalidParameterError,
     UnknownPresetError,
 )
@@ -144,9 +143,9 @@ class TestGenPair:
         assert magnitude_series(ap, 0).values.min() >= 0.0
 
     def test_invalid_band(self):
-        with pytest.raises(InvalidBandError):
+        with pytest.raises(InvalidParameterError):
             ChannelConfig(base_band=(0.1, 6.0), rate_hz=10.0)
-        with pytest.raises(InvalidBandError):
+        with pytest.raises(InvalidParameterError):
             ChannelConfig(base_band=(0.5, 0.1))
 
     @pytest.mark.parametrize("duration", [-5.0, 0.0, 0.04])

@@ -208,6 +208,16 @@ class TestKeygen:
         assert "unknown pipeline 'magic'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("value", ["5,x", "", "5,,20"])
+    def test_unparsable_thresholds_name_the_setting(self, tmp_path, capsys, value):
+        # this used to print only int()'s "invalid literal ... 'x'"
+        rc = run(["keygen", "--preset", "los-short", "--duration", "200",
+                  "--thresholds", value, "--out-dir", str(tmp_path)])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"error: pipelines.thresholds must be int list, got {value!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestAuth:
     def test_confusion_table(self, tmp_path, capsys):

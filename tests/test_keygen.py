@@ -13,7 +13,6 @@ from csirecip.errors import (
     GapsPresentError,
     InvalidParameterError,
     LengthMismatchError,
-    LevelOutOfRangeError,
     NonFiniteError,
     TooShortError,
     UnusableCoherenceError,
@@ -104,7 +103,7 @@ class TestGray:
         np.testing.assert_array_equal(bits, [0, 0, 0, 1, 1, 1, 1, 0])
 
     def test_adjacent_levels_differ_one_bit(self):
-        for levels in (2, 4, 8, 16):
+        for levels in (2, 4, 8, 16, 32, 64):
             codes = [gray_encode([k], levels) for k in range(levels)]
             for a, b in zip(codes, codes[1:]):
                 assert int(np.sum(a != b)) == 1
@@ -120,7 +119,7 @@ class TestGray:
         np.testing.assert_array_equal(got, want)
 
     def test_out_of_range(self):
-        with pytest.raises(LevelOutOfRangeError):
+        with pytest.raises(InvalidParameterError):
             gray_encode([4], 4)
 
 
@@ -163,18 +162,38 @@ class TestMakeKeys:
             make_keys(np.ones(50), block_len, 4)
 
 
+def reference_cdf_thresholds(block, levels=4):
+    """The one-block quantizer cdf_thresholds was before it shared make_keys' rows."""
+    block = np.asarray(block, dtype=np.float64).ravel()
+    if levels < 2 or levels & (levels - 1):
+        raise InvalidParameterError(f"levels must be a power of two >= 2, got {levels!r}")
+    if len(block) < levels:
+        raise DegenerateBlockError(f"block of {len(block)} < {levels} levels")
+    if len(np.unique(block)) < levels:
+        raise DegenerateBlockError("fewer distinct values than levels")
+    qs = np.arange(1, levels) / levels
+    th = np.quantile(block, qs, method="linear")
+    if np.any(np.diff(th) <= 0):
+        raise DegenerateBlockError("ties collapse adjacent quantiles")
+    return th
+
+
+def reference_quantize(block, thresholds):
+    return np.searchsorted(thresholds, block, side="left").astype(np.int64)
+
+
 def loop_make_keys(x, block_len, levels):
-    """Reference: one cdf_thresholds / quantize / gray_encode pass per block."""
+    """Reference: one quantizer / gray_encode pass per block, on the reference quantizer."""
     x = np.asarray(x, dtype=np.float64).ravel()
     blocks, skipped = [], 0
     for start in range(0, len(x) - block_len + 1, block_len):
         chunk = x[start:start + block_len]
         try:
-            spec = cdf_thresholds(chunk, levels)
+            th = reference_cdf_thresholds(chunk, levels)
         except DegenerateBlockError:
             skipped += 1
             continue
-        lv = quantize(chunk, spec)
+        lv = reference_quantize(chunk, th)
         blocks.append(KeyBlock(start_seq=start, levels=lv, bits=gray_encode(lv, levels)))
     return blocks, skipped
 
@@ -209,6 +228,46 @@ def test_make_keys_matches_block_loop(series, levels):
         assert g.levels.dtype == w.levels.dtype and g.bits.dtype == w.bits.dtype
         np.testing.assert_array_equal(g.levels, w.levels)
         np.testing.assert_array_equal(g.bits, w.bits)
+
+
+def short_blocks(levels):
+    """Blocks of 0 to ``levels`` samples: every one short or at the edge of degenerate."""
+    return st.integers(0, levels).flatmap(
+        lambda n: st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 4, 8]).flatmap(
+    lambda levels: st.tuples(st.just(levels),
+                             short_blocks(levels) | key_series().map(lambda s: s[0]))))
+def test_quantizer_matches_reference(case):
+    levels, block = case
+    try:
+        want = reference_cdf_thresholds(block, levels)
+    except DegenerateBlockError:
+        with pytest.raises(DegenerateBlockError):
+            cdf_thresholds(block, levels)
+        return
+    spec = cdf_thresholds(block, levels)
+    assert spec.levels == levels
+    assert spec.thresholds.tobytes() == want.tobytes()
+    probe = np.r_[block, want, np.nextafter(want, np.inf), np.nextafter(want, -np.inf)]
+    got = quantize(probe, spec)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, reference_quantize(probe, want))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 4, 8, 16]).flatmap(
+    lambda levels: st.tuples(st.just(levels), st.lists(
+        st.integers(-2 ** 20, 2 ** 20), min_size=levels, max_size=400, unique=True))))
+def test_histogram_uniform_on_own_thresholds(case):
+    """Every level of a distinct-valued block holds n/levels samples, within one."""
+    levels, values = case
+    block = np.asarray(values, dtype=np.float64)
+    counts = np.bincount(quantize(block, cdf_thresholds(block, levels)), minlength=levels)
+    assert len(counts) == levels
+    assert np.all(np.abs(counts - len(block) / levels) <= 1)
 
 
 def _mk_block(start, bits):
