@@ -14,6 +14,8 @@ horizon (for delayed replay) preserves earlier samples bit-exactly.
 
 from __future__ import annotations
 
+import operator
+import threading
 from dataclasses import dataclass, replace
 from math import inf, isfinite
 
@@ -54,6 +56,13 @@ class ChannelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            seed = -1  # not an integer: rejected with the negative ones
+        if seed < 0:
+            raise InvalidParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", seed)
         for name in ("duration_s", "rate_hz", "coherence_time_s"):
             value = getattr(self, name)
             if not (isfinite(value) and value > 0):
@@ -118,6 +127,97 @@ def _innovations(z: np.ndarray) -> np.ndarray:
 
 BLOCK = 256  # samples per step of the streamed carrier simulation
 
+_M32 = 0xFFFFFFFF
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341  # PCG64's 128-bit LCG multiplier
+_M128 = (1 << 128) - 1
+
+
+def _carrier_states(seed: int) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of every carrier, for a non-negative int seed.
+
+    Equals ``[PCG64(c).state for c in SeedSequence(seed).spawn(N_CARRIERS)]``.
+    SeedSequence's hash mix runs on uint32 arrays across the spawn keys (array
+    products wrap silently where scalar ones warn), and PCG64's seeding
+    (``pcg_setseq_128_srandom_r``) runs on Python ints.
+    """
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))  # a spawned sequence pads its entropy to the pool size
+    entropy = [np.full(N_CARRIERS, w, np.uint32) for w in words]
+    entropy.append(np.arange(N_CARRIERS, dtype=np.uint32))  # the spawn key
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _M32
+        value = value * np.uint32(hash_const)
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return r ^ r >> 16
+
+    pool = [hashmix(w) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    hash_const = _INIT_B
+    out = []  # generate_state(4, uint64): 8 words, little-endian pairs
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _M32
+        value = value * np.uint32(hash_const)
+        out.append(value ^ value >> 16)
+    s_hi, s_lo, i_hi, i_lo = (
+        (out[2 * j].astype(np.uint64) | out[2 * j + 1].astype(np.uint64) << np.uint64(32)).tolist()
+        for j in range(4))
+    states = []
+    for a, b, c, d in zip(s_hi, s_lo, i_hi, i_lo):
+        inc = ((c << 64 | d) << 1 | 1) & _M128
+        states.append((((inc + (a << 64 | b)) * _PCG_MULT + inc) & _M128, inc))
+    return states
+
+
+class _Workspace:
+    """One thread's carrier generators and block buffers.
+
+    Built on a thread's first ``base_signal`` call and reused by its later
+    ones: every call reseeds all generators and overwrites the buffers
+    before reading them, so nothing carries over from one call to the next.
+    """
+
+    def __init__(self):
+        self.rngs = [np.random.Generator(np.random.PCG64(0)) for _ in range(N_CARRIERS)]
+        self.draws = np.empty((N_CARRIERS, BLOCK, 2))  # carrier-major, as drawn
+        self.terms = self.draws.view(np.complex128)[..., 0]  # reuses the draws once copied
+        self.coef = np.empty((BLOCK, N_CARRIERS), dtype=np.complex128)  # time-major
+        self.rows = list(self.coef.view(np.float64))  # one time step of all carriers each
+
+    def reseed(self, seed: int) -> list[np.random.Generator]:
+        for rng, (state, inc) in zip(self.rngs, _carrier_states(seed)):
+            rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0,
+                                       "uinteger": 0, "state": {"state": state, "inc": inc}}
+        return self.rngs
+
+
+_local = threading.local()
+
+
+def _workspace() -> _Workspace:
+    """This thread's workspace; built on first use, so importing builds none."""
+    try:
+        return _local.workspace
+    except AttributeError:
+        _local.workspace = _Workspace()
+        return _local.workspace
+
 
 def base_signal(cfg: ChannelConfig, n: int, start_s: float = 0.0) -> np.ndarray:
     """Shared band-limited fading signal, unit variance, zero mean.
@@ -129,21 +229,20 @@ def base_signal(cfg: ChannelConfig, n: int, start_s: float = 0.0) -> np.ndarray:
     Equals the sum over carriers of ``ou_process(..., complex_valued=True)``
     times the carrier phasor, bit for bit.  Time is streamed in blocks of
     BLOCK samples through fixed buffers, and each sample advances the OU
-    recurrence of all carriers in one vector step.
+    recurrence of all carriers in one vector step.  The carrier generators
+    and the buffers live in a per-thread workspace that every call reuses.
     """
     dt = 1.0 / cfg.rate_hz
     offset = int(round(start_s / dt))
     total = offset + n
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(N_CARRIERS)]
+    ws = _workspace()
+    rngs = ws.reseed(cfg.seed)
+    draws, terms, coef, rows = ws.draws, ws.terms, ws.coef, ws.rows
     f_lo, f_hi = cfg.base_band
     omega = 2 * np.pi * np.geomspace(f_lo, f_hi, N_CARRIERS)
     rho = np.exp(-dt / cfg.coherence_time_s)
     gain = np.sqrt(1 - rho * rho)
     rho_row = np.full(2 * N_CARRIERS, rho)
-    draws = np.empty((N_CARRIERS, BLOCK, 2))  # carrier-major, as drawn
-    terms = draws.view(np.complex128)[..., 0]  # reuses the draws once they are copied
-    coef = np.empty((BLOCK, N_CARRIERS), dtype=np.complex128)  # time-major
-    rows = list(coef.view(np.float64))  # one time step of all carriers each
     prev = np.zeros(2 * N_CARRIERS)  # the step before the block
     step = np.empty(2 * N_CARRIERS)
     x = np.zeros(n)

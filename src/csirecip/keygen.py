@@ -49,7 +49,9 @@ class QuantizerSpec:
         if len(th) != self.levels - 1:
             raise InvalidParameterError(
                 f"need levels-1 = {self.levels - 1} thresholds, got {len(th)}: {th.tolist()}")
-        if np.any(np.diff(th) <= 0):
+        if not np.all(np.isfinite(th)):
+            raise InvalidParameterError(f"thresholds must be finite, got {th.tolist()}")
+        if not np.all(np.diff(th) > 0):
             raise InvalidParameterError(
                 f"thresholds must be strictly increasing, got {th.tolist()}")
 
@@ -132,11 +134,15 @@ def _check_levels(levels: int) -> None:
 def _cdf_rows(chunks: np.ndarray, levels: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row's thresholds at its k/levels quantiles (linear between order
     statistics), and which rows can be quantized: those with at least
-    ``levels`` distinct values and strictly increasing thresholds."""
-    th = np.quantile(chunks, np.arange(1, levels) / levels, axis=1, method="linear").T
+    ``levels`` distinct values and finite, strictly increasing thresholds.
+    An interpolation that overflows (order statistics more than ~1.8e308
+    apart) gives an inf or NaN threshold, so its row is not kept."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        th = np.quantile(chunks, np.arange(1, levels) / levels, axis=1, method="linear").T
+        increasing = np.all(np.diff(th, axis=1) > 0, axis=1)
     srt = np.sort(chunks, axis=1)
     distinct = 1 + np.count_nonzero(srt[:, 1:] != srt[:, :-1], axis=1)
-    return th, (distinct >= levels) & ~np.any(np.diff(th, axis=1) <= 0, axis=1)
+    return th, (distinct >= levels) & increasing & np.all(np.isfinite(th), axis=1)
 
 
 def _level_rows(chunks: np.ndarray, th: np.ndarray) -> np.ndarray:
@@ -158,7 +164,7 @@ def cdf_thresholds(block, levels: int = 4) -> QuantizerSpec:
     th, keep = _cdf_rows(block[None], levels)
     if not keep[0]:
         raise DegenerateBlockError(f"fewer than {levels} distinct values, or ties collapse "
-                                   f"adjacent quantiles {th[0].tolist()}")
+                                   f"adjacent quantiles or one overflows: {th[0].tolist()}")
     return QuantizerSpec(levels=levels, thresholds=th[0])
 
 

@@ -1,12 +1,22 @@
+import re
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.signal import lfilter
 
+import csirecip
 from csirecip.chansim import (
     BLOCK,
     N_CARRIERS,
     ChannelConfig,
     LossEvent,
+    _carrier_states,
     base_signal,
     gen_attacker,
     gen_pair,
@@ -165,6 +175,18 @@ class TestGenPair:
             ChannelConfig(**{field: value})
         assert isinstance(err.value, ValueError)
 
+    # -1 reached numpy as a bare "expected non-negative integer", 1.5 as a TypeError
+    @pytest.mark.parametrize("seed", [-1, -2 ** 70, 1.5, np.float64(2.0), "3", None])
+    def test_bad_seed_named(self, seed):
+        message = f"seed must be a non-negative integer, got {seed!r}"
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            ChannelConfig(seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, np.int64(7), np.uint32(2 ** 32 - 1), 2 ** 140])
+    def test_integer_seed_normalised(self, seed):
+        cfg = ChannelConfig(duration_s=1.0, seed=seed)
+        assert type(cfg.seed) is int and cfg.seed == seed
+
     @pytest.mark.parametrize("side, count, match", [
         ("both", 3, "side .*'both'"), ("ap", -1, "count .*-1"),
     ])
@@ -193,6 +215,50 @@ class TestBaseSignal:
             np.testing.assert_array_equal(base_signal(cfg, n, start_s),
                                           per_carrier_base_signal(cfg, n, start_s))
 
+    def test_interleaved_seeds_equal_fresh_process(self):
+        # each call reseeds the pooled generators and overwrites the pooled buffers,
+        # so a shorter call after a longer one, or another seed, leaves nothing behind
+        calls = ((5, 3 * BLOCK + 11, 0.0), (6, 40, 0.0), (5, BLOCK - 5, 0.1 * (BLOCK + 9)))
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "from csirecip.chansim import ChannelConfig, base_signal; "
+                "seed, n, start_s = int(sys.argv[2]), int(sys.argv[3]), float(sys.argv[4]); "
+                "cfg = ChannelConfig(duration_s=30.0, seed=seed); "
+                "print(base_signal(cfg, n, start_s).tobytes().hex())")
+        src = str(Path(csirecip.__file__).resolve().parents[1])
+        for seed, n, start_s in calls:
+            got = base_signal(ChannelConfig(duration_s=30.0, seed=seed), n, start_s)
+            fresh = subprocess.run([sys.executable, "-c", code, src, str(seed), str(n),
+                                    repr(start_s)], capture_output=True, text=True, check=True)
+            assert got.tobytes().hex() == fresh.stdout.strip()
+
+    def test_threads_equal_serial(self):
+        # more threads than cores, switching often: each thread keeps its own workspace
+        cases = [(seed, n, start_s) for seed in (21, 22) for n, start_s in
+                 ((BLOCK + 30, 0.0), (70, 2.3), (2 * BLOCK, 0.1 * BLOCK))]
+        want = [base_signal(ChannelConfig(duration_s=30.0, seed=s), n, t) for s, n, t in cases]
+        got = {}
+
+        def work(i):
+            order = cases[i % len(cases):] + cases[:i % len(cases)]
+            got[i] = [(c, base_signal(ChannelConfig(duration_s=30.0, seed=c[0]), *c[1:]))
+                      for c in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert sorted(got) == [0, 1, 2, 3]
+        for results in got.values():
+            for case, x in results:
+                np.testing.assert_array_equal(x, want[cases.index(case)])
+
     def test_prefix_stability_across_horizons(self):
         cfg = ChannelConfig(duration_s=30.0, seed=9)
         short = base_signal(cfg, 100)
@@ -214,6 +280,20 @@ class TestBaseSignal:
         in_band = spec[(freqs >= 0.03) & (freqs <= 0.7)].sum()
         out_band = spec[freqs > 1.0].sum()
         assert out_band <= 0.01 * in_band
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 140))
+# one-word entropy at its edges, then two, three and five words
+@example(0)
+@example(2 ** 32 - 1)
+@example(2 ** 32)
+@example(2 ** 64)
+@example(2 ** 128)
+@example(0x5EED)
+def test_carrier_states_equal_spawned_pcg64(seed):
+    want = [np.random.PCG64(c).state for c in np.random.SeedSequence(seed).spawn(N_CARRIERS)]
+    assert _carrier_states(seed) == [(w["state"]["state"], w["state"]["inc"]) for w in want]
 
 
 class TestAttacker:

@@ -55,6 +55,13 @@ class TestSimulate:
         assert "duration_s" in capsys.readouterr().err
         assert not (tmp_path / "ap.csv").exists()
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        # was numpy's bare "expected non-negative integer", naming neither flag nor value
+        rc = run(["simulate", "--seed", "-1", "--duration", "5", "--out-dir", str(tmp_path)])
+        assert rc == EXIT_DATA
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "ap.csv").exists()
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CSIRECIP_OUT_DIR", str(tmp_path / "envout"))
         assert run(["simulate", "--duration", "30", "--seed", "0"]) == EXIT_OK

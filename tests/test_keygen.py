@@ -162,6 +162,29 @@ class TestMakeKeys:
             make_keys(np.ones(50), block_len, 4)
 
 
+# linear interpolation between order statistics more than ~1.8e308 apart overflows
+OVERFLOWING_BLOCKS = [
+    ([-1.7e308, -1.6e308, 1.6e308, 1.65e308, 1.7e308], 4),  # was kept with a NaN threshold
+    ([-1.7e308, 1.7e308, -1.6e308, 1.6e308], 2),  # was kept with threshold -inf: every level 1
+]
+
+
+class TestOverflowingQuantile:
+    @pytest.mark.parametrize("block, levels", OVERFLOWING_BLOCKS)
+    def test_block_skipped(self, block, levels):
+        assert make_keys(block, len(block), levels) == ([], 1)
+        with pytest.raises(DegenerateBlockError, match="overflows"):
+            cdf_thresholds(block, levels)
+
+    @pytest.mark.parametrize("block, levels", OVERFLOWING_BLOCKS)
+    def test_other_blocks_kept(self, block, levels):
+        ok = np.arange(float(len(block)))
+        blocks, skipped = make_keys(np.r_[ok, block, ok], len(block), levels)
+        assert skipped == 1
+        assert [b.start_seq for b in blocks] == [0, 2 * len(block)]
+        np.testing.assert_array_equal(blocks[0].levels, blocks[1].levels)
+
+
 def reference_cdf_thresholds(block, levels=4):
     """The one-block quantizer cdf_thresholds was before it shared make_keys' rows."""
     block = np.asarray(block, dtype=np.float64).ravel()
@@ -354,6 +377,9 @@ class TestEvaluate:
     (lambda: QuantizerSpec(4, [0.0, 1.0]), "need levels-1 = 3 thresholds, got 2: [0.0, 1.0]"),
     (lambda: QuantizerSpec(4, [0.0, 2.0, 1.0]),
      "thresholds must be strictly increasing, got [0.0, 2.0, 1.0]"),
+    (lambda: QuantizerSpec(4, [0.0, np.nan, 1.0]),
+     "thresholds must be finite, got [0.0, nan, 1.0]"),
+    (lambda: QuantizerSpec(2, [-np.inf]), "thresholds must be finite, got [-inf]"),
     (lambda: cdf_thresholds(np.arange(10.0), 6), "levels must be a power of two >= 2, got 6"),
     (lambda: make_keys(np.arange(10.0), 5, 1), "levels must be a power of two >= 2, got 1"),
     (lambda: evaluate([], [], 0), "total_packets must be positive, got 0"),
