@@ -21,7 +21,7 @@ from math import inf, isfinite
 
 import numpy as np
 
-from .errors import InvalidParameterError, UnknownPresetError
+from .errors import InvalidParameterError, UnknownPresetError, integer
 from .traces import CsiTrace
 
 MAGNITUDE_OFFSET = 10.0  # keeps simulated magnitudes positive
@@ -30,7 +30,7 @@ N_CARRIERS = 128  # sets the independent-channel correlation floor ~1/sqrt(K)
 
 @dataclass(frozen=True)
 class LossEvent:
-    """Contiguous packet drop: which side, start time, packet count."""
+    """Contiguous packet drop: which side, start time (s, >= 0), packet count."""
 
     side: str  # "ap" or "sta"
     start_s: float
@@ -39,8 +39,14 @@ class LossEvent:
     def __post_init__(self):
         if self.side not in ("ap", "sta"):
             raise InvalidParameterError(f"LossEvent.side must be 'ap' or 'sta', got {self.side!r}")
-        if self.count < 0:
+        # a negative start would index the packets from the end of the trace
+        if not (isfinite(self.start_s) and self.start_s >= 0):
+            raise InvalidParameterError(
+                f"LossEvent.start_s must be finite and >= 0, got {self.start_s!r}")
+        count = integer(self.count, "LossEvent.count")
+        if count < 0:
             raise InvalidParameterError(f"LossEvent.count must be >= 0, got {self.count!r}")
+        object.__setattr__(self, "count", count)
 
 
 @dataclass(frozen=True)
@@ -81,6 +87,16 @@ class ChannelConfig:
                 f"duration_s must give at least one sample at {self.rate_hz} Hz, "
                 f"got {self.duration_s}"
             )
+        subcarriers = integer(self.subcarriers, "subcarriers")
+        if subcarriers < 1:
+            raise InvalidParameterError(f"subcarriers must be >= 1, got {self.subcarriers!r}")
+        lag = integer(self.lag_samples, "lag_samples")
+        if abs(lag) >= self.n_samples:  # the devices would share no sample
+            raise InvalidParameterError(
+                f"|lag_samples| must be below the {self.n_samples} samples of duration_s, "
+                f"got {self.lag_samples!r}")
+        object.__setattr__(self, "subcarriers", subcarriers)
+        object.__setattr__(self, "lag_samples", lag)
         object.__setattr__(self, "loss", tuple(self.loss))
 
     @property

@@ -1,11 +1,13 @@
-"""Exception hierarchy for csirecip, the one finite-input check and the one
-frozen-array rule.
+"""Exception hierarchy for csirecip, the one finite-input check, the one
+integer-argument check and the one frozen-array rule.
 
 Every data-dependent failure raises a subclass of :class:`CsiRecipError`,
 so callers (and the CLI) can distinguish data errors from programming
 errors with a single except clause.  Any bad argument or field raises
 :class:`InvalidParameterError` (also a ``ValueError``) naming the value.
 """
+
+import operator
 
 import numpy as np
 
@@ -77,6 +79,15 @@ def finite_series(x, name: str = "input") -> np.ndarray:
         raise (GapsPresentError if nan[i] else NonFiniteError)(
             f"{name} sample {i} is {a[i]}; need finite values, gaps interpolated")
     return a
+
+
+def integer(value, name: str) -> int:
+    """``value`` as a Python int by ``operator.index``, so a numpy integer passes and
+    a float, even 2.0, raises :class:`InvalidParameterError` naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _freeze(obj, **dtypes) -> None:

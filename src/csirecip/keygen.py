@@ -8,13 +8,14 @@ bit-error thresholds.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import (DegenerateBlockError, InvalidParameterError, LengthMismatchError,
-                     TooShortError, _freeze, finite_series)
+                     TooShortError, _freeze, finite_series, integer)
 from .metrics import xcorr_lag
 from .reconstruct import (
     ReciprocalBand,
@@ -45,7 +46,7 @@ class QuantizerSpec:
     def __post_init__(self):
         _freeze(self, thresholds=np.float64)
         th = self.thresholds
-        _check_levels(self.levels)
+        object.__setattr__(self, "levels", _check_levels(self.levels))
         if len(th) != self.levels - 1:
             raise InvalidParameterError(
                 f"need levels-1 = {self.levels - 1} thresholds, got {len(th)}: {th.tolist()}")
@@ -126,9 +127,23 @@ class SessionReport:
         }
 
 
-def _check_levels(levels: int) -> None:
+def _check_levels(levels, name: str = "levels") -> int:
+    """``levels`` as an int, if it is a power of two >= 2."""
+    levels = integer(levels, name)
     if levels < 2 or levels & (levels - 1):
-        raise InvalidParameterError(f"levels must be a power of two >= 2, got {levels!r}")
+        raise InvalidParameterError(f"{name} must be a power of two >= 2, got {levels!r}")
+    return levels
+
+
+def _error_thresholds(values, name: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints, if they are nonempty and ascending."""
+    try:
+        th = tuple(operator.index(t) for t in values)
+    except TypeError:
+        raise InvalidParameterError(f"{name} must be integers, got {values!r}") from None
+    if not th or list(th) != sorted(th):
+        raise InvalidParameterError(f"{name} must be nonempty ascending, got {list(th)}")
+    return th
 
 
 def _cdf_rows(chunks: np.ndarray, levels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -136,18 +151,38 @@ def _cdf_rows(chunks: np.ndarray, levels: int) -> tuple[np.ndarray, np.ndarray]:
     statistics), and which rows can be quantized: those with at least
     ``levels`` distinct values and finite, strictly increasing thresholds.
     An interpolation that overflows (order statistics more than ~1.8e308
-    apart) gives an inf or NaN threshold, so its row is not kept."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        th = np.quantile(chunks, np.arange(1, levels) / levels, axis=1, method="linear").T
-        increasing = np.all(np.diff(th, axis=1) > 0, axis=1)
+    apart) gives an inf or NaN threshold, so its row is not kept.
+
+    The thresholds equal ``np.quantile(chunks, k / levels, axis=1,
+    method="linear")`` bit for bit, read off the one sort that also counts
+    the distinct values.  Only a zero threshold is taken from ``np.quantile``
+    itself: its sign follows where numpy's partition leaves -0.0 and 0.0,
+    which no sort reproduces.
+    """
+    n = chunks.shape[1]
     srt = np.sort(chunks, axis=1)
+    q = np.arange(1, levels) / levels
+    v = (n - 1) * q  # numpy's virtual index
+    i = np.floor(v).astype(np.intp)
+    g = v - np.where(v >= n - 1, -1, i)  # numpy weighs the last point from index -1
+    a, b = srt[:, i], srt[:, np.minimum(i + 1, n - 1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = b - a
+        th = np.where(g >= 0.5, b - d * (1 - g), a + d * g)  # numpy's _lerp
+        zero = np.any(th == 0, axis=1)
+        if zero.any():
+            th[zero] = np.quantile(chunks[zero], q, axis=1, method="linear").T
+        increasing = np.all(np.diff(th, axis=1) > 0, axis=1)
     distinct = 1 + np.count_nonzero(srt[:, 1:] != srt[:, :-1], axis=1)
     return th, (distinct >= levels) & increasing & np.all(np.isfinite(th), axis=1)
 
 
 def _level_rows(chunks: np.ndarray, th: np.ndarray) -> np.ndarray:
     """Each sample's level: how many of its row's thresholds lie strictly below it."""
-    return (chunks[:, :, None] > th[:, None, :]).sum(-1, dtype=np.int64)
+    lv = np.zeros(chunks.shape, dtype=np.int64)
+    for k in range(th.shape[1]):
+        lv += chunks > th[:, k:k + 1]
+    return lv
 
 
 def cdf_thresholds(block, levels: int = 4) -> QuantizerSpec:
@@ -158,7 +193,7 @@ def cdf_thresholds(block, levels: int = 4) -> QuantizerSpec:
     is degenerate and should be skipped by the caller.
     """
     block = finite_series(block, "block")
-    _check_levels(levels)
+    levels = _check_levels(levels)
     if len(block) < levels:
         raise DegenerateBlockError(f"block of {len(block)} < {levels} levels")
     th, keep = _cdf_rows(block[None], levels)
@@ -174,17 +209,29 @@ def quantize(block, spec: QuantizerSpec) -> np.ndarray:
     return _level_rows(block[None], spec.thresholds[None])[0]
 
 
+def _gray_rows(lv: np.ndarray, width: int) -> np.ndarray:
+    """The ``width``-bit binary-reflected Gray code of each level, MSB first, one row each."""
+    gray = lv ^ (lv >> 1)
+    return ((gray[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
+
+
 def gray_encode(levels_seq, levels_count: int) -> np.ndarray:
-    """Binary-reflected Gray code of each level, MSB first, concatenated."""
+    """Binary-reflected Gray code of each level, MSB first, concatenated.
+
+    The codes are read from a (levels_count, width) table indexed by level.
+    When there are fewer levels to encode than table rows, they are coded
+    directly, so memory follows the input and not the level count.
+    """
+    levels_count = _check_levels(levels_count, "levels_count")
     lv = np.asarray(levels_seq, dtype=np.int64).ravel()
     if lv.size and (lv.min() < 0 or lv.max() >= levels_count):
         raise InvalidParameterError(
             f"levels outside [0, {levels_count}): {lv.min()}..{lv.max()}"
         )
-    width = int(levels_count).bit_length() - 1
-    gray = lv ^ (lv >> 1)
-    shifts = np.arange(width - 1, -1, -1)
-    return ((gray[:, None] >> shifts[None, :]) & 1).astype(np.uint8).ravel()
+    width = levels_count.bit_length() - 1
+    if lv.size < levels_count:
+        return _gray_rows(lv, width).ravel()
+    return np.take(_gray_rows(np.arange(levels_count), width), lv, axis=0).ravel()
 
 
 def make_keys(x, block_len: int = BLOCK_LEN, levels: int = 4) -> tuple[list[KeyBlock], int]:
@@ -197,16 +244,17 @@ def make_keys(x, block_len: int = BLOCK_LEN, levels: int = 4) -> tuple[list[KeyB
     (blocks, block_len) matrix.
     """
     x = finite_series(x, "x")
+    block_len = integer(block_len, "block_len")
     if block_len < 1:
         raise InvalidParameterError(f"block_len must be >= 1, got {block_len}")
-    _check_levels(levels)
+    levels = _check_levels(levels)
     if len(x) < block_len:
         raise TooShortError(f"{len(x)} samples < block_len {block_len}")
     n_blocks = len(x) // block_len
     chunks = x[:n_blocks * block_len].reshape(n_blocks, block_len)
     th, keep = _cdf_rows(chunks, levels)
     lv = _level_rows(chunks[keep], th[keep])
-    bits = gray_encode(lv, levels).reshape(len(lv), block_len * (int(levels).bit_length() - 1))
+    bits = gray_encode(lv, levels).reshape(len(lv), block_len * (levels.bit_length() - 1))
     lv.setflags(write=False)  # the blocks take row views without a copy
     bits.setflags(write=False)
     starts = np.flatnonzero(keep) * block_len
@@ -222,24 +270,28 @@ def evaluate(keys_a: list[KeyBlock], keys_b: list[KeyBlock], total_packets: int,
     A block pair is accepted at threshold theta when its Hamming distance
     is at most theta.  ``kgr`` is accepted key bits per exchanged packet;
     ``mean_ber`` averages over accepted keys only, while ``overall_ber``
-    covers every paired block regardless of threshold.
+    covers every paired block regardless of threshold.  Every block of
+    both lists must hold as many bits as the first, and the distances
+    come from one compare of the stacked bits.
     """
     if len(keys_a) != len(keys_b):
         raise LengthMismatchError(f"{len(keys_a)} vs {len(keys_b)} blocks")
     if total_packets <= 0:
         raise InvalidParameterError(f"total_packets must be positive, got {total_packets!r}")
-    thresholds = tuple(int(t) for t in thresholds)
-    if not thresholds or list(thresholds) != sorted(thresholds):
-        raise InvalidParameterError(
-            f"thresholds must be nonempty ascending, got {list(thresholds)}")
+    thresholds = _error_thresholds(thresholds, "thresholds")
 
-    key_bits = len(keys_a[0].bits) if keys_a else 0
-    hams = []
-    for a, b in zip(keys_a, keys_b):
-        if len(a.bits) != len(b.bits):
-            raise LengthMismatchError("paired blocks have different bit lengths")
-        hams.append(int(np.count_nonzero(a.bits != b.bits)))
-    hams = np.asarray(hams, dtype=np.int64)
+    bits_a = [k.bits for k in keys_a]
+    bits_b = [k.bits for k in keys_b]
+    key_bits = len(bits_a[0]) if bits_a else 0
+    for i, (a, b) in enumerate(zip(bits_a, bits_b)):
+        if len(a) != key_bits or len(b) != key_bits:
+            raise LengthMismatchError(
+                f"block {i} (start_seq {keys_a[i].start_seq}) pairs {len(a)} and {len(b)} "
+                f"bits; block 0 has {key_bits}")
+    # np.array of no blocks is 1-D, so the shape is given
+    shape = (len(bits_a), key_bits)
+    hams = np.count_nonzero(np.array(bits_a).reshape(shape) != np.array(bits_b).reshape(shape),
+                            axis=1)
 
     stats = []
     for theta in thresholds:
@@ -278,9 +330,8 @@ class SessionConfig:
         if self.pipeline not in PIPELINES:
             raise InvalidParameterError(
                 f"pipeline must be one of {PIPELINES}, got {self.pipeline!r}")
-        th = list(self.error_thresholds)
-        if not th or th != sorted(th):
-            raise InvalidParameterError(f"error_thresholds must be nonempty ascending, got {th}")
+        object.__setattr__(self, "error_thresholds",
+                           _error_thresholds(self.error_thresholds, "error_thresholds"))
 
 
 def _rate(series, default: float = 10.0) -> float:

@@ -99,39 +99,46 @@ _DB4_LO = np.array([
 _DB4_HI = np.array([_DB4_LO[3], -_DB4_LO[2], _DB4_LO[1], -_DB4_LO[0]])
 
 
-def _wp_analyze(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = len(x)
-    idx = (np.arange(0, n, 2)[:, None] + np.arange(4)[None, :]) % n
-    seg = x[idx]
-    return seg @ _DB4_LO, seg @ _DB4_HI
+def _wp_analyze(x: np.ndarray) -> np.ndarray:
+    """One analysis step of every row of ``x``: rows lo(0), hi(0), lo(1), hi(1), ...
+
+    Gathered in C order as (rows, pairs, 4), each row's windows go to the
+    matrix-vector call that row alone would get, so each row keeps its bits.
+    One 2-D product over all windows would not: it rounds a one-window row,
+    which numpy takes as a dot product, differently.
+    """
+    n = x.shape[1]
+    idx = np.arange(0, n, 2)[:, None] + np.arange(4)
+    idx[-2:] %= n  # periodic extension: only the last two windows reach past the end
+    seg = np.take(x, idx, axis=1)
+    return np.stack([seg @ _DB4_LO, seg @ _DB4_HI], axis=1).reshape(2 * len(x), -1)
 
 
 def _wp_synthesize(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
-    """Output 2m + p (p = 0, 1) sums tap p of pair m and tap p + 2 of pair m - 1 (periodic)."""
-    y = np.zeros(n)  # adding onto zeros keeps the sign of zero as a scatter-add does
+    """Output 2m + p (p = 0, 1) sums tap p of pair m and tap p + 2 of pair m - 1 (periodic),
+    along the last axis: ``lo`` and ``hi`` may be single bands or rows of bands."""
+    y = np.zeros(lo.shape[:-1] + (n,))  # adding onto zeros keeps the sign of zero
     for p in (0, 1):
-        y[p::2] += np.roll(lo * _DB4_LO[p + 2] + hi * _DB4_HI[p + 2], 1)
-        y[p::2] += lo * _DB4_LO[p] + hi * _DB4_HI[p]
+        y[..., p::2] += np.roll(lo * _DB4_LO[p + 2] + hi * _DB4_HI[p + 2], 1, axis=-1)
+        y[..., p::2] += lo * _DB4_LO[p] + hi * _DB4_HI[p]
     return y
 
 
 def wpt_forward(x: np.ndarray, depth: int) -> list[np.ndarray]:
-    """Full wavelet-packet tree to the given depth, periodic extension."""
-    bands = [np.asarray(x, dtype=np.float64)]
+    """Full wavelet-packet tree to the given depth, periodic extension; each
+    level is one (bands, length) matrix, and the bands are the rows of the last."""
+    level = np.asarray(x, dtype=np.float64)[None]
     for _ in range(depth):
-        bands = [part for b in bands for part in _wp_analyze(b)]
-    return bands
+        level = _wp_analyze(level)
+    return list(level)
 
 
-def wpt_inverse(bands: list[np.ndarray], n: int) -> np.ndarray:
-    bands = list(bands)
-    while len(bands) > 1:
-        m = n // (len(bands) // 2)
-        bands = [
-            _wp_synthesize(bands[i], bands[i + 1], m)
-            for i in range(0, len(bands), 2)
-        ]
-    return bands[0]
+def wpt_inverse(bands, n: int) -> np.ndarray:
+    """Invert :func:`wpt_forward`: ``bands`` is its list, or the same bands as rows of a matrix."""
+    level = np.asarray(bands, dtype=np.float64)
+    while len(level) > 1:
+        level = _wp_synthesize(level[0::2], level[1::2], n // (len(level) // 2))
+    return level[0]
 
 
 def wpt_denoise(x, depth: int = 4) -> np.ndarray:
@@ -148,10 +155,10 @@ def wpt_denoise(x, depth: int = 4) -> np.ndarray:
         raise TooShortError(f"need at least 2**{depth} = {block} samples, got {n0}")
     n = ((n0 + block - 1) // block) * block
     xp = np.pad(x, (0, n - n0), mode="reflect") if n != n0 else x
-    bands = wpt_forward(xp, depth)
-    med = np.median(np.abs(np.concatenate(bands)))
-    bands = [np.where(np.abs(b) < med, 0.0, b) for b in bands]
-    return wpt_inverse(bands, n)[:n0]
+    coef = np.array(wpt_forward(xp, depth))  # one row per band
+    mag = np.abs(coef)
+    coef[mag < np.median(mag)] = 0.0
+    return wpt_inverse(coef, n)[:n0]
 
 
 # --- coherence-guided reconstruction ---

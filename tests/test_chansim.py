@@ -194,6 +194,49 @@ class TestGenPair:
         with pytest.raises(InvalidParameterError, match=match):
             LossEvent(side, 10.0, count)
 
+    # a start of -0.2 s on a 5 s trace dropped seqs 0, 48 and 49 while the truth listed
+    # -2, -1 and 0; nan reached int() and 2.5 indexed the drop mask
+    @pytest.mark.parametrize("start_s, count, message", [
+        (-0.2, 3, "LossEvent.start_s must be finite and >= 0, got -0.2"),
+        (np.nan, 2, "LossEvent.start_s must be finite and >= 0, got nan"),
+        (np.inf, 2, "LossEvent.start_s must be finite and >= 0, got inf"),
+        (1.0, 2.5, "LossEvent.count must be an integer, got 2.5"),
+        (1.0, np.float64(2.0), "LossEvent.count must be an integer, got np.float64(2.0)"),
+    ])
+    def test_loss_event_start_and_count_named(self, start_s, count, message):
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            LossEvent("ap", start_s, count)
+
+    def test_loss_event_count_normalised(self):
+        ev = LossEvent("ap", 0.0, np.int64(3))
+        assert type(ev.count) is int and ev.count == 3
+        _, _, truth = gen_pair(ChannelConfig(duration_s=5.0, loss=(ev,)))
+        assert truth["dropped_seqs"]["ap"] == [0, 1, 2]
+
+    # subcarriers=-2 was numpy's bare "negative dimensions", lag_samples=2.5 a TypeError,
+    # and a lag of 10**6 on a 5 s trace simulated a million samples
+    @pytest.mark.parametrize("field, value, message", [
+        ("subcarriers", 0, "subcarriers must be >= 1, got 0"),
+        ("subcarriers", -2, "subcarriers must be >= 1, got -2"),
+        ("subcarriers", 8.0, "subcarriers must be an integer, got 8.0"),
+        ("lag_samples", 2.5, "lag_samples must be an integer, got 2.5"),
+        ("lag_samples", 50, "|lag_samples| must be below the 50 samples of duration_s, got 50"),
+        ("lag_samples", -50, "|lag_samples| must be below the 50 samples of duration_s, got -50"),
+        ("lag_samples", 10 ** 6,
+         "|lag_samples| must be below the 50 samples of duration_s, got 1000000"),
+    ])
+    def test_subcarriers_and_lag_named(self, field, value, message):
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            ChannelConfig(duration_s=5.0, **{field: value})
+
+    @pytest.mark.parametrize("lag", [49, -49, np.int64(7)])
+    def test_lag_below_duration_kept(self, lag):
+        cfg = ChannelConfig(duration_s=5.0, lag_samples=lag, subcarriers=np.int32(2))
+        assert type(cfg.lag_samples) is int and cfg.lag_samples == lag
+        assert type(cfg.subcarriers) is int
+        ap, sta, truth = gen_pair(cfg)
+        assert truth["lag"] == lag and ap.subcarriers == sta.subcarriers == 2
+
     def test_csv_round_trip(self):
         cfg = ChannelConfig(duration_s=15.0, seed=8,
                             loss=(LossEvent("ap", 5.0, 10),))

@@ -62,6 +62,21 @@ class TestSimulate:
         assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
         assert not (tmp_path / "ap.csv").exists()
 
+    def test_lag_beyond_duration_exits_2(self, tmp_path, capsys):
+        # a 1 s trace has 10 samples, so a lag of 10 leaves the devices no common sample
+        rc = run(["simulate", "--duration", "1", "--lag", "10", "--out-dir", str(tmp_path)])
+        assert rc == EXIT_DATA
+        assert "|lag_samples| must be below the 10 samples of duration_s, got 10" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "ap.csv").exists()
+
+    def test_fractional_lag_is_usage_error(self, tmp_path, capsys):
+        # --lag is read as an int, as --seed is: a fraction is a usage error naming the flag
+        rc = run(["simulate", "--lag", "2.5", "--duration", "5", "--out-dir", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        assert "--lag" in capsys.readouterr().err
+        assert not (tmp_path / "ap.csv").exists()
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CSIRECIP_OUT_DIR", str(tmp_path / "envout"))
         assert run(["simulate", "--duration", "30", "--seed", "0"]) == EXIT_OK
@@ -387,6 +402,8 @@ class TestConfigFile:
 @example(duration="5.0", snr="-1e3", lag=None, preset="los-short", joined=False)
 @example(duration="5.0", snr="-inf", lag=None, preset="los-short", joined=False)
 @example(duration="-inf", snr=None, lag=None, preset="los-short", joined=False)
+# the preset's 12-sample lag over a 10-sample trace simulated no common sample
+@example(duration="1.0", snr=None, lag=None, preset="nlos-long", joined=False)
 def test_simulate_exits_0_1_or_2_without_traceback(duration, snr, lag, preset, joined):
     flags = [("duration", duration), ("preset", preset), ("seed", "1"),
              ("snr-db", snr), ("lag", lag)]
@@ -404,6 +421,9 @@ def test_simulate_exits_0_1_or_2_without_traceback(duration, snr, lag, preset, j
     elif not 0 < float(duration) < math.inf or snr in ("nan", "-inf"):
         assert rc == EXIT_DATA
         assert ("snr_db" if 0 < float(duration) < math.inf else "duration_s") in err.getvalue()
+    elif abs(int(lag or chansim.preset(preset).lag_samples)) >= round(float(duration) * 10):
+        assert rc == EXIT_DATA  # a lag of the whole trace or more leaves no common sample
+        assert "lag_samples" in err.getvalue()
     else:
         assert rc == EXIT_OK
 

@@ -3,9 +3,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import csirecip.reconstruct as R
 from csirecip import keygen, wavelet
 from csirecip.chansim import ChannelConfig, gen_pair, preset
 from csirecip.errors import (
@@ -123,6 +124,29 @@ class TestGray:
             gray_encode([4], 4)
 
 
+def shift_gray_encode(levels_seq, levels_count):
+    """The shift-per-level encoder gray_encode was before its table: the reference."""
+    lv = np.asarray(levels_seq, dtype=np.int64).ravel()
+    width = int(levels_count).bit_length() - 1
+    gray = lv ^ (lv >> 1)
+    shifts = np.arange(width - 1, -1, -1)
+    return ((gray[:, None] >> shifts[None, :]) & 1).astype(np.uint8).ravel()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 20).flatmap(lambda w: st.tuples(
+    st.just(2 ** w), st.lists(st.integers(0, 2 ** w - 1), max_size=300))))
+def test_gray_table_equals_shift_formula(case):
+    """Both the table (at least as many levels as rows) and the direct coding (fewer)."""
+    count, levels = case
+    got = gray_encode(levels, count)
+    want = shift_gray_encode(levels, count)
+    assert got.dtype == want.dtype == np.uint8
+    np.testing.assert_array_equal(got, want)
+    square = gray_encode(np.asarray(levels, dtype=np.int64).reshape(-1, 1), count)
+    np.testing.assert_array_equal(square, want)  # any shape, read in C order
+
+
 class TestMakeKeys:
     def test_block_count_and_leftover(self):
         x = np.random.default_rng(0).normal(size=250)
@@ -160,6 +184,12 @@ class TestMakeKeys:
     def test_bad_block_len_named(self, block_len):
         with pytest.raises(ValueError, match=f"block_len must be >= 1, got {block_len}"):
             make_keys(np.ones(50), block_len, 4)
+
+    def test_numpy_integer_arguments(self):
+        x = np.random.default_rng(5).normal(size=300)
+        want, _ = make_keys(x, 100, 4)
+        got, _ = make_keys(x, np.int64(100), np.int32(4))
+        assert [k.bits.tobytes() for k in got] == [k.bits.tobytes() for k in want]
 
 
 # linear interpolation between order statistics more than ~1.8e308 apart overflows
@@ -251,6 +281,45 @@ def test_make_keys_matches_block_loop(series, levels):
         assert g.levels.dtype == w.levels.dtype and g.bits.dtype == w.bits.dtype
         np.testing.assert_array_equal(g.levels, w.levels)
         np.testing.assert_array_equal(g.bits, w.bits)
+
+
+def cube_level_rows(chunks, th):
+    """The (blocks, len, levels-1) comparison cube _level_rows was before: the reference."""
+    return (chunks[:, :, None] > th[:, None, :]).sum(-1, dtype=np.int64)
+
+
+@st.composite
+def block_matrix(draw):
+    """1-4 rows of 1-40 samples: signed zeros, subnormals, ties or any finite float."""
+    rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        pool = draw(st.lists(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]) |
+                             st.floats(allow_nan=False, allow_infinity=False),
+                             min_size=1, max_size=5))
+        values = st.sampled_from(pool)
+    else:
+        values = st.floats(allow_nan=False, allow_infinity=False)
+    cells = draw(st.lists(values, min_size=rows * n, max_size=rows * n))
+    return np.asarray(cells, dtype=np.float64).reshape(rows, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_matrix(), st.sampled_from([2, 4, 8, 16]))
+@example(np.array([[0.0]]), 2)
+@example(np.array([[-0.0]]), 4)
+@example(np.array([[-1.0, -0.0, 0.0, -0.0, 0.0, 1.0]]), 2)
+@example(np.array([OVERFLOWING_BLOCKS[0][0]]), 4)
+@example(np.array([OVERFLOWING_BLOCKS[1][0]]), 2)
+def test_thresholds_byte_equal_to_np_quantile(chunks, levels):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.quantile(chunks, np.arange(1, levels) / levels, axis=1, method="linear").T
+    th, keep = keygen._cdf_rows(chunks, levels)
+    assert th.tobytes() == want.tobytes()  # NaN payloads and signed zeros too
+    for row, t, k in zip(chunks, th, keep):
+        assert k == (len(np.unique(row)) >= levels and np.all(np.isfinite(t))
+                     and np.all(np.diff(t) > 0))
+    np.testing.assert_array_equal(keygen._level_rows(chunks[keep], th[keep]),
+                                  cube_level_rows(chunks[keep], th[keep]))
 
 
 def short_blocks(levels):
@@ -371,6 +440,39 @@ class TestEvaluate:
         with pytest.raises(LengthMismatchError):
             evaluate([_mk_block(0, [0, 1])], [], 10)
 
+    # pairs of 200, 100 and 200 bits over 300 packets reported kgr 2.0: 600 bits where 500 exist
+    @pytest.mark.parametrize("side", ["a", "b", "both"])
+    def test_block_length_differing_from_the_first_named(self, side):
+        sizes = [200, 100, 200]
+        ka = [_mk_block(i * 100, np.zeros(n if side != "b" else 200)) for i, n in enumerate(sizes)]
+        kb = [_mk_block(i * 100, np.zeros(n if side != "a" else 200)) for i, n in enumerate(sizes)]
+        with pytest.raises(LengthMismatchError, match=r"^block 1 \(start_seq 100\) pairs "):
+            evaluate(ka, kb, 300, thresholds=(15,))
+
+
+def loop_evaluate_hams(keys_a, keys_b):
+    """One count_nonzero per pair, as evaluate did before stacking: the reference."""
+    return [int(np.count_nonzero(a.bits != b.bits)) for a, b in zip(keys_a, keys_b)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 30), st.integers(1, 64), st.integers(0, 2 ** 32 - 1))
+def test_evaluate_equals_per_pair_loop(n_blocks, key_bits, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 2, (n_blocks, key_bits)).astype(np.uint8)
+    b = a ^ (rng.random((n_blocks, key_bits)) < rng.random()).astype(np.uint8)
+    ka = [_mk_block(i, r) for i, r in enumerate(a)]
+    kb = [_mk_block(i, r) for i, r in enumerate(b)]
+    hams = np.asarray(loop_evaluate_hams(ka, kb), dtype=np.int64)
+    rep = evaluate(ka, kb, 1000, thresholds=tuple(sorted({0, 5, key_bits})))
+    assert rep.blocks == n_blocks and rep.key_bits == (key_bits if n_blocks else 0)
+    want_ber = float(hams.sum() / (len(hams) * key_bits)) if n_blocks else None
+    assert rep.overall_ber == want_ber
+    for st_ in rep.per_threshold:
+        acc = hams[hams <= st_.error_threshold]
+        assert st_.accepted == len(acc)
+        assert st_.kgr == len(acc) * rep.key_bits / 1000
+
 
 @pytest.mark.parametrize("call, message", [
     (lambda: QuantizerSpec(3, [0.0, 1.0]), "levels must be a power of two >= 2, got 3"),
@@ -385,6 +487,19 @@ class TestEvaluate:
     (lambda: evaluate([], [], 0), "total_packets must be positive, got 0"),
     (lambda: evaluate([], [], 10, (15, 5)), "thresholds must be nonempty ascending, got [15, 5]"),
     (lambda: evaluate([], [], 10, ()), "thresholds must be nonempty ascending, got []"),
+    # a count of 3 gave levels 1 and 2 the one code [1], a count of 1 gave no bits at all
+    (lambda: gray_encode([0, 1, 2], 3), "levels_count must be a power of two >= 2, got 3"),
+    (lambda: gray_encode([0], 1), "levels_count must be a power of two >= 2, got 1"),
+    (lambda: gray_encode([0, 1], 4.0), "levels_count must be an integer, got 4.0"),
+    # each was a bare TypeError from slicing or from the levels check
+    (lambda: make_keys(np.arange(300.0), 100.5), "block_len must be an integer, got 100.5"),
+    (lambda: make_keys(np.arange(300.0), np.float64(100.0)),
+     "block_len must be an integer, got np.float64(100.0)"),
+    (lambda: make_keys(np.arange(300.0), 100, 4.0), "levels must be an integer, got 4.0"),
+    # (5.7, 15) reported its first threshold as 5
+    (lambda: evaluate([], [], 10, (5.7, 15)), "thresholds must be integers, got (5.7, 15)"),
+    (lambda: SessionConfig(error_thresholds=(5.7, 15)),
+     "error_thresholds must be integers, got (5.7, 15)"),
 ])
 def test_bad_parameter_names_value(call, message):
     with pytest.raises(InvalidParameterError) as exc:
@@ -409,6 +524,11 @@ def test_session_config_rejects_bad_field(field, value):
     with pytest.raises(ValueError, match=field) as exc:
         SessionConfig(**{field: value})
     assert str(value).strip("()") in str(exc.value)
+
+
+def test_session_config_thresholds_normalised():
+    cfg = SessionConfig(error_thresholds=[np.int64(5), 15])
+    assert cfg.error_thresholds == (5, 15) and type(cfg.error_thresholds[0]) is int
 
 
 class TestSession:
@@ -567,3 +687,31 @@ def test_wt_session_builds_one_response_per_pair():
     wskg_session(a, b, SessionConfig(pipeline="wt"))
     info = wavelet._band_response.cache_info()
     assert (info.misses, info.hits) == (2, 2)
+
+
+def test_session_call_counts(monkeypatch):
+    """A session makes keys twice, encodes twice and evaluates once; the wpt pipeline's
+    denoiser walks the packet tree once each way per device.  Each public function a
+    session reaches by name stays reached, so a profiler's per-function figures stay live."""
+    calls = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("make_keys", "gray_encode", "evaluate"):
+        count(keygen, name)
+    for name in ("wpt_denoise", "wpt_forward", "wpt_inverse"):
+        count(R, name)
+    monkeypatch.setattr(keygen, "wpt_denoise", R.wpt_denoise)
+    a, b = session_pair(5)
+    wskg_session(a, b, SessionConfig(pipeline="wpt"))
+    assert calls == {"make_keys": 2, "gray_encode": 2, "evaluate": 1,
+                     "wpt_denoise": 2, "wpt_forward": 2, "wpt_inverse": 2}
+    calls.clear()
+    R.wpt_denoise(a.values)
+    assert calls == {"wpt_denoise": 1, "wpt_forward": 1, "wpt_inverse": 1}

@@ -154,7 +154,9 @@ class TestWpt:
 
 
 def synthesize_by_scatter(lo, hi, n):
-    """One synthesis step as a scatter-add of every tap: the reference."""
+    """One synthesis step as a scatter-add of every tap, band by band: the reference."""
+    if lo.ndim == 2:
+        return np.array([synthesize_by_scatter(a, b, n) for a, b in zip(lo, hi)])
     y = np.zeros(n)
     pos = (2 * np.arange(n // 2)[:, None] + np.arange(4)[None, :]) % n
     np.add.at(y, pos, lo[:, None] * R._DB4_LO[None, :] + hi[:, None] * R._DB4_HI[None, :])
@@ -184,6 +186,81 @@ def test_wpt_denoise_equals_scatter_add(monkeypatch):
     got = wpt_denoise(x)
     monkeypatch.setattr(R, "_wp_synthesize", synthesize_by_scatter)
     assert np.array_equal(got, wpt_denoise(x))
+
+
+def band_wp_analyze(x):
+    """One analysis step of one band, as wpt_forward took it before its level matrix."""
+    n = len(x)
+    idx = (np.arange(0, n, 2)[:, None] + np.arange(4)[None, :]) % n
+    seg = x[idx]
+    return seg @ R._DB4_LO, seg @ R._DB4_HI
+
+
+def band_wpt_forward(x, depth):
+    """The per-band tree: the reference for wpt_forward."""
+    bands = [np.asarray(x, dtype=np.float64)]
+    for _ in range(depth):
+        bands = [part for b in bands for part in band_wp_analyze(b)]
+    return bands
+
+
+def band_wpt_inverse(bands, n):
+    """The per-band inverse: the reference for wpt_inverse."""
+    bands = list(bands)
+    while len(bands) > 1:
+        m = n // (len(bands) // 2)
+        bands = [R._wp_synthesize(bands[i], bands[i + 1], m) for i in range(0, len(bands), 2)]
+    return bands[0]
+
+
+def band_wpt_denoise(x, depth):
+    """wpt_denoise on the per-band tree, as it was before the level matrix."""
+    n0, block = len(x), 1 << depth
+    n = ((n0 + block - 1) // block) * block
+    xp = np.pad(x, (0, n - n0), mode="reflect") if n != n0 else x
+    bands = band_wpt_forward(xp, depth)
+    med = np.median(np.abs(np.concatenate(bands)))
+    bands = [np.where(np.abs(b) < med, 0.0, b) for b in bands]
+    return band_wpt_inverse(bands, n)[:n0]
+
+
+@st.composite
+def wpt_case(draw):
+    depth = draw(st.integers(1, 5))
+    n = draw(st.integers(max(16, 1 << depth), 5000))
+    scale = 10.0 ** draw(st.floats(-6, 6))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n) * scale
+    kind = draw(st.sampled_from(["noise", "walk", "zeros"]))
+    if kind == "walk":
+        x = x.cumsum()
+    elif kind == "zeros":  # signed zeros and runs of them
+        x[rng.random(n) < 0.5] = 0.0
+        x[rng.random(n) < 0.25] = -0.0
+    return x, depth
+
+
+@settings(max_examples=60, deadline=None)
+@given(wpt_case())
+@example((np.zeros(16), 4))
+@example((-np.zeros(33), 1))
+def test_level_matrix_equals_per_band_tree(case):
+    """Bit for bit, the sign of zero included, at every level and through the denoiser."""
+    x, depth = case
+    got, want = wpt_denoise(x, depth), band_wpt_denoise(x, depth)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    bands = wpt_forward(x, depth)
+    ref = band_wpt_forward(x, depth)
+    assert len(bands) == len(ref) == 2 ** depth
+    for b, r in zip(bands, ref):
+        assert np.array_equal(b.view(np.int64), r.view(np.int64))
+    n = len(x) - len(x) % (1 << depth)
+    if n:
+        tree = wpt_forward(x[:n], depth)
+        inv = wpt_inverse(tree, n)
+        assert np.array_equal(inv.view(np.int64), band_wpt_inverse(tree, n).view(np.int64))
+        assert np.array_equal(wpt_inverse(np.array(tree), n), inv)  # a band matrix is accepted
 
 
 _P = CwtParams(0.05, 5.0, 10.0)
