@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateSeriesError, InvalidParameterError, TooShortError, _freeze
+from .errors import DegenerateSeriesError, InvalidParameterError, TooShortError, _freeze, integer
 from .metrics import pearson, xcorr_lag
 
 PROBE_LEN = 600  # samples of each side's CSI that the channel checks compare
@@ -43,9 +43,11 @@ class AuthPolicy:
     def __post_init__(self):
         if not 0 < self.min_corr < 1:
             raise InvalidParameterError(f"min_corr must be in (0, 1), got {self.min_corr!r}")
-        if not 0 <= self.max_shift < PROBE_LEN // 3:
+        max_shift = integer(self.max_shift, "max_shift")
+        if not 0 <= max_shift < PROBE_LEN // 3:
             raise InvalidParameterError(
-                f"max_shift must be in [0, {PROBE_LEN // 3}), got {self.max_shift}")
+                f"max_shift must be in [0, {PROBE_LEN // 3}), got {self.max_shift!r}")
+        object.__setattr__(self, "max_shift", max_shift)
 
 
 @dataclass(frozen=True)
@@ -80,9 +82,18 @@ def _tag(payload: np.ndarray, key: bytes) -> bytes:
                     hashlib.sha256).digest()
 
 
+def _csi_window(csi, name: str) -> np.ndarray:
+    """``csi`` as float64, if it is a 1-D series of real numbers."""
+    a = np.asarray(csi)
+    if a.ndim != 1 or a.dtype.kind not in "iuf":
+        raise InvalidParameterError(
+            f"{name} must be a 1-D real series, got shape {a.shape} of dtype {a.dtype}")
+    return a.astype(np.float64, copy=False)
+
+
 def sign_csi(csi, key: bytes) -> AuthMessage:
-    """Build the signed S3 message for a measured CSI window."""
-    payload = np.asarray(csi, dtype=np.float64).ravel()
+    """Build the signed S3 message for a measured CSI window (a 1-D real series)."""
+    payload = _csi_window(csi, "csi")
     return AuthMessage(payload_csi=payload, tag=_tag(payload, key))
 
 
@@ -110,7 +121,7 @@ def _decide(ap_csi, message: AuthMessage, policy: AuthPolicy, key: bytes) -> Aut
     on either side carries no channel estimate, so both fail closed like a
     frozen channel.
     """
-    ap_csi = np.asarray(ap_csi, dtype=np.float64).ravel()
+    ap_csi = _csi_window(ap_csi, "ap_csi")
     if not verify_tag(message, key):
         return AuthDecision(False, 0.0, 0, Reason.BAD_SIGNATURE)
     n = min(len(ap_csi), len(message.payload_csi), PROBE_LEN)

@@ -14,9 +14,9 @@ horizon (for delayed replay) preserves earlier samples bit-exactly.
 
 from __future__ import annotations
 
-import operator
 import threading
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import inf, isfinite
 
 import numpy as np
@@ -62,10 +62,7 @@ class ChannelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        try:
-            seed = operator.index(self.seed)
-        except TypeError:
-            seed = -1  # not an integer: rejected with the negative ones
+        seed = integer(self.seed, "seed")
         if seed < 0:
             raise InvalidParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
         object.__setattr__(self, "seed", seed)
@@ -212,9 +209,11 @@ class _Workspace:
     def __init__(self):
         self.rngs = [np.random.Generator(np.random.PCG64(0)) for _ in range(N_CARRIERS)]
         self.draws = np.empty((N_CARRIERS, BLOCK, 2))  # carrier-major, as drawn
-        self.terms = self.draws.view(np.complex128)[..., 0]  # reuses the draws once copied
+        # time-major phasors past the table; reuses the draws once copied
+        self.phasors = self.draws.view(np.complex128).reshape(BLOCK, N_CARRIERS)
         self.coef = np.empty((BLOCK, N_CARRIERS), dtype=np.complex128)  # time-major
         self.rows = list(self.coef.view(np.float64))  # one time step of all carriers each
+        self.real = self.coef.real  # column k: carrier k's term once multiplied
 
     def reseed(self, seed: int) -> list[np.random.Generator]:
         for rng, (state, inc) in zip(self.rngs, _carrier_states(seed)):
@@ -235,6 +234,35 @@ def _workspace() -> _Workspace:
         return _local.workspace
 
 
+TABLE = 4 * BLOCK  # leading samples whose phasors are kept per (band, rate): 2 MB
+_TABLES = 2  # (band, rate) phasor tables kept at once
+
+
+def _omega(f_lo: float, f_hi: float) -> np.ndarray:
+    return 2 * np.pi * np.geomspace(f_lo, f_hi, N_CARRIERS)
+
+
+def _phasors(out: np.ndarray, omega: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """exp(i * omega * t) into the time-major ``out``, one row per time in ``t``."""
+    # numpy's complex product 2j * pi * f * t is exactly 0 + 1j * (2 * pi * f) * t
+    out.real = 0.0
+    np.multiply(t[:, None], omega, out=out.imag)
+    return np.exp(out, out=out)
+
+
+@lru_cache(maxsize=_TABLES)
+def _phasor_table(f_lo: float, f_hi: float, rate_hz: float) -> np.ndarray:
+    """The carrier phasors of samples 0..TABLE-1, (TABLE, N_CARRIERS); read-only.
+
+    They depend on the band and the rate only, never on the seed, so every
+    call and thread simulating that channel reads the same table.
+    """
+    table = np.empty((TABLE, N_CARRIERS), dtype=np.complex128)
+    _phasors(table, _omega(f_lo, f_hi), np.arange(TABLE) * (1.0 / rate_hz))
+    table.setflags(write=False)
+    return table
+
+
 def base_signal(cfg: ChannelConfig, n: int, start_s: float = 0.0) -> np.ndarray:
     """Shared band-limited fading signal, unit variance, zero mean.
 
@@ -247,15 +275,19 @@ def base_signal(cfg: ChannelConfig, n: int, start_s: float = 0.0) -> np.ndarray:
     BLOCK samples through fixed buffers, and each sample advances the OU
     recurrence of all carriers in one vector step.  The carrier generators
     and the buffers live in a per-thread workspace that every call reuses.
+    The phasors of the first TABLE samples are read from a 2 MB read-only
+    table shared by all calls and threads, kept for the last ``_TABLES``
+    (band, rate) pairs used; later samples compute theirs per block.
     """
     dt = 1.0 / cfg.rate_hz
     offset = int(round(start_s / dt))
     total = offset + n
     ws = _workspace()
     rngs = ws.reseed(cfg.seed)
-    draws, terms, coef, rows = ws.draws, ws.terms, ws.coef, ws.rows
+    draws, coef, rows, real = ws.draws, ws.coef, ws.rows, ws.real
     f_lo, f_hi = cfg.base_band
-    omega = 2 * np.pi * np.geomspace(f_lo, f_hi, N_CARRIERS)
+    table = _phasor_table(float(f_lo), float(f_hi), float(cfg.rate_hz))
+    omega = _omega(f_lo, f_hi)
     rho = np.exp(-dt / cfg.coherence_time_s)
     gain = np.sqrt(1 - rho * rho)
     rho_row = np.full(2 * N_CARRIERS, rho)
@@ -276,16 +308,14 @@ def base_signal(cfg: ChannelConfig, n: int, start_s: float = 0.0) -> np.ndarray:
         prev = prev.copy()  # the buffers are refilled by the next block
         lo = max(offset - a, 0)  # samples before the window only advance the state
         if lo < m:
-            t = np.arange(a + lo, a + m) * dt
-            ph = terms[:, :m - lo]
-            # numpy's complex product 2j * pi * f * t is exactly 0 + 1j * (2 * pi * f) * t
-            ph.real = 0.0
-            np.multiply(omega[:, None], t, out=ph.imag)
-            np.exp(ph, out=ph)
-            np.multiply(coef[lo:m].T, ph, out=ph)
+            if a + m <= TABLE:  # TABLE is whole blocks, so a block is in it or past it
+                ph = table[a + lo:a + m]
+            else:
+                ph = _phasors(ws.phasors[:m - lo], omega, np.arange(a + lo, a + m) * dt)
+            np.multiply(coef[lo:m], ph, out=coef[lo:m])
             acc = x[a + lo - offset:a + m - offset]
             for k in range(N_CARRIERS):
-                acc += ph[k].real
+                acc += real[lo:m, k]
     return x / np.sqrt(N_CARRIERS / 2.0)
 
 

@@ -83,11 +83,13 @@ def finite_series(x, name: str = "input") -> np.ndarray:
 
 def integer(value, name: str) -> int:
     """``value`` as a Python int by ``operator.index``, so a numpy integer passes and
-    a float, even 2.0, raises :class:`InvalidParameterError` naming ``name``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
+    a float, even 2.0, or a bool raises :class:`InvalidParameterError` naming ``name``."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
 
 
 def _freeze(obj, **dtypes) -> None:

@@ -223,7 +223,14 @@ def gray_encode(levels_seq, levels_count: int) -> np.ndarray:
     directly, so memory follows the input and not the level count.
     """
     levels_count = _check_levels(levels_count, "levels_count")
-    lv = np.asarray(levels_seq, dtype=np.int64).ravel()
+    lv = np.asarray(levels_seq)
+    if lv.dtype.kind not in "iu":  # a cast to int64 would truncate 1.7 to level 1
+        lv = np.asarray(lv, dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(lv) | (lv != np.round(lv)))
+        if bad.size:
+            raise InvalidParameterError(
+                f"levels must be integers, got {float(lv.flat[bad[0]])!r} at index {bad[0]}")
+    lv = lv.astype(np.int64, copy=False).ravel()
     if lv.size and (lv.min() < 0 or lv.max() >= levels_count):
         raise InvalidParameterError(
             f"levels outside [0, {levels_count}): {lv.min()}..{lv.max()}"

@@ -18,6 +18,7 @@ from .errors import (
     LengthMismatchError,
     TooShortError,
     finite_series,
+    integer,
 )
 
 
@@ -170,7 +171,8 @@ def xcorr_lag(x, y, max_lag: int) -> LagEstimate:
     if len(x) != len(y):
         raise LengthMismatchError(f"lengths differ: {len(x)} vs {len(y)}")
     n = len(x)
-    if not isinstance(max_lag, (int, np.integer)) or max_lag < 0:
+    max_lag = integer(max_lag, "max_lag")
+    if max_lag < 0:
         raise InvalidParameterError(f"max_lag must be a non-negative integer, got {max_lag!r}")
     if n <= 2 * max_lag:
         raise TooShortError(f"need length > {2 * max_lag}, got {n}")

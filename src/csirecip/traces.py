@@ -30,6 +30,7 @@ from .errors import (
     SubcarrierOutOfRangeError,
     UnknownRateError,
     _freeze,
+    integer,
 )
 
 RATE_TOLERANCE = 0.01  # relative packet-rate difference pair_traces accepts
@@ -280,6 +281,7 @@ def write_csi_csv(trace: CsiTrace, stream=None) -> str | None:
 
 def magnitude_series(trace: CsiTrace, subcarrier: int) -> MagnitudeSeries:
     """Extract |iq[subcarrier]| per sample, preserving sample order."""
+    subcarrier = integer(subcarrier, "subcarrier")
     if not 0 <= subcarrier < trace.subcarriers:
         raise SubcarrierOutOfRangeError(
             f"subcarrier {subcarrier} outside [0, {trace.subcarriers})"

@@ -12,7 +12,7 @@ from csirecip.authsim import (
     verify_tag,
 )
 from csirecip.chansim import ChannelConfig, gen_attacker, gen_pair
-from csirecip.errors import TooShortError
+from csirecip.errors import InvalidParameterError, TooShortError
 from csirecip.traces import magnitude_series
 
 KEY = b"test-identity-key"
@@ -88,6 +88,23 @@ class TestHandshake:
         # PROBE_LEN = 600 samples scan +-200 lags: a max_shift of 200 could never be exceeded
         with pytest.raises(ValueError, match=f"got {max_shift}"):
             AuthPolicy(max_shift=max_shift)
+
+    def test_max_shift_normalised(self):
+        policy = AuthPolicy(max_shift=np.int64(30))
+        assert type(policy.max_shift) is int and policy.max_shift == 30
+
+    @pytest.mark.parametrize("side", ["ap", "sta"])
+    def test_trace_matrix_rejected(self, side):
+        # the (600, 8) complex i/q matrices were raveled, signed and correlated
+        cfg = ChannelConfig(duration_s=60.0, lag_samples=1, seed=7)
+        ap, sta, _ = gen_pair(cfg)
+        x, y = magnitude_series(ap, 6).values, magnitude_series(sta, 6).values
+        x, y = (ap.iq, y) if side == "ap" else (x, sta.iq)
+        name = "ap_csi" if side == "ap" else "csi"
+        with pytest.raises(InvalidParameterError) as exc:
+            run_handshake(x, y, AuthPolicy(), KEY)
+        assert str(exc.value) == (
+            f"{name} must be a 1-D real series, got shape (600, 8) of dtype complex128")
 
     @pytest.mark.parametrize("side", ["ap", "sta"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -12,11 +12,15 @@ from scipy.signal import lfilter
 
 import csirecip
 from csirecip.chansim import (
+    _TABLES,
     BLOCK,
     N_CARRIERS,
+    TABLE,
     ChannelConfig,
     LossEvent,
     _carrier_states,
+    _innovations,
+    _phasor_table,
     base_signal,
     gen_attacker,
     gen_pair,
@@ -60,6 +64,55 @@ def per_carrier_base_signal(cfg, n, start_s=0.0):
         c = lfilter_ou_process(total, dt, cfg.coherence_time_s, rng, complex_valued=True)
         x += (c * np.exp(2j * np.pi * carriers[k] * t)).real
     return x[offset:] / np.sqrt(N_CARRIERS / 2.0)
+
+
+def exp_per_block_base_signal(cfg, n, start_s=0.0):
+    """Reference: base_signal as it was before its phasor table, with its own
+    generators and buffers; every block computes its carrier-major phasors."""
+    dt = 1.0 / cfg.rate_hz
+    offset = int(round(start_s / dt))
+    total = offset + n
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(N_CARRIERS)]
+    draws = np.empty((N_CARRIERS, BLOCK, 2))
+    terms = draws.view(np.complex128)[..., 0]
+    coef = np.empty((BLOCK, N_CARRIERS), dtype=np.complex128)
+    rows = list(coef.view(np.float64))
+    omega = 2 * np.pi * np.geomspace(*cfg.base_band, N_CARRIERS)
+    rho = np.exp(-dt / cfg.coherence_time_s)
+    gain = np.sqrt(1 - rho * rho)
+    rho_row = np.full(2 * N_CARRIERS, rho)
+    prev = np.zeros(2 * N_CARRIERS)
+    step = np.empty(2 * N_CARRIERS)
+    x = np.zeros(n)
+    for a in range(0, total, BLOCK):
+        m = min(BLOCK, total - a)
+        for k, rng in enumerate(rngs):
+            rng.standard_normal(out=draws[k, :m])
+        innov = _innovations(draws[:, :m])
+        draws[:, 1 if a == 0 else 0:m] *= gain
+        np.copyto(coef[:m], innov.T)
+        for row in rows[:m]:
+            np.multiply(prev, rho_row, step)
+            np.add(row, step, row)
+            prev = row
+        prev = prev.copy()
+        lo = max(offset - a, 0)
+        if lo < m:
+            t = np.arange(a + lo, a + m) * dt
+            ph = terms[:, :m - lo]
+            ph.real = 0.0
+            np.multiply(omega[:, None], t, out=ph.imag)
+            np.exp(ph, out=ph)
+            np.multiply(coef[lo:m].T, ph, out=ph)
+            acc = x[a + lo - offset:a + m - offset]
+            for k in range(N_CARRIERS):
+                acc += ph[k].real
+    return x / np.sqrt(N_CARRIERS / 2.0)
+
+
+# (band, rate) pairs: the default, the keygen presets', a fast rate, an odd rate, a wide band
+CHANNELS = [((0.05, 2.0), 10.0), ((0.05, 0.8), 10.0), ((0.5, 20.0), 100.0),
+            ((0.1, 3.0), 7.3), ((0.01, 4.9), 10.0)]
 
 
 class TestOu:
@@ -176,9 +229,12 @@ class TestGenPair:
         assert isinstance(err.value, ValueError)
 
     # -1 reached numpy as a bare "expected non-negative integer", 1.5 as a TypeError
-    @pytest.mark.parametrize("seed", [-1, -2 ** 70, 1.5, np.float64(2.0), "3", None])
+    @pytest.mark.parametrize("seed", [-1, -2 ** 70, 1.5, np.float64(2.0), "3", None, True])
     def test_bad_seed_named(self, seed):
-        message = f"seed must be a non-negative integer, got {seed!r}"
+        if type(seed) is int:
+            message = f"seed must be a non-negative integer, got {seed!r}"
+        else:  # the one integer rule, errors.integer
+            message = f"seed must be an integer, got {seed!r}"
         with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
             ChannelConfig(seed=seed)
 
@@ -302,6 +358,39 @@ class TestBaseSignal:
             for case, x in results:
                 np.testing.assert_array_equal(x, want[cases.index(case)])
 
+    def test_phasor_table_read_only_and_shared(self):
+        cfg = ChannelConfig(duration_s=30.0, seed=1)
+        base_signal(cfg, 10)
+        table = _phasor_table(0.05, 2.0, 10.0)
+        assert table.shape == (TABLE, N_CARRIERS) and table.dtype == np.complex128
+        assert not table.flags.writeable and table.nbytes == 2 * 2 ** 20
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
+        before = _phasor_table.cache_info()
+        # another seed, and the band as a list of numpy floats, read the same table
+        base_signal(ChannelConfig(duration_s=30.0, seed=2, base_band=[np.float64(0.05), 2]), 700)
+        seen = []
+
+        def work():
+            base_signal(ChannelConfig(duration_s=30.0, seed=3), 300, 20.0)
+            seen.append(_phasor_table(0.05, 2.0, 10.0))
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+        assert len(seen) == 4 and all(t is table for t in seen)
+        after = _phasor_table.cache_info()
+        assert after.misses == before.misses and after.hits == before.hits + 9
+
+    def test_phasor_cache_bounded(self):
+        for band, rate in CHANNELS:
+            base_signal(ChannelConfig(duration_s=30.0, base_band=band, rate_hz=rate), 5)
+            info = _phasor_table.cache_info()
+            assert info.maxsize == _TABLES == 2 and info.currsize <= _TABLES
+        assert info.currsize == _TABLES
+
     def test_prefix_stability_across_horizons(self):
         cfg = ChannelConfig(duration_s=30.0, seed=9)
         short = base_signal(cfg, 100)
@@ -323,6 +412,27 @@ class TestBaseSignal:
         in_band = spec[(freqs >= 0.03) & (freqs <= 0.7)].sum()
         out_band = spec[freqs > 1.0].sum()
         assert out_band <= 0.01 * in_band
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3000),
+       offset=st.one_of(st.integers(0, 3 * TABLE),
+                        st.sampled_from([TABLE - BLOCK, TABLE - 1, TABLE, TABLE + 1])),
+       frac=st.sampled_from([0.0, 0.3, -0.3]),
+       channel=st.sampled_from(CHANNELS),
+       seed=st.integers(0, 2 ** 64))
+# inside the table, ending on its edge, one sample across it, starting on it, and past it
+@example(n=1, offset=0, frac=0.0, channel=CHANNELS[0], seed=0)
+@example(n=TABLE, offset=0, frac=0.0, channel=CHANNELS[0], seed=2 ** 64)
+@example(n=2, offset=TABLE - 1, frac=0.0, channel=CHANNELS[1], seed=5)
+@example(n=BLOCK, offset=TABLE, frac=0.0, channel=CHANNELS[1], seed=5)
+@example(n=3000, offset=TABLE + 1, frac=0.3, channel=CHANNELS[2], seed=2 ** 32)
+def test_base_signal_equals_exp_per_block(n, offset, frac, channel, seed):
+    band, rate = channel
+    cfg = ChannelConfig(duration_s=30.0, base_band=band, rate_hz=rate, seed=seed,
+                        coherence_time_s=60.0 + seed % 7)
+    start_s = (offset + frac) / rate  # rounds back to ``offset`` samples
+    assert np.array_equal(base_signal(cfg, n, start_s), exp_per_block_base_signal(cfg, n, start_s))
 
 
 @settings(max_examples=40, deadline=None)

@@ -10,13 +10,14 @@ import pytest
 
 import csirecip
 from csirecip import errors
-from csirecip.authsim import AuthMessage, AuthPolicy, temporal_decorrelation_curve
+from csirecip.authsim import (AuthMessage, AuthPolicy, run_handshake, sign_csi,
+                              temporal_decorrelation_curve)
 from csirecip.chansim import ChannelConfig, gen_attacker
 from csirecip.errors import CsiRecipError, InvalidParameterError
 from csirecip.keygen import KeyBlock, QuantizerSpec
 from csirecip.metrics import DivergenceConfig
 from csirecip.reconstruct import ReciprocalBand
-from csirecip.traces import CsiTrace, MagnitudeSeries, pair_traces
+from csirecip.traces import CsiTrace, MagnitudeSeries, magnitude_series, pair_traces
 from csirecip.wavelet import CoherenceMap, CwtParams, Scalogram
 
 SRC = Path(csirecip.__file__).parent
@@ -72,6 +73,20 @@ def _trace(**kw):
      "traces declare different subcarrier counts: AP 1, STA 2"),
     (lambda: AuthPolicy(min_corr=1.5), "min_corr must be in (0, 1), got 1.5"),
     (lambda: AuthPolicy(max_shift=200), "max_shift must be in [0, 200), got 200"),
+    # each was accepted, or ended in a bare IndexError
+    (lambda: AuthPolicy(max_shift=2.5), "max_shift must be an integer, got 2.5"),
+    (lambda: AuthPolicy(max_shift=True), "max_shift must be an integer, got True"),
+    (lambda: magnitude_series(_trace(), 1.5), "subcarrier must be an integer, got 1.5"),
+    (lambda: pair_traces(_trace(), _trace(), 0.0), "subcarrier must be an integer, got 0.0"),
+    (lambda: errors.integer(np.True_, "n"), "n must be an integer, got np.True_"),
+    # a 2-D or complex window was raveled and signed, with only a ComplexWarning
+    (lambda: sign_csi(np.ones((3, 2)), b"k"),
+     "csi must be a 1-D real series, got shape (3, 2) of dtype float64"),
+    (lambda: sign_csi(np.ones(3, complex), b"k"),
+     "csi must be a 1-D real series, got shape (3,) of dtype complex128"),
+    (lambda: sign_csi(2.0, b"k"), "csi must be a 1-D real series, got shape () of dtype float64"),
+    (lambda: run_handshake(np.ones((4, 1)), np.ones(4), AuthPolicy(), b"k"),
+     "ap_csi must be a 1-D real series, got shape (4, 1) of dtype float64"),
     (lambda: temporal_decorrelation_curve(None, [0, 20, 10]),
      "gaps must be ascending and start at 0, got [0, 20, 10]"),
     (lambda: DivergenceConfig(bins=1), "bins must be >= 2, got 1"),

@@ -123,6 +123,23 @@ class TestGray:
         with pytest.raises(InvalidParameterError):
             gray_encode([4], 4)
 
+    # a cast to int64 coded 1.7 and 2.2 as levels 1 and 2
+    @pytest.mark.parametrize("levels, message", [
+        ([1.7, 2.2], "levels must be integers, got 1.7 at index 0"),
+        ([0, 2.0, 2.5], "levels must be integers, got 2.5 at index 2"),
+        (np.array([[0.0, 1.0], [3.0, np.nan]]), "levels must be integers, got nan at index 3"),
+        ([1.0, -np.inf], "levels must be integers, got -inf at index 1"),
+    ])
+    def test_fractional_level_named(self, levels, message):
+        with pytest.raises(InvalidParameterError) as exc:
+            gray_encode(levels, 4)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("levels", [[0.0, 3.0, 1.0], np.array([0, 3, 1], np.uint8),
+                                        np.array([0, 3, 1], np.int32)])
+    def test_integral_levels_of_any_dtype(self, levels):
+        np.testing.assert_array_equal(gray_encode(levels, 4), gray_encode([0, 3, 1], 4))
+
 
 def shift_gray_encode(levels_seq, levels_count):
     """The shift-per-level encoder gray_encode was before its table: the reference."""

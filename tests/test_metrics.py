@@ -216,7 +216,7 @@ class TestXcorr:
         with pytest.raises(TooShortError):
             xcorr_lag(np.arange(10.0), np.arange(10.0), 5)
 
-    @pytest.mark.parametrize("max_lag", [-3, 2.5], ids=["negative", "non-integral"])
+    @pytest.mark.parametrize("max_lag", [-3, 2.5, True], ids=["negative", "non-integral", "bool"])
     def test_bad_max_lag_named(self, max_lag):
         with pytest.raises(InvalidParameterError, match=re.escape(repr(max_lag))) as err:
             xcorr_lag(np.arange(10.0), np.arange(10.0), max_lag)
