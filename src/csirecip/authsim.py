@@ -17,7 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateSeriesError, InvalidParameterError, TooShortError, _freeze, integer
+from .errors import (DegenerateSeriesError, InvalidParameterError, TooShortError, _freeze, integer,
+                     real)
 from .metrics import pearson, xcorr_lag
 
 PROBE_LEN = 600  # samples of each side's CSI that the channel checks compare
@@ -41,13 +42,9 @@ class AuthPolicy:
     max_shift: int = 50
 
     def __post_init__(self):
-        if not 0 < self.min_corr < 1:
-            raise InvalidParameterError(f"min_corr must be in (0, 1), got {self.min_corr!r}")
-        max_shift = integer(self.max_shift, "max_shift")
-        if not 0 <= max_shift < PROBE_LEN // 3:
-            raise InvalidParameterError(
-                f"max_shift must be in [0, {PROBE_LEN // 3}), got {self.max_shift!r}")
-        object.__setattr__(self, "max_shift", max_shift)
+        real(self.min_corr, "min_corr", hi=1)
+        object.__setattr__(self, "max_shift",
+                           integer(self.max_shift, "max_shift", 0, PROBE_LEN // 3))
 
 
 @dataclass(frozen=True)
@@ -176,15 +173,15 @@ def temporal_decorrelation_curve(generator, gaps, seed: int = 0
     :class:`TooShortError`.
     """
     gaps = list(gaps)
+    for gap in gaps:
+        real(gap, "gaps", zero=True)
     if not gaps or gaps[0] != 0 or gaps != sorted(gaps):
         raise InvalidParameterError(f"gaps must be ascending and start at 0, got {gaps}")
     rng = np.random.default_rng(seed)
     min_len = 3 * (AuthPolicy.max_shift + 1)
     out = []
     for gap in gaps:
-        x, y = generator(float(gap), rng)
-        x = np.asarray(x, dtype=np.float64).ravel()
-        y = np.asarray(y, dtype=np.float64).ravel()
+        x, y = (_csi_window(s, f"gap {gap}: each series") for s in generator(float(gap), rng))
         n = min(len(x), len(y))
         if n < min_len:
             raise TooShortError(f"gap {gap}: series of {n} samples, need at least {min_len}")

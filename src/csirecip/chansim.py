@@ -17,11 +17,11 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import inf, isfinite
+from math import inf
 
 import numpy as np
 
-from .errors import InvalidParameterError, UnknownPresetError, integer
+from .errors import InvalidParameterError, UnknownPresetError, integer, real
 from .traces import CsiTrace
 
 MAGNITUDE_OFFSET = 10.0  # keeps simulated magnitudes positive
@@ -40,13 +40,8 @@ class LossEvent:
         if self.side not in ("ap", "sta"):
             raise InvalidParameterError(f"LossEvent.side must be 'ap' or 'sta', got {self.side!r}")
         # a negative start would index the packets from the end of the trace
-        if not (isfinite(self.start_s) and self.start_s >= 0):
-            raise InvalidParameterError(
-                f"LossEvent.start_s must be finite and >= 0, got {self.start_s!r}")
-        count = integer(self.count, "LossEvent.count")
-        if count < 0:
-            raise InvalidParameterError(f"LossEvent.count must be >= 0, got {self.count!r}")
-        object.__setattr__(self, "count", count)
+        real(self.start_s, "LossEvent.start_s", zero=True)
+        object.__setattr__(self, "count", integer(self.count, "LossEvent.count", 0))
 
 
 @dataclass(frozen=True)
@@ -62,14 +57,9 @@ class ChannelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        seed = integer(self.seed, "seed")
-        if seed < 0:
-            raise InvalidParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", integer(self.seed, "seed", 0))
         for name in ("duration_s", "rate_hz", "coherence_time_s"):
-            value = getattr(self, name)
-            if not (isfinite(value) and value > 0):
-                raise InvalidParameterError(f"{name} must be finite and positive, got {value!r}")
+            real(getattr(self, name), name)
         if not self.snr_db > -inf:  # NaN or -inf; +inf is noise-free
             raise InvalidParameterError(f"snr_db must be a number above -inf, got {self.snr_db!r}")
         f_lo, f_hi = self.base_band
@@ -84,15 +74,12 @@ class ChannelConfig:
                 f"duration_s must give at least one sample at {self.rate_hz} Hz, "
                 f"got {self.duration_s}"
             )
-        subcarriers = integer(self.subcarriers, "subcarriers")
-        if subcarriers < 1:
-            raise InvalidParameterError(f"subcarriers must be >= 1, got {self.subcarriers!r}")
+        object.__setattr__(self, "subcarriers", integer(self.subcarriers, "subcarriers", 1))
         lag = integer(self.lag_samples, "lag_samples")
         if abs(lag) >= self.n_samples:  # the devices would share no sample
             raise InvalidParameterError(
                 f"|lag_samples| must be below the {self.n_samples} samples of duration_s, "
                 f"got {self.lag_samples!r}")
-        object.__setattr__(self, "subcarriers", subcarriers)
         object.__setattr__(self, "lag_samples", lag)
         object.__setattr__(self, "loss", tuple(self.loss))
 
@@ -108,12 +95,8 @@ def ou_process(n: int, dt: float, tau: float, rng: np.random.Generator,
     Autocorrelation at lag k*dt is exp(-k*dt/tau) in expectation; the
     stationary start draws x[0] from the stationary law.
     """
-    if n < 1:
-        raise InvalidParameterError(f"n must be >= 1, got {n!r}")
-    for name, value in (("dt", dt), ("tau", tau)):
-        if not (isfinite(value) and value > 0):
-            raise InvalidParameterError(f"{name} must be finite and positive, got {value!r}")
-    rho = float(np.exp(-dt / tau))
+    n = integer(n, "n", 1)
+    rho = float(np.exp(-real(dt, "dt") / real(tau, "tau")))
     if complex_valued:
         # interleaved draws keep sample i independent of the horizon n,
         # which is what makes delayed-replay windows prefix-stable

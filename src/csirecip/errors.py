@@ -1,5 +1,5 @@
-"""Exception hierarchy for csirecip, the one finite-input check, the one
-integer-argument check and the one frozen-array rule.
+"""Exception hierarchy for csirecip, the one finite-input check, the two
+scalar-argument rules (integer and real) and the one frozen-array rule.
 
 Every data-dependent failure raises a subclass of :class:`CsiRecipError`,
 so callers (and the CLI) can distinguish data errors from programming
@@ -7,7 +7,9 @@ errors with a single except clause.  Any bad argument or field raises
 :class:`InvalidParameterError` (also a ``ValueError``) naming the value.
 """
 
+import numbers
 import operator
+from math import inf, isfinite, nan
 
 import numpy as np
 
@@ -23,7 +25,7 @@ class InvalidParameterError(CsiRecipError, ValueError):
 # --- trace ingestion / pairing ---
 
 class MalformedHeaderError(CsiRecipError):
-    """CSV header is missing or does not declare i/q columns."""
+    """CSV text is not UTF-8, or its header is missing or does not declare i/q columns."""
 
 
 class EmptyTraceError(CsiRecipError):
@@ -81,15 +83,37 @@ def finite_series(x, name: str = "input") -> np.ndarray:
     return a
 
 
-def integer(value, name: str) -> int:
-    """``value`` as a Python int by ``operator.index``, so a numpy integer passes and
-    a float, even 2.0, or a bool raises :class:`InvalidParameterError` naming ``name``."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+def integer(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
+    """``value`` as an int by ``operator.index`` (a numpy integer passes, a float or a bool
+    does not), in ``[lo, hi)``: else :class:`InvalidParameterError`, ``{name} must be an
+    integer``, ``must be >= {lo}`` or ``must be in [{lo}, {hi})``, ``got …``."""
+    try:
+        i = None if isinstance(value, (bool, np.bool_)) else operator.index(value)
+    except TypeError:
+        i = None
+    if i is None:
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if hi is not None and not lo <= i < hi:
+        raise InvalidParameterError(f"{name} must be in [{lo}, {hi}), got {i}")
+    if lo is not None and i < lo:
+        raise InvalidParameterError(f"{name} must be >= {lo}, got {i}")
+    return i
+
+
+def real(value, name: str, hi: float | None = None, zero: bool = False) -> float:
+    """``value`` as a float, if it is a real number but not a bool, finite, above 0 (or at 0,
+    with ``zero``) and at most ``hi``: else :class:`InvalidParameterError`, ``{name} must be
+    finite and positive`` (``>= 0``) or ``must be in (0, {hi}]`` (``[0``), ``got {value!r}``."""
+    try:
+        x = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else nan
+    except OverflowError:  # an int past the float range
+        x = inf
+    if isfinite(x) and (x >= 0 if zero else x > 0) and (hi is None or x <= hi):
+        return x
+    if hi is None:
+        raise InvalidParameterError(
+            f"{name} must be finite and {'>= 0' if zero else 'positive'}, got {value!r}")
+    raise InvalidParameterError(f"{name} must be in {'[' if zero else '('}0, {hi}], got {value!r}")
 
 
 def _freeze(obj, **dtypes) -> None:

@@ -8,7 +8,6 @@ bit-error thresholds.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -138,8 +137,8 @@ def _check_levels(levels, name: str = "levels") -> int:
 def _error_thresholds(values, name: str) -> tuple[int, ...]:
     """``values`` as a tuple of ints, if they are nonempty and ascending."""
     try:
-        th = tuple(operator.index(t) for t in values)
-    except TypeError:
+        th = tuple(integer(t, name) for t in values)
+    except (TypeError, InvalidParameterError):  # not iterable, or not integers
         raise InvalidParameterError(f"{name} must be integers, got {values!r}") from None
     if not th or list(th) != sorted(th):
         raise InvalidParameterError(f"{name} must be nonempty ascending, got {list(th)}")
@@ -225,11 +224,13 @@ def gray_encode(levels_seq, levels_count: int) -> np.ndarray:
     levels_count = _check_levels(levels_count, "levels_count")
     lv = np.asarray(levels_seq)
     if lv.dtype.kind not in "iu":  # a cast to int64 would truncate 1.7 to level 1
-        lv = np.asarray(lv, dtype=np.float64)
-        bad = np.flatnonzero(~np.isfinite(lv) | (lv != np.round(lv)))
+        # a cast to float64 would drop an imaginary part, so no complex level passes
+        fl = np.asarray(lv.real, dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(fl) | (fl != np.round(fl)) | (lv.dtype.kind == "c"))
         if bad.size:
             raise InvalidParameterError(
-                f"levels must be integers, got {float(lv.flat[bad[0]])!r} at index {bad[0]}")
+                f"levels must be integers, got {lv.ravel().tolist()[bad[0]]!r} at index {bad[0]}")
+        lv = fl
     lv = lv.astype(np.int64, copy=False).ravel()
     if lv.size and (lv.min() < 0 or lv.max() >= levels_count):
         raise InvalidParameterError(
@@ -251,9 +252,7 @@ def make_keys(x, block_len: int = BLOCK_LEN, levels: int = 4) -> tuple[list[KeyB
     (blocks, block_len) matrix.
     """
     x = finite_series(x, "x")
-    block_len = integer(block_len, "block_len")
-    if block_len < 1:
-        raise InvalidParameterError(f"block_len must be >= 1, got {block_len}")
+    block_len = integer(block_len, "block_len", 1)
     levels = _check_levels(levels)
     if len(x) < block_len:
         raise TooShortError(f"{len(x)} samples < block_len {block_len}")
@@ -283,8 +282,7 @@ def evaluate(keys_a: list[KeyBlock], keys_b: list[KeyBlock], total_packets: int,
     """
     if len(keys_a) != len(keys_b):
         raise LengthMismatchError(f"{len(keys_a)} vs {len(keys_b)} blocks")
-    if total_packets <= 0:
-        raise InvalidParameterError(f"total_packets must be positive, got {total_packets!r}")
+    total_packets = integer(total_packets, "total_packets", 1)
     thresholds = _error_thresholds(thresholds, "thresholds")
 
     bits_a = [k.bits for k in keys_a]

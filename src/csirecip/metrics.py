@@ -14,11 +14,11 @@ import numpy as np
 
 from .errors import (
     DegenerateSeriesError,
-    InvalidParameterError,
     LengthMismatchError,
     TooShortError,
     finite_series,
     integer,
+    real,
 )
 
 
@@ -37,10 +37,8 @@ class DivergenceConfig:
     epsilon: float = 1e-9
 
     def __post_init__(self):
-        if self.bins < 2:
-            raise InvalidParameterError(f"bins must be >= 2, got {self.bins!r}")
-        if not self.epsilon > 0:
-            raise InvalidParameterError(f"epsilon must be positive, got {self.epsilon!r}")
+        object.__setattr__(self, "bins", integer(self.bins, "bins", 2))
+        real(self.epsilon, "epsilon")
 
 
 @dataclass(frozen=True)
@@ -171,9 +169,7 @@ def xcorr_lag(x, y, max_lag: int) -> LagEstimate:
     if len(x) != len(y):
         raise LengthMismatchError(f"lengths differ: {len(x)} vs {len(y)}")
     n = len(x)
-    max_lag = integer(max_lag, "max_lag")
-    if max_lag < 0:
-        raise InvalidParameterError(f"max_lag must be a non-negative integer, got {max_lag!r}")
+    max_lag = integer(max_lag, "max_lag", 0)
     if n <= 2 * max_lag:
         raise TooShortError(f"need length > {2 * max_lag}, got {n}")
 

@@ -17,6 +17,8 @@ from .errors import (
     TooShortError,
     UnusableCoherenceError,
     _freeze,
+    integer,
+    real,
 )
 from .wavelet import CoherenceMap, CwtParams, _band_filter
 
@@ -38,10 +40,8 @@ class ReciprocalBand:
         _freeze(self, f_rec=np.float64)
         if self.f_rec.size == 0:
             raise InvalidParameterError(f"f_rec must be nonempty, got {self.f_rec.tolist()}")
-        if not 0 < self.alpha <= 1:
-            raise InvalidParameterError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.beta < 1:
-            raise InvalidParameterError(f"beta must be >= 1, got {self.beta}")
+        real(self.alpha, "alpha", hi=1)
+        object.__setattr__(self, "beta", integer(self.beta, "beta", 1))
 
 
 # --- baseline pipelines ---
@@ -53,10 +53,10 @@ def golay_filter(x, window: int = 11, order: int = 3) -> np.ndarray:
     edge window and evaluating it there (scipy's ``mode="interp"``).
     """
     x = np.asarray(x, dtype=np.float64).ravel()
-    if window % 2 == 0 or window < 3:
+    window = integer(window, "window", 3)
+    if window % 2 == 0:
         raise InvalidParameterError(f"window must be odd and >= 3, got {window}")
-    if order >= window:
-        raise InvalidParameterError(f"order {order} must be < window {window}")
+    order = integer(order, "order", 0, window)
     if window > len(x):
         raise InvalidParameterError(f"window {window} exceeds series length {len(x)}")
     half = window // 2
@@ -78,8 +78,7 @@ def fft_reconstruct(x, power_keep: float = 0.98) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64).ravel()
     if len(x) < 8:
         raise TooShortError(f"need at least 8 samples, got {len(x)}")
-    if not 0 < power_keep <= 1:
-        raise InvalidParameterError(f"power_keep must be in (0, 1], got {power_keep}")
+    real(power_keep, "power_keep", hi=1)
     mean = x.mean()
     spec = np.fft.rfft(x - mean)
     power = np.abs(spec) ** 2
@@ -150,9 +149,9 @@ def wpt_denoise(x, depth: int = 4) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     n0 = len(x)
-    block = 1 << depth
+    block = 1 << integer(depth, "depth", 1)
     if n0 < block:
-        raise TooShortError(f"need at least 2**{depth} = {block} samples, got {n0}")
+        raise TooShortError(f"need at least 2**{depth} samples, got {n0}")
     n = ((n0 + block - 1) // block) * block
     xp = np.pad(x, (0, n - n0), mode="reflect") if n != n0 else x
     coef = np.array(wpt_forward(xp, depth))  # one row per band
@@ -170,11 +169,8 @@ def select_reciprocal_freqs(cmap: CoherenceMap, alpha: float, beta: int) -> Reci
     bins (the reconstruction contract), while ``f_rec`` records the bins
     individually.
     """
-    n_times = cmap.wc.shape[1]
-    if not 0 < alpha <= 1:
-        raise InvalidParameterError(f"alpha must be in (0, 1], got {alpha}")
-    if not 1 <= beta <= n_times:
-        raise InvalidParameterError(f"beta must be in [1, {n_times}], got {beta}")
+    alpha = real(alpha, "alpha", hi=1)
+    beta = integer(beta, "beta", 1, cmap.wc.shape[1] + 1)
     counts = (cmap.wc >= alpha).sum(axis=1)
     sel = np.flatnonzero(counts >= beta)
     if sel.size == 0:
@@ -245,6 +241,7 @@ def apply_lag(x, y, lag: int) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
     n = len(x)
+    lag = integer(lag, "lag")
     if lag > 0:
         return x[: n - lag], y[lag:]
     if lag < 0:

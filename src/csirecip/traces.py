@@ -31,6 +31,7 @@ from .errors import (
     UnknownRateError,
     _freeze,
     integer,
+    real,
 )
 
 RATE_TOLERANCE = 0.01  # relative packet-rate difference pair_traces accepts
@@ -49,9 +50,7 @@ class CsiTrace:
     parse_stats: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        if not (isfinite(self.rate_hz) and self.rate_hz > 0):
-            raise InvalidParameterError(
-                f"rate_hz must be finite and positive, got {self.rate_hz!r}")
+        real(self.rate_hz, "rate_hz")
         if any(c in self.device_id for c in ",\n\r"):  # would break its CSV row
             raise InvalidParameterError(
                 f"device_id {self.device_id!r} must not hold ',', '\\n' or '\\r'")
@@ -102,6 +101,7 @@ class MagnitudeSeries:
     rate_hz: float
 
     def __post_init__(self):
+        real(self.rate_hz, "rate_hz")
         _freeze(self, values=np.float64, seqs=np.int64)
         if self.values.shape != self.seqs.shape:
             raise InvalidParameterError(f"values and seqs must have equal length, got shapes "
@@ -132,14 +132,14 @@ def parse_csi_csv(stream, rate_hz: float | None = None) -> CsiTrace:
     raised when they hold one row, or their times do not increase, or the
     spans give no finite positive rate.
     """
-    if isinstance(stream, bytes):
-        text = stream.decode("utf-8")
-    elif isinstance(stream, str):
-        text = stream
-    else:
-        text = stream.read()
-        if isinstance(text, bytes):
+    text = stream if isinstance(stream, (bytes, str)) else stream.read()
+    if isinstance(text, bytes):
+        try:
             text = text.decode("utf-8")
+        except UnicodeDecodeError as e:
+            line = text.count(b"\n", 0, e.start) + 1
+            raise MalformedHeaderError(f"line {line} is not UTF-8: byte {text[e.start]:#04x} "
+                                       f"at offset {e.start}") from None
 
     text = text.removeprefix("\ufeff")
     lines = [ln for ln in text.split("\n") if ln.strip()]
@@ -177,7 +177,7 @@ def parse_csi_csv(stream, rate_hz: float | None = None) -> CsiTrace:
     return CsiTrace(
         device_id=device_id,
         subcarriers=n_sub,
-        rate_hz=float(rate_hz),
+        rate_hz=real(rate_hz, "rate_hz"),
         seqs=seqs,
         t=ts,
         iq=iq.view(np.complex128),  # i, q interleaved

@@ -34,7 +34,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EmptyBandError, InvalidParameterError, TooShortError, _freeze, finite_series
+from .errors import (EmptyBandError, InvalidParameterError, TooShortError, _freeze, finite_series,
+                     integer, real)
 
 OMEGA0 = 6.0  # Morlet center-frequency parameter (>= 5 keeps the wavelet admissible)
 HYSTERESIS = 0.1  # coherence rise above the floor that ends a detected gap
@@ -62,9 +63,8 @@ class CwtParams:
     voices_per_octave: int = 12
 
     def __post_init__(self):
-        if self.voices_per_octave < 4:
-            raise InvalidParameterError(
-                f"voices_per_octave must be >= 4, got {self.voices_per_octave}")
+        object.__setattr__(self, "voices_per_octave",
+                           integer(self.voices_per_octave, "voices_per_octave", 4))
         if not (0 < self.min_freq < self.max_freq <= self.sample_rate / 2):
             raise InvalidParameterError(
                 "need 0 < min_freq < max_freq <= sample_rate/2, got "
@@ -93,7 +93,7 @@ def default_params(n_samples: int, sample_rate: float, periods: float = 4.0) -> 
     1 maximizes the octave span (useful for threshold agreement on short
     probe windows).
     """
-    duration = n_samples / sample_rate
+    duration = integer(n_samples, "n_samples", 1) / real(sample_rate, "sample_rate")
     return CwtParams(
         min_freq=periods / duration,
         max_freq=sample_rate / 2,

@@ -232,7 +232,7 @@ class TestGenPair:
     @pytest.mark.parametrize("seed", [-1, -2 ** 70, 1.5, np.float64(2.0), "3", None, True])
     def test_bad_seed_named(self, seed):
         if type(seed) is int:
-            message = f"seed must be a non-negative integer, got {seed!r}"
+            message = f"seed must be >= 0, got {seed!r}"
         else:  # the one integer rule, errors.integer
             message = f"seed must be an integer, got {seed!r}"
         with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):

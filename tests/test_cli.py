@@ -59,7 +59,7 @@ class TestSimulate:
         # was numpy's bare "expected non-negative integer", naming neither flag nor value
         rc = run(["simulate", "--seed", "-1", "--duration", "5", "--out-dir", str(tmp_path)])
         assert rc == EXIT_DATA
-        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "ap.csv").exists()
 
     def test_lag_beyond_duration_exits_2(self, tmp_path, capsys):
@@ -135,6 +135,15 @@ class TestMetrics:
                   *flag])
         assert rc == EXIT_USAGE
         assert flag[0] in capsys.readouterr().err
+
+    def test_non_utf8_file_names_the_line(self, sim_dir, tmp_path, capsys):
+        # a UnicodeDecodeError that named neither the line nor the offset
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"seq,t,dev,i0,q0\n1,0.1,\xff,1,2\n")
+        rc = run(["metrics", "--ap", str(bad), "--sta", str(sim_dir / "sta.csv")])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == "error: line 2 is not UTF-8: byte 0xff at offset 22\n"
 
     def test_out_file(self, sim_dir, tmp_path):
         dest = tmp_path / "m.json"

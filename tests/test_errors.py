@@ -2,23 +2,30 @@
 
 import ast
 import inspect
+import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import csirecip
 from csirecip import errors
 from csirecip.authsim import (AuthMessage, AuthPolicy, run_handshake, sign_csi,
                               temporal_decorrelation_curve)
-from csirecip.chansim import ChannelConfig, gen_attacker
-from csirecip.errors import CsiRecipError, InvalidParameterError
-from csirecip.keygen import KeyBlock, QuantizerSpec
-from csirecip.metrics import DivergenceConfig
-from csirecip.reconstruct import ReciprocalBand
-from csirecip.traces import CsiTrace, MagnitudeSeries, magnitude_series, pair_traces
-from csirecip.wavelet import CoherenceMap, CwtParams, Scalogram
+from csirecip.chansim import ChannelConfig, LossEvent, gen_attacker, ou_process
+from csirecip.errors import CsiRecipError, InvalidParameterError, MalformedHeaderError
+from csirecip.keygen import (KeyBlock, QuantizerSpec, SessionConfig, evaluate, gray_encode,
+                             make_keys)
+from csirecip.metrics import DivergenceConfig, xcorr_lag
+from csirecip.reconstruct import (ReciprocalBand, apply_lag, fft_reconstruct, golay_filter,
+                                  select_reciprocal_freqs, wpt_denoise)
+from csirecip.traces import (CsiTrace, MagnitudeSeries, magnitude_series, pair_traces,
+                             parse_csi_csv)
+from csirecip.wavelet import CoherenceMap, CwtParams, Scalogram, default_params
 
 SRC = Path(csirecip.__file__).parent
 
@@ -49,10 +56,32 @@ def test_no_plain_value_error_raised():
     assert hits == []
 
 
+def test_operator_index_only_in_errors():
+    # the integer rule, errors.integer, is the one place that reads an int argument
+    assert [path.name for path in SRC.glob("*.py")
+            if "operator.index" in path.read_text() and path.name != "errors.py"] == []
+
+
 def _trace(**kw):
     args = dict(device_id="ap", subcarriers=1, rate_hz=10.0, seqs=[1, 2], t=[0.1, 0.2],
                 iq=np.ones((2, 1)))
     return CsiTrace(**{**args, **kw})
+
+
+PARAMS = CwtParams(0.1, 5.0, 10.0)
+NB = len(PARAMS.freq_grid())
+
+
+def _cmap(**kw):
+    grid = np.zeros((NB, 4))
+    args = dict(wc=grid.copy(), phase=grid.copy(), freqs=PARAMS.freq_grid(),
+                times=np.arange(4.0), coi=np.ones((NB, 4), bool), params=PARAMS)
+    return CoherenceMap(**{**args, **kw})
+
+
+def _pairs_of(series):
+    """A decorrelation-curve generator returning ``series`` for both devices."""
+    return lambda gap_s, rng: (series, series)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -71,7 +100,7 @@ def _trace(**kw):
      "unknown gap_policy 'nearest'"),
     (lambda: pair_traces(_trace(), _trace(subcarriers=2, iq=np.ones((2, 2))), 0),
      "traces declare different subcarrier counts: AP 1, STA 2"),
-    (lambda: AuthPolicy(min_corr=1.5), "min_corr must be in (0, 1), got 1.5"),
+    (lambda: AuthPolicy(min_corr=1.5), "min_corr must be in (0, 1], got 1.5"),
     (lambda: AuthPolicy(max_shift=200), "max_shift must be in [0, 200), got 200"),
     # each was accepted, or ended in a bare IndexError
     (lambda: AuthPolicy(max_shift=2.5), "max_shift must be an integer, got 2.5"),
@@ -90,9 +119,42 @@ def _trace(**kw):
     (lambda: temporal_decorrelation_curve(None, [0, 20, 10]),
      "gaps must be ascending and start at 0, got [0, 20, 10]"),
     (lambda: DivergenceConfig(bins=1), "bins must be >= 2, got 1"),
-    (lambda: DivergenceConfig(epsilon=0.0), "epsilon must be positive, got 0.0"),
+    (lambda: DivergenceConfig(epsilon=0.0), "epsilon must be finite and positive, got 0.0"),
     (lambda: gen_attacker(ChannelConfig(duration_s=1.0), "teleport"),
      "unknown attacker mode 'teleport'"),
+    # each ended in a bare TypeError, IndexError, ValueError or ZeroDivisionError, or was
+    # accepted (depth 0 returned a result, total_packets nan gave a NaN kgr)
+    (lambda: golay_filter(np.ones(20), window=11.0), "window must be an integer, got 11.0"),
+    (lambda: golay_filter(np.ones(20), order=2.5), "order must be an integer, got 2.5"),
+    (lambda: wpt_denoise(np.ones(32), depth=2.5), "depth must be an integer, got 2.5"),
+    (lambda: wpt_denoise(np.ones(32), depth=-1), "depth must be >= 1, got -1"),
+    (lambda: wpt_denoise(np.ones(32), depth=0), "depth must be >= 1, got 0"),
+    (lambda: apply_lag(np.ones(4), np.ones(4), 2.5), "lag must be an integer, got 2.5"),
+    (lambda: ou_process(2.5, 0.1, 1.0, np.random.default_rng(0)),
+     "n must be an integer, got 2.5"),
+    (lambda: default_params(0, 10.0), "n_samples must be >= 1, got 0"),
+    (lambda: DivergenceConfig(bins=2.5), "bins must be an integer, got 2.5"),
+    (lambda: select_reciprocal_freqs(_cmap(), 0.5, 2.5), "beta must be an integer, got 2.5"),
+    (lambda: ReciprocalBand([0.5], (0.5, 0.5), 0.5, 3.5), "beta must be an integer, got 3.5"),
+    (lambda: CwtParams(0.1, 5.0, 10.0, 4.5), "voices_per_octave must be an integer, got 4.5"),
+    (lambda: evaluate([], [], 2.5), "total_packets must be an integer, got 2.5"),
+    (lambda: evaluate([], [], np.nan), "total_packets must be an integer, got nan"),
+    (lambda: MagnitudeSeries(0, [1.0], [1], np.nan),
+     "rate_hz must be finite and positive, got nan"),
+    (lambda: temporal_decorrelation_curve(None, [0, np.nan]),
+     "gaps must be finite and >= 0, got nan"),
+    # a generator's matrices were raveled to one series, a complex series cast to float
+    (lambda: temporal_decorrelation_curve(_pairs_of(np.ones((200, 2))), [0, 10]),
+     "gap 0: each series must be a 1-D real series, got shape (200, 2) of dtype float64"),
+    (lambda: temporal_decorrelation_curve(_pairs_of(np.ones(200, complex)), [0, 10]),
+     "gap 0: each series must be a 1-D real series, got shape (200,) of dtype complex128"),
+    # coded from its real part, with only a ComplexWarning
+    (lambda: gray_encode([1 + 0j], 4), "levels must be integers, got (1+0j) at index 0"),
+    # a bare ValueError from float(), and True read as 1 Hz
+    (lambda: parse_csi_csv("seq,t,dev,i0,q0\n1,0.1,a,1,2\n", rate_hz="abc"),
+     "rate_hz must be finite and positive, got 'abc'"),
+    (lambda: parse_csi_csv("seq,t,dev,i0,q0\n1,0.1,a,1,2\n", rate_hz=True),
+     "rate_hz must be finite and positive, got True"),
 ])
 def test_bad_parameter_names_value(call, message):
     with pytest.raises(InvalidParameterError) as exc:
@@ -101,20 +163,97 @@ def test_bad_parameter_names_value(call, message):
     assert isinstance(exc.value, ValueError)
 
 
+def test_non_utf8_csv_names_line_and_offset():
+    # was a bare UnicodeDecodeError
+    with pytest.raises(MalformedHeaderError) as exc:
+        parse_csi_csv(b"seq,t,dev,i0,q0\n1,0.1,\xff,1,2\n")
+    assert str(exc.value) == "line 2 is not UTF-8: byte 0xff at offset 22"
+
+
+def _noise_pair(gap_s, rng):
+    return rng.normal(size=200), rng.normal(size=200)
+
+
+# (public callable, numeric parameter): a call with that one argument set to v
+INTEGER_PARAMS = {
+    "LossEvent.count": lambda v: LossEvent("ap", 0.0, v),
+    "ChannelConfig.seed": lambda v: ChannelConfig(seed=v),
+    "ChannelConfig.subcarriers": lambda v: ChannelConfig(subcarriers=v),
+    "ChannelConfig.lag_samples": lambda v: ChannelConfig(lag_samples=v),
+    "ou_process.n": lambda v: ou_process(v, 0.1, 1.0, np.random.default_rng(0)),
+    "AuthPolicy.max_shift": lambda v: AuthPolicy(max_shift=v),
+    "make_keys.block_len": lambda v: make_keys(np.arange(300.0), v),
+    "evaluate.total_packets": lambda v: evaluate([], [], v),
+    "evaluate.thresholds": lambda v: evaluate([], [], 10, (v, 15)),
+    "SessionConfig.error_thresholds": lambda v: SessionConfig(error_thresholds=(v,)),
+    "DivergenceConfig.bins": lambda v: DivergenceConfig(bins=v),
+    "xcorr_lag.max_lag": lambda v: xcorr_lag(np.sin(np.arange(64.0)), np.cos(np.arange(64.0)), v),
+    "ReciprocalBand.beta": lambda v: ReciprocalBand([0.5], (0.5, 0.5), 0.5, v),
+    "select_reciprocal_freqs.beta": lambda v: select_reciprocal_freqs(_cmap(), 0.5, v),
+    "golay_filter.window": lambda v: golay_filter(np.ones(20), window=v),
+    "golay_filter.order": lambda v: golay_filter(np.ones(20), order=v),
+    "CwtParams.voices_per_octave": lambda v: CwtParams(0.1, 5.0, 10.0, v),
+    "wpt_denoise.depth": lambda v: wpt_denoise(np.ones(32), depth=v),
+    "apply_lag.lag": lambda v: apply_lag(np.ones(4), np.ones(4), v),
+    "default_params.n_samples": lambda v: default_params(v, 10.0),
+}
+REAL_PARAMS = {
+    "LossEvent.start_s": lambda v: LossEvent("ap", v, 1),
+    "ChannelConfig.duration_s": lambda v: ChannelConfig(duration_s=v),
+    "ChannelConfig.rate_hz": lambda v: ChannelConfig(rate_hz=v),
+    "ChannelConfig.coherence_time_s": lambda v: ChannelConfig(coherence_time_s=v),
+    "ou_process.dt": lambda v: ou_process(8, v, 1.0, np.random.default_rng(0)),
+    "ou_process.tau": lambda v: ou_process(8, 0.1, v, np.random.default_rng(0)),
+    "AuthPolicy.min_corr": lambda v: AuthPolicy(min_corr=v),
+    "DivergenceConfig.epsilon": lambda v: DivergenceConfig(epsilon=v),
+    "ReciprocalBand.alpha": lambda v: ReciprocalBand([0.5], (0.5, 0.5), v, 3),
+    "select_reciprocal_freqs.alpha": lambda v: select_reciprocal_freqs(_cmap(), v, 2),
+    "fft_reconstruct.power_keep": lambda v: fft_reconstruct(np.sin(np.arange(16.0)), v),
+    "CsiTrace.rate_hz": lambda v: _trace(rate_hz=v),
+    "MagnitudeSeries.rate_hz": lambda v: MagnitudeSeries(0, [1.0], [1], v),
+    "parse_csi_csv.rate_hz": lambda v: parse_csi_csv("seq,t,dev,i0,q0\n1,0.1,a,1,2\n", v),
+    "temporal_decorrelation_curve.gaps": lambda v: temporal_decorrelation_curve(
+        _noise_pair, [0, v]),
+    "default_params.sample_rate": lambda v: default_params(64, v),
+}
+# fractions, NaN, +-inf, negatives and bools
+BAD_NUMBERS = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, True, False, np.True_, np.float64(-2.0)]),
+    st.floats(-1e6, 1e6).filter(lambda v: not v.is_integer()),
+    st.fractions(min_value=-10 ** 6, max_value=10 ** 6),
+    st.integers(-2 ** 70, -1),
+    st.floats(max_value=-1e-300),
+)
+
+
+@pytest.mark.parametrize("call, integral",
+                         [*((c, True) for c in INTEGER_PARAMS.values()),
+                          *((c, False) for c in REAL_PARAMS.values())],
+                         ids=[*INTEGER_PARAMS, *REAL_PARAMS])
+@settings(max_examples=15, deadline=None)
+@given(value=BAD_NUMBERS)
+@example(value=Fraction(1, 2))  # an alpha of 1/2 once reached a '.3f' format
+@example(value=0.5)
+@example(value=-1)
+def test_numeric_parameter_raises_only_the_family(call, integral, value):
+    # a bool, NaN, +-inf, a negative real or a non-int integer argument is always refused;
+    # whatever else happens, only a CsiRecipError comes out
+    refused = (isinstance(value, (bool, np.bool_)) or not math.isfinite(value)
+               or (not isinstance(value, int) if integral else value < 0))
+    try:
+        call(value)
+    except CsiRecipError:
+        return
+    assert not refused, f"{value!r} was accepted"
+
+
 def _frozen_cases():
     """(build from a caller's array, the field holding it, that writeable array) for
     every array field of the eight frozen dataclasses."""
-    params = CwtParams(0.1, 5.0, 10.0)
-    nb = len(params.freq_grid())
-    grid = np.zeros((nb, 4))
-
-    def cmap(**kw):
-        args = dict(wc=grid.copy(), phase=grid.copy(), freqs=params.freq_grid(),
-                    times=np.arange(4.0), coi=np.ones((nb, 4), bool), params=params)
-        return CoherenceMap(**{**args, **kw})
+    grid = np.zeros((NB, 4))
 
     def scalogram(**kw):
-        args = dict(coeffs=grid.astype(complex), freqs=params.freq_grid(), params=params,
+        args = dict(coeffs=grid.astype(complex), freqs=PARAMS.freq_grid(), params=PARAMS,
                     coi=np.zeros(4, int))
         return Scalogram(**{**args, **kw})
 
@@ -131,10 +270,10 @@ def _frozen_cases():
         (lambda v: AuthMessage(v, b"tag"), "payload_csi", np.array([1.0, 2.0])),
         (lambda v: scalogram(coeffs=v), "coeffs", grid.astype(complex)),
         (lambda v: scalogram(coi=v), "coi", np.zeros(4, int)),
-        (lambda v: cmap(wc=v), "wc", grid.copy()),
-        (lambda v: cmap(phase=v), "phase", grid.copy()),
-        (lambda v: cmap(times=v), "times", np.arange(4.0)),
-        (lambda v: cmap(coi=v), "coi", np.zeros((nb, 4), bool)),
+        (lambda v: _cmap(wc=v), "wc", grid.copy()),
+        (lambda v: _cmap(phase=v), "phase", grid.copy()),
+        (lambda v: _cmap(times=v), "times", np.arange(4.0)),
+        (lambda v: _cmap(coi=v), "coi", np.zeros((NB, 4), bool)),
     ]
 
 

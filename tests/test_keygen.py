@@ -501,7 +501,7 @@ def test_evaluate_equals_per_pair_loop(n_blocks, key_bits, seed):
     (lambda: QuantizerSpec(2, [-np.inf]), "thresholds must be finite, got [-inf]"),
     (lambda: cdf_thresholds(np.arange(10.0), 6), "levels must be a power of two >= 2, got 6"),
     (lambda: make_keys(np.arange(10.0), 5, 1), "levels must be a power of two >= 2, got 1"),
-    (lambda: evaluate([], [], 0), "total_packets must be positive, got 0"),
+    (lambda: evaluate([], [], 0), "total_packets must be >= 1, got 0"),
     (lambda: evaluate([], [], 10, (15, 5)), "thresholds must be nonempty ascending, got [15, 5]"),
     (lambda: evaluate([], [], 10, ()), "thresholds must be nonempty ascending, got []"),
     # a count of 3 gave levels 1 and 2 the one code [1], a count of 1 gave no bits at all
