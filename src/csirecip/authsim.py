@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import (DegenerateSeriesError, InvalidParameterError, TooShortError, _freeze, integer,
-                     real)
+                     real, real_series)
 from .metrics import pearson, xcorr_lag
 
 PROBE_LEN = 600  # samples of each side's CSI that the channel checks compare
@@ -79,18 +79,9 @@ def _tag(payload: np.ndarray, key: bytes) -> bytes:
                     hashlib.sha256).digest()
 
 
-def _csi_window(csi, name: str) -> np.ndarray:
-    """``csi`` as float64, if it is a 1-D series of real numbers."""
-    a = np.asarray(csi)
-    if a.ndim != 1 or a.dtype.kind not in "iuf":
-        raise InvalidParameterError(
-            f"{name} must be a 1-D real series, got shape {a.shape} of dtype {a.dtype}")
-    return a.astype(np.float64, copy=False)
-
-
 def sign_csi(csi, key: bytes) -> AuthMessage:
     """Build the signed S3 message for a measured CSI window (a 1-D real series)."""
-    payload = _csi_window(csi, "csi")
+    payload = real_series(csi, "csi")
     return AuthMessage(payload_csi=payload, tag=_tag(payload, key))
 
 
@@ -118,7 +109,7 @@ def _decide(ap_csi, message: AuthMessage, policy: AuthPolicy, key: bytes) -> Aut
     on either side carries no channel estimate, so both fail closed like a
     frozen channel.
     """
-    ap_csi = _csi_window(ap_csi, "ap_csi")
+    ap_csi = real_series(ap_csi, "ap_csi")
     if not verify_tag(message, key):
         return AuthDecision(False, 0.0, 0, Reason.BAD_SIGNATURE)
     n = min(len(ap_csi), len(message.payload_csi), PROBE_LEN)
@@ -181,7 +172,7 @@ def temporal_decorrelation_curve(generator, gaps, seed: int = 0
     min_len = 3 * (AuthPolicy.max_shift + 1)
     out = []
     for gap in gaps:
-        x, y = (_csi_window(s, f"gap {gap}: each series") for s in generator(float(gap), rng))
+        x, y = (real_series(s, f"gap {gap}: each series") for s in generator(float(gap), rng))
         n = min(len(x), len(y))
         if n < min_len:
             raise TooShortError(f"gap {gap}: series of {n} samples, need at least {min_len}")

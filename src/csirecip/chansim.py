@@ -14,10 +14,11 @@ horizon (for delayed replay) preserves earlier samples bit-exactly.
 
 from __future__ import annotations
 
+import numbers
 import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import inf
+from math import inf, isfinite
 
 import numpy as np
 
@@ -60,10 +61,17 @@ class ChannelConfig:
         object.__setattr__(self, "seed", integer(self.seed, "seed", 0))
         for name in ("duration_s", "rate_hz", "coherence_time_s"):
             real(getattr(self, name), name)
-        if not self.snr_db > -inf:  # NaN or -inf; +inf is noise-free
-            raise InvalidParameterError(f"snr_db must be a number above -inf, got {self.snr_db!r}")
-        f_lo, f_hi = self.base_band
-        if not (0 < f_lo < f_hi):
+        snr = self.snr_db  # any real number: negative is noisier than the signal, +inf noise-free
+        if isinstance(snr, bool) or not isinstance(snr, numbers.Real) or not snr > -inf:
+            raise InvalidParameterError(f"snr_db must be a number above -inf, got {snr!r}")
+        try:
+            f_lo, f_hi = self.base_band
+        except (TypeError, ValueError):
+            raise InvalidParameterError(
+                f"base_band must be a pair (f_lo, f_hi), got {self.base_band!r}") from None
+        f_lo, f_hi = real(f_lo, "base_band[0]"), real(f_hi, "base_band[1]")
+        object.__setattr__(self, "base_band", (f_lo, f_hi))
+        if not f_lo < f_hi:
             raise InvalidParameterError(f"base_band needs 0 < f_lo < f_hi, got [{f_lo}, {f_hi}]")
         if f_hi > self.rate_hz / 2:
             raise InvalidParameterError(
@@ -262,12 +270,18 @@ def base_signal(cfg: ChannelConfig, n: int, start_s: float = 0.0) -> np.ndarray:
     table shared by all calls and threads, kept for the last ``_TABLES``
     (band, rate) pairs used; later samples compute theirs per block.
     """
+    n = integer(n, "n", 0)
     dt = 1.0 / cfg.rate_hz
-    offset = int(round(start_s / dt))
+    offset = -1
+    if isinstance(start_s, numbers.Real) and not isinstance(start_s, bool) and isfinite(start_s):
+        offset = int(round(start_s / dt))
+    if offset < 0:  # no sample precedes sample 0
+        raise InvalidParameterError(
+            f"start_s must be finite and round to a sample >= 0, got {start_s!r}")
     total = offset + n
     ws = _workspace()
     rngs = ws.reseed(cfg.seed)
-    draws, coef, rows, real = ws.draws, ws.coef, ws.rows, ws.real
+    draws, coef, rows, terms = ws.draws, ws.coef, ws.rows, ws.real
     f_lo, f_hi = cfg.base_band
     table = _phasor_table(float(f_lo), float(f_hi), float(cfg.rate_hz))
     omega = _omega(f_lo, f_hi)
@@ -298,7 +312,7 @@ def base_signal(cfg: ChannelConfig, n: int, start_s: float = 0.0) -> np.ndarray:
             np.multiply(coef[lo:m], ph, out=coef[lo:m])
             acc = x[a + lo - offset:a + m - offset]
             for k in range(N_CARRIERS):
-                acc += real[lo:m, k]
+                acc += terms[lo:m, k]
     return x / np.sqrt(N_CARRIERS / 2.0)
 
 
@@ -365,6 +379,7 @@ def gen_attacker(cfg: ChannelConfig, mode: str = "independent",
     bounded by the OU envelope exp(-gap_s / coherence_time_s) and decays
     even faster once the carrier phases rotate through a full cycle.
     """
+    gap_s = real(gap_s, "gap_s", zero=True)
     n = cfg.n_samples
     if mode == "independent":
         alt = replace(cfg, seed=cfg.seed + 0x5EED)

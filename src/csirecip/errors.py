@@ -1,5 +1,6 @@
-"""Exception hierarchy for csirecip, the one finite-input check, the two
-scalar-argument rules (integer and real) and the one frozen-array rule.
+"""Exception hierarchy for csirecip, the one series rule (with its finite-input
+check), the two scalar-argument rules (integer and real) and the one
+frozen-array rule.
 
 Every data-dependent failure raises a subclass of :class:`CsiRecipError`,
 so callers (and the CLI) can distinguish data errors from programming
@@ -68,13 +69,23 @@ class NonFiniteError(CsiRecipError, ValueError):
     """Input contains an infinite sample."""
 
 
-def finite_series(x, name: str = "input") -> np.ndarray:
-    """``x`` as a 1-D float64 array, every sample finite.
+def real_series(x, name: str) -> np.ndarray:
+    """``x`` as a float64 array, if it is a 1-D series of ints or floats: else
+    :class:`InvalidParameterError` naming its shape and dtype."""
+    a = np.asarray(x)
+    if a.ndim != 1 or a.dtype.kind not in "iuf":
+        raise InvalidParameterError(
+            f"{name} must be a 1-D real series, got shape {a.shape} of dtype {a.dtype}")
+    return a.astype(np.float64, copy=False)
+
+
+def finite_series(x, name: str) -> np.ndarray:
+    """``x`` as by :func:`real_series`, every sample finite.
 
     A NaN (gap marker) anywhere raises :class:`GapsPresentError`, else a
     +-inf raises :class:`NonFiniteError`; each names the first such index.
     """
-    a = np.asarray(x, dtype=np.float64).ravel()
+    a = real_series(x, name)
     if not np.isfinite(a).all():
         nan = np.isnan(a)
         i = int(np.argmax(nan if nan.any() else np.isinf(a)))

@@ -263,9 +263,12 @@ def make_keys(x, block_len: int = BLOCK_LEN, levels: int = 4) -> tuple[list[KeyB
     bits = gray_encode(lv, levels).reshape(len(lv), block_len * (levels.bit_length() - 1))
     lv.setflags(write=False)  # the blocks take row views without a copy
     bits.setflags(write=False)
-    starts = np.flatnonzero(keep) * block_len
-    blocks = [KeyBlock(start_seq=int(s), levels=l, bits=b)
-              for s, l, b in zip(starts, lv, bits)]
+    blocks = []
+    for s, l, b in zip((np.flatnonzero(keep) * block_len).tolist(), lv, bits):
+        # rows of read-only C-ordered matrices: what KeyBlock's _freeze would keep as is
+        block = object.__new__(KeyBlock)
+        block.__dict__.update(start_seq=s, levels=l, bits=b)
+        blocks.append(block)
     return blocks, n_blocks - len(blocks)
 
 

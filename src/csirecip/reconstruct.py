@@ -17,6 +17,7 @@ from .errors import (
     TooShortError,
     UnusableCoherenceError,
     _freeze,
+    finite_series,
     integer,
     real,
 )
@@ -52,7 +53,7 @@ def golay_filter(x, window: int = 11, order: int = 3) -> np.ndarray:
     Endpoints are handled by fitting the polynomial over the one-sided
     edge window and evaluating it there (scipy's ``mode="interp"``).
     """
-    x = np.asarray(x, dtype=np.float64).ravel()
+    x = finite_series(x, "x")
     window = integer(window, "window", 3)
     if window % 2 == 0:
         raise InvalidParameterError(f"window must be odd and >= 3, got {window}")
@@ -75,7 +76,7 @@ def fft_reconstruct(x, power_keep: float = 0.98) -> np.ndarray:
     The mean is removed first and re-added afterwards, so a constant
     series passes through unchanged and power_keep = 1 is the identity.
     """
-    x = np.asarray(x, dtype=np.float64).ravel()
+    x = finite_series(x, "x")
     if len(x) < 8:
         raise TooShortError(f"need at least 8 samples, got {len(x)}")
     real(power_keep, "power_keep", hi=1)
@@ -147,7 +148,7 @@ def wpt_denoise(x, depth: int = 4) -> np.ndarray:
     zeroes every coefficient whose magnitude falls below the median of all
     coefficient magnitudes, and reconstructs.
     """
-    x = np.asarray(x, dtype=np.float64).ravel()
+    x = finite_series(x, "x")
     n0 = len(x)
     block = 1 << integer(depth, "depth", 1)
     if n0 < block:
@@ -238,8 +239,8 @@ def apply_lag(x, y, lag: int) -> tuple[np.ndarray, np.ndarray]:
     Positive lag means y lags x: y is advanced and both sides truncated to
     the overlap, discarding |lag| samples.
     """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
+    x = finite_series(x, "x")
+    y = finite_series(y, "y")
     n = len(x)
     lag = integer(lag, "lag")
     if lag > 0:

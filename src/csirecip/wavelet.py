@@ -17,6 +17,13 @@ Every Morlet row is evaluated only where it can be nonzero: the Gaussian
 ``|z| > sqrt(1500)``, so skipping those entries changes no bit of the
 transform or of the response.
 
+Coherence works through the grid in blocks of rows over buffers allocated
+once per call: each block transforms, multiplies and time-smooths only its
+own rows, and the scale boxcar runs as a prefix sum carried from block to
+block in the order ``np.cumsum`` adds.  The map is therefore bit-identical
+to computing each stage over the whole grid, while memory holds the output
+and a few blocks rather than a dozen grid-sized temporaries.
+
 Conventions
 -----------
 * ``freqs`` are stored in descending order; row 0 is the highest frequency.
@@ -29,6 +36,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,6 +49,10 @@ OMEGA0 = 6.0  # Morlet center-frequency parameter (>= 5 keeps the wavelet admiss
 HYSTERESIS = 0.1  # coherence rise above the floor that ends a detected gap
 _LIVE_Z = np.sqrt(1500.0)  # |s*k - OMEGA0| beyond this: exp(-z**2/2) is exactly 0.0
 _RESPONSES = 8  # band responses kept: both devices of a pair share one
+# Coherence rows per block: isqrt(_BLOCK_POINTS // padded length), 16 for a 512-point probe
+# and 4 at 8192 points.  A block's fixed cost is amortized over rows x points, its
+# buffers grow with them, and the square root keeps both in check.
+_BLOCK_POINTS = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -65,6 +77,8 @@ class CwtParams:
     def __post_init__(self):
         object.__setattr__(self, "voices_per_octave",
                            integer(self.voices_per_octave, "voices_per_octave", 4))
+        for name in ("min_freq", "max_freq", "sample_rate"):
+            object.__setattr__(self, name, real(getattr(self, name), name))
         if not (0 < self.min_freq < self.max_freq <= self.sample_rate / 2):
             raise InvalidParameterError(
                 "need 0 < min_freq < max_freq <= sample_rate/2, got "
@@ -95,7 +109,7 @@ def default_params(n_samples: int, sample_rate: float, periods: float = 4.0) -> 
     """
     duration = integer(n_samples, "n_samples", 1) / real(sample_rate, "sample_rate")
     return CwtParams(
-        min_freq=periods / duration,
+        min_freq=real(periods, "periods") / duration,
         max_freq=sample_rate / 2,
         sample_rate=sample_rate,
     )
@@ -162,9 +176,9 @@ def _omegas(npad: int, sample_rate: float) -> np.ndarray:
     return 2 * np.pi * np.fft.fftfreq(npad, d=1.0 / sample_rate)
 
 
-def _prepare(x, params: CwtParams) -> tuple[np.ndarray, np.ndarray, int, float]:
+def _prepare(x, params: CwtParams, name: str = "x") -> tuple[np.ndarray, np.ndarray, int, float]:
     """Checked, mean-removed, zero-padded series: (spectrum, bin omegas, n, mean)."""
-    x = finite_series(x)
+    x = finite_series(x, name)
     n = len(x)
     if n < 32:
         raise TooShortError(f"need at least 32 samples, got {n}")
@@ -287,74 +301,128 @@ def _band_filter(x, params: CwtParams, band: tuple[float, float]) -> np.ndarray:
     return 2.0 * r / _recon_plateau(params) + mean
 
 
-def _smooth(mat: np.ndarray, scales: np.ndarray, dt: float, vpo: int) -> np.ndarray:
-    """Coherence smoothing of real rows: Gaussian in time (std = scale), boxcar in scale.
+def _coherence_rows(spec_x: np.ndarray, spec_y: np.ndarray, k: np.ndarray, n: int,
+                    params: CwtParams) -> tuple[np.ndarray, np.ndarray]:
+    """(wc, phase) of two padded spectra, computed a block of grid rows at a time.
 
-    The boxcar spans 0.6 decorrelation lengths, i.e. 0.6 * voices_per_octave
-    bins.  Both stages are positive-weight averages, which is what
-    guarantees the Cauchy-Schwarz bound on the coherence ratio.
+    A block places its Morlet rows, transforms both series in one buffer,
+    forms the four maps (|Wx|^2, |Wy|^2 and the cross spectrum's real and
+    imaginary parts, each over s) and smooths them in time with one
+    rfft/irfft.  The scale boxcar is a running prefix sum down the
+    zero-padded rows, added in ``np.cumsum``'s order; the last ``win``
+    prefix rows carry into the next block, and each row's wc and phase are
+    written once its boxcar closes.  No stage mixes rows or reorders a sum,
+    so every value keeps the bits of the whole-grid computation.  Every
+    buffer is allocated once per call.
     """
-    nb, n = mat.shape
-    npad = _next_pow2(n)
-    k = 2 * np.pi * np.fft.rfftfreq(npad, d=dt)
-    resp = np.exp(-0.5 * (scales[:, None] * k[None, :]) ** 2)
-    out = np.fft.irfft(np.fft.rfft(mat, npad, axis=1) * resp, npad, axis=1)[:, :n]
+    scales = params.scales()
+    nb, npad = len(scales), len(spec_x)
+    live, vals = _morlet_entries(scales, k, params)
+    ends = np.cumsum(live)
+    omega = 2 * np.pi * np.fft.rfftfreq(npad, d=1.0 / params.sample_rate)
+    win = int(round(0.6 * params.voices_per_octave))  # >= 2, as voices_per_octave >= 4
+    top = (win - 1) // 2  # zero rows padded above the grid; win - 1 - top below it
+    padded = nb + win - 1 - top  # the padded rows from the grid's first on
+    i = np.arange(nb)
+    counts = (np.minimum(i - top + win, nb) - np.maximum(i - top, 0)).astype(float)
 
-    win = max(1, int(round(0.6 * vpo)))
-    if win > 1:
+    rows = min(nb, max(1, math.isqrt(_BLOCK_POINTS // npad)))
+    spec = np.stack([spec_x, spec_y])
+    bank = np.empty((rows, 1, npad), dtype=np.complex128)  # real rows, as numpy casts them
+    w = np.empty((rows, 2, npad), dtype=np.complex128)  # Wx and Wy; then cross spectra
+    maps = np.zeros((rows, 4, npad))  # the four maps; smoothed in time; boxcar means
+    gauss = np.empty((rows, 1, npad // 2 + 1))
+    spec4 = np.empty((rows, 4, npad // 2 + 1), dtype=np.complex128)
+    cs = np.zeros((win + rows, 4, n))  # the carried prefix rows, then the block's
+    tmp = np.empty((rows, n))
+    wc = np.empty((nb, n))
+    phase = np.empty((nb, n))
 
-        def box_sum(cols: np.ndarray) -> np.ndarray:
-            padded = np.zeros((nb + win - 1, cols.shape[1]), dtype=cols.dtype)
-            padded[(win - 1) // 2:(win - 1) // 2 + nb] = cols
-            cs = np.cumsum(padded, axis=0)
-            summed = np.empty_like(cols)
-            summed[0] = cs[win - 1]
-            summed[1:] = cs[win:] - cs[:nb - 1]
-            return summed
+    m = maps[:, :, :n]
+    for g0 in range(0, padded, rows):  # block g0 adds the padded rows from g0 + top
+        r = min(rows, padded - g0)
+        grid = min(r, nb - g0)  # of which grid rows; the rest (<= 0: all) are zero rows
+        if grid > 0:
+            bank[:grid] = 0.0
+            for j in range(grid):
+                c = ends[g0 + j]
+                bank[j, 0, 1:1 + live[g0 + j]] = vals[c - live[g0 + j]:c]
+            wb = w[:grid]
+            np.multiply(spec, bank[:grid], out=wb)
+            np.fft.ifft(wb, axis=-1, out=wb)
+            wx, wy, t, mb = wb[:, 0, :n], wb[:, 1, :n], tmp[:grid], m[:grid]
+            for src, dst in ((wx, mb[:, 0]), (wy, mb[:, 1])):
+                np.abs(src, out=dst)
+                np.square(dst, out=dst)
+            np.multiply(wx.real, wy.real, out=mb[:, 2])
+            np.multiply(wx.imag, wy.imag, out=t)
+            np.add(mb[:, 2], t, out=mb[:, 2])
+            np.multiply(wx.imag, wy.real, out=mb[:, 3])
+            np.multiply(wx.real, wy.imag, out=t)
+            np.subtract(mb[:, 3], t, out=mb[:, 3])
+            s = scales[g0:g0 + grid, None, None]
+            np.multiply(mb, 1.0 / s, out=mb)
+            maps[:grid, :, n:] = 0.0  # the time smoothing's zero padding
 
-        counts = box_sum(np.ones((nb, 1)))
-        out = box_sum(out) / counts
-    return out
+            g, f = gauss[:grid], spec4[:grid]  # Gaussian in time, std = scale
+            np.multiply(s, omega, out=g)
+            np.square(g, out=g)
+            np.multiply(-0.5, g, out=g)
+            np.exp(g, out=g)
+            np.fft.rfft(maps[:grid], axis=-1, out=f)
+            np.multiply(f, g, out=f)
+            np.fft.irfft(f, npad, axis=-1, out=maps[:grid])
+
+        first = g0 + top
+        for j in range(r):
+            if first + j == 0:  # np.cumsum copies its first row
+                np.copyto(cs[win], m[0])
+            else:
+                np.add(cs[win + j - 1], m[j] if j < grid else 0.0, out=cs[win + j])
+
+        lo, hi = max(0, first - win + 1), first + r - win + 1  # rows whose boxcars closed
+        if lo < hi:
+            a, q = lo + win - 1 - first, hi - lo
+            box, d, z, out = m[:q], tmp[:q], w[:q, 0, :n], wc[lo:hi]
+            np.subtract(cs[win + a:win + r], cs[a:r], out=box)
+            np.divide(box, counts[lo:hi, None, None], out=box)
+            np.multiply(box[:, 0], box[:, 1], out=d)
+            np.multiply(1j, box[:, 3], out=z)
+            np.add(z, box[:, 2], out=z)
+            np.abs(z, out=out)
+            np.square(out, out=out)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(out, d, out=out)
+            out[d <= 0] = 0.0
+            np.clip(out, 0.0, 1.0, out=out)
+            np.arctan2(z.imag, z.real, out=phase[lo:hi])
+        np.copyto(cs[:win], cs[r:r + win])
+    return wc, phase
 
 
 def wavelet_coherence(x, y, params: CwtParams) -> CoherenceMap:
     """Magnitude-squared wavelet coherence and phase of two series.
 
     wc = |S(Wx * conj(Wy) / s)|^2 / (S(|Wx|^2 / s) * S(|Wy|^2 / s)) with S
-    the smoothing operator of :func:`_smooth`; phase is the argument of
-    the smoothed cross spectrum (positive when y lags x).  The cross
-    spectrum's real and imaginary parts are built and smoothed as real rows,
-    so swapping x and y negates the imaginary part exactly and leaves wc
-    unchanged to the bit.
+    the smoothing operator: a Gaussian in time (std = scale), then a boxcar
+    across 0.6 decorrelation lengths of scale (``round(0.6 *
+    voices_per_octave)`` rows, the grid zero padded above and below).  Both
+    are positive-weight averages, which is what bounds wc by Cauchy-Schwarz.
+    phase is the argument of the smoothed cross spectrum (positive when y
+    lags x).  The cross spectrum's real and imaginary parts are built and
+    smoothed as real rows, so swapping x and y negates the imaginary part
+    exactly and leaves wc unchanged to the bit.
+
+    The grid is processed in blocks of rows (see :func:`_coherence_rows`),
+    bit-identical to computing each stage over the whole grid at once.
     """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if len(x) != len(y):
-        raise InvalidParameterError(f"lengths differ: {len(x)} vs {len(y)}")
     spec_x, k, n, _ = _prepare(x, params)
-    spec_y = _prepare(y, params)[0]
+    spec_y, _, n_y, _ = _prepare(y, params, "y")
+    if n_y != n:
+        raise InvalidParameterError(f"lengths differ: {n} vs {n_y}")
     scales = params.scales()
-    bank = _morlet_bank(scales, k, params)  # one bank serves both transforms
-    wx = np.fft.ifft(spec_x * bank, axis=1)[:, :n]
-    wy = np.fft.ifft(spec_y * bank, axis=1)[:, :n]
-    del bank  # as large as a transform's real part; smoothing needs the memory more
-
     dt = 1.0 / params.sample_rate
-    inv_s = (1.0 / scales)[:, None]
-    vpo = params.voices_per_octave
-
-    xr, xi, yr, yi = wx.real, wx.imag, wy.real, wy.imag
-    sxx = _smooth(np.abs(wx) ** 2 * inv_s, scales, dt, vpo)
-    syy = _smooth(np.abs(wy) ** 2 * inv_s, scales, dt, vpo)
-    sxy = (_smooth((xr * yr + xi * yi) * inv_s, scales, dt, vpo)
-           + 1j * _smooth((xi * yr - xr * yi) * inv_s, scales, dt, vpo))
-
-    denom = sxx * syy
-    with np.errstate(divide="ignore", invalid="ignore"):
-        wc = np.abs(sxy) ** 2 / denom
-    wc[denom <= 0] = 0.0
-    wc = np.clip(wc, 0.0, 1.0)
-    phase = np.angle(sxy)
+    wc, phase = _coherence_rows(spec_x, spec_y, k, n, params)
     for grid in (wc, phase):  # built here, so the map takes them without a copy
         grid.setflags(write=False)
 

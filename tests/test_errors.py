@@ -16,16 +16,16 @@ import csirecip
 from csirecip import errors
 from csirecip.authsim import (AuthMessage, AuthPolicy, run_handshake, sign_csi,
                               temporal_decorrelation_curve)
-from csirecip.chansim import ChannelConfig, LossEvent, gen_attacker, ou_process
+from csirecip.chansim import ChannelConfig, LossEvent, base_signal, gen_attacker, ou_process
 from csirecip.errors import CsiRecipError, InvalidParameterError, MalformedHeaderError
 from csirecip.keygen import (KeyBlock, QuantizerSpec, SessionConfig, evaluate, gray_encode,
                              make_keys)
-from csirecip.metrics import DivergenceConfig, xcorr_lag
+from csirecip.metrics import DivergenceConfig, pearson, xcorr_lag
 from csirecip.reconstruct import (ReciprocalBand, apply_lag, fft_reconstruct, golay_filter,
                                   select_reciprocal_freqs, wpt_denoise)
 from csirecip.traces import (CsiTrace, MagnitudeSeries, magnitude_series, pair_traces,
                              parse_csi_csv)
-from csirecip.wavelet import CoherenceMap, CwtParams, Scalogram, default_params
+from csirecip.wavelet import CoherenceMap, CwtParams, Scalogram, default_params, wavelet_coherence
 
 SRC = Path(csirecip.__file__).parent
 
@@ -155,6 +155,42 @@ def _pairs_of(series):
      "rate_hz must be finite and positive, got 'abc'"),
     (lambda: parse_csi_csv("seq,t,dev,i0,q0\n1,0.1,a,1,2\n", rate_hz=True),
      "rate_hz must be finite and positive, got True"),
+    # a matrix was raveled into one series, a complex series cast with only a ComplexWarning
+    (lambda: golay_filter(np.ones((20, 2))),
+     "x must be a 1-D real series, got shape (20, 2) of dtype float64"),
+    (lambda: wavelet_coherence(np.ones((500, 2)), np.ones((500, 2)), PARAMS),
+     "x must be a 1-D real series, got shape (500, 2) of dtype float64"),
+    (lambda: wavelet_coherence(np.ones(64), np.ones(64, complex), default_params(64, 10.0)),
+     "y must be a 1-D real series, got shape (64,) of dtype complex128"),
+    (lambda: fft_reconstruct(np.ones(16, complex)),
+     "x must be a 1-D real series, got shape (16,) of dtype complex128"),
+    (lambda: wpt_denoise(np.ones((32, 1))),
+     "x must be a 1-D real series, got shape (32, 1) of dtype float64"),
+    (lambda: apply_lag(np.ones(4), np.ones((4, 1)), 1),
+     "y must be a 1-D real series, got shape (4, 1) of dtype float64"),
+    (lambda: make_keys(np.ones(300, bool)),
+     "x must be a 1-D real series, got shape (300,) of dtype bool"),
+    (lambda: pearson(np.ones(8), 3.0),
+     "y must be a 1-D real series, got shape () of dtype float64"),
+    # each ended in a bare TypeError
+    (lambda: ChannelConfig(snr_db="15"), "snr_db must be a number above -inf, got '15'"),
+    (lambda: ChannelConfig(snr_db=True), "snr_db must be a number above -inf, got True"),
+    (lambda: ChannelConfig(base_band=("0.05", 2.0)),
+     "base_band[0] must be finite and positive, got '0.05'"),
+    (lambda: ChannelConfig(base_band=0.5), "base_band must be a pair (f_lo, f_hi), got 0.5"),
+    (lambda: ChannelConfig(base_band=(0.05, 1.0, 2.0)),
+     "base_band must be a pair (f_lo, f_hi), got (0.05, 1.0, 2.0)"),
+    (lambda: base_signal(ChannelConfig(duration_s=1.0), "10"), "n must be an integer, got '10'"),
+    (lambda: base_signal(ChannelConfig(duration_s=1.0), 10, "0"),
+     "start_s must be finite and round to a sample >= 0, got '0'"),
+    (lambda: base_signal(ChannelConfig(duration_s=1.0), 10, -0.06),
+     "start_s must be finite and round to a sample >= 0, got -0.06"),
+    (lambda: gen_attacker(ChannelConfig(duration_s=1.0), "delayed_replay", "5"),
+     "gap_s must be finite and >= 0, got '5'"),
+    (lambda: default_params(64, 10.0, "4"), "periods must be finite and positive, got '4'"),
+    (lambda: CwtParams("0.1", 5.0, 10.0), "min_freq must be finite and positive, got '0.1'"),
+    (lambda: CwtParams(0.1, "5", 10.0), "max_freq must be finite and positive, got '5'"),
+    (lambda: CwtParams(0.1, 5.0, "10"), "sample_rate must be finite and positive, got '10'"),
 ])
 def test_bad_parameter_names_value(call, message):
     with pytest.raises(InvalidParameterError) as exc:
@@ -173,6 +209,9 @@ def test_non_utf8_csv_names_line_and_offset():
 def _noise_pair(gap_s, rng):
     return rng.normal(size=200), rng.normal(size=200)
 
+
+# a 0.02 Hz channel: a start or gap of 1e6 s is 20000 samples to simulate first
+SLOW = ChannelConfig(duration_s=100.0, rate_hz=0.02, base_band=(0.001, 0.01))
 
 # (public callable, numeric parameter): a call with that one argument set to v
 INTEGER_PARAMS = {
@@ -196,6 +235,7 @@ INTEGER_PARAMS = {
     "wpt_denoise.depth": lambda v: wpt_denoise(np.ones(32), depth=v),
     "apply_lag.lag": lambda v: apply_lag(np.ones(4), np.ones(4), v),
     "default_params.n_samples": lambda v: default_params(v, 10.0),
+    "base_signal.n": lambda v: base_signal(SLOW, v),
 }
 REAL_PARAMS = {
     "LossEvent.start_s": lambda v: LossEvent("ap", v, 1),
@@ -215,6 +255,19 @@ REAL_PARAMS = {
     "temporal_decorrelation_curve.gaps": lambda v: temporal_decorrelation_curve(
         _noise_pair, [0, v]),
     "default_params.sample_rate": lambda v: default_params(64, v),
+    "default_params.periods": lambda v: default_params(64, 10.0, v),
+    "ChannelConfig.base_band[0]": lambda v: ChannelConfig(base_band=(v, 2.0)),
+    "ChannelConfig.base_band[1]": lambda v: ChannelConfig(base_band=(0.05, v)),
+    "gen_attacker.gap_s": lambda v: gen_attacker(SLOW, "delayed_replay", v),
+    "CwtParams.min_freq": lambda v: CwtParams(v, 5.0, 10.0),
+    "CwtParams.max_freq": lambda v: CwtParams(0.1, v, 10.0),
+    "CwtParams.sample_rate": lambda v: CwtParams(0.1, 5.0, v),
+}
+# some negative values are valid: a negative SNR is noisier than the signal, and a start
+# less than half a sample before 0 rounds to sample 0
+SIGNED_PARAMS = {
+    "ChannelConfig.snr_db": lambda v: ChannelConfig(snr_db=v),
+    "base_signal.start_s": lambda v: base_signal(SLOW, 4, v),
 }
 # fractions, NaN, +-inf, negatives and bools
 BAD_NUMBERS = st.one_of(
@@ -226,20 +279,28 @@ BAD_NUMBERS = st.one_of(
 )
 
 
-@pytest.mark.parametrize("call, integral",
-                         [*((c, True) for c in INTEGER_PARAMS.values()),
-                          *((c, False) for c in REAL_PARAMS.values())],
-                         ids=[*INTEGER_PARAMS, *REAL_PARAMS])
+@pytest.mark.parametrize("call, kind",
+                         [*((c, "integer") for c in INTEGER_PARAMS.values()),
+                          *((c, "real") for c in REAL_PARAMS.values()),
+                          *((c, "signed") for c in SIGNED_PARAMS.values())],
+                         ids=[*INTEGER_PARAMS, *REAL_PARAMS, *SIGNED_PARAMS])
 @settings(max_examples=15, deadline=None)
 @given(value=BAD_NUMBERS)
 @example(value=Fraction(1, 2))  # an alpha of 1/2 once reached a '.3f' format
 @example(value=0.5)
 @example(value=-1)
-def test_numeric_parameter_raises_only_the_family(call, integral, value):
-    # a bool, NaN, +-inf, a negative real or a non-int integer argument is always refused;
-    # whatever else happens, only a CsiRecipError comes out
-    refused = (isinstance(value, (bool, np.bool_)) or not math.isfinite(value)
-               or (not isinstance(value, int) if integral else value < 0))
+@example(value="2")  # a string ended in a bare TypeError at nine parameters
+def test_numeric_parameter_raises_only_the_family(call, kind, value):
+    # a string, a bool, NaN or -inf is always refused; so are +inf, a negative real and a
+    # non-int integer argument, except at a signed parameter; whatever else happens,
+    # only a CsiRecipError comes out
+    if isinstance(value, (str, bool, np.bool_)):
+        refused = True
+    elif kind == "signed":
+        refused = not value > -math.inf
+    else:
+        refused = (not math.isfinite(value)
+                   or (not isinstance(value, int) if kind == "integer" else value < 0))
     try:
         call(value)
     except CsiRecipError:

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -182,12 +185,14 @@ class TestIcwt:
 @settings(max_examples=15, deadline=None)
 @given(n=st.integers(32, 1500), seed=st.integers(0, 2 ** 32 - 1),
        a=st.floats(-100.0, 100.0), b=st.floats(-100.0, 100.0), banded=st.booleans())
+@example(n=32, seed=0, a=0.0, b=5e-324, banded=False)  # a one-subnormal-ulp gap at scale ~1e-323
 def test_icwt_of_cwt_is_linear(n, seed, a, b, banded):
     """icwt(cwt(a x + b y)) = a icwt(cwt(x)) + b icwt(cwt(y)), up to rounding.
 
     Every step is linear (mean removal, FFT, Morlet filter, row sum), so the
     gap is rounding only: within 1e-12 of the combined input's size (the worst
-    of 400 random cases was 1.6e-15).
+    of 400 random cases was 1.6e-15).  A subnormal scale rounds to whole
+    subnormals, so a few of them are allowed on top.
     """
     rng = np.random.default_rng(seed)
     x = rng.normal(size=n).cumsum() + rng.normal()
@@ -201,7 +206,7 @@ def test_icwt_of_cwt_is_linear(n, seed, a, b, banded):
 
     scale = np.abs(a) * np.abs(x).max() + np.abs(b) * np.abs(y).max()
     gap = np.abs(rec(a * x + b * y) - (a * rec(x) + b * rec(y))).max()
-    assert gap <= 1e-12 * scale
+    assert gap <= 1e-12 * scale + 4 * np.finfo(float).smallest_subnormal
 
 
 @st.composite
@@ -300,12 +305,109 @@ def test_band_response_is_shared_and_read_only():
 
 
 def test_coherence_builds_one_bank(monkeypatch):
+    """One Morlet evaluation serves both transforms and every block of rows."""
     built = []
-    bank = wavelet._morlet_bank
-    monkeypatch.setattr(wavelet, "_morlet_bank", lambda *a: built.append(a) or bank(*a))
+    entries = wavelet._morlet_entries
+    monkeypatch.setattr(wavelet, "_morlet_entries", lambda *a: built.append(a) or entries(*a))
     x = band_limited_fixture(0, 500)
-    wavelet_coherence(x, x + 0.1 * np.random.default_rng(0).normal(size=500), params(500))
+    p = params(500)
+    assert len(p.freq_grid()) > math.isqrt(wavelet._BLOCK_POINTS // 512)  # several blocks
+    wavelet_coherence(x, x + 0.1 * np.random.default_rng(0).normal(size=500), p)
     assert len(built) == 1
+
+
+def whole_grid_smooth(mat, scales, dt, vpo):
+    """The smoothing operator over the whole grid at once: the reference."""
+    nb, n = mat.shape
+    npad = int(2 ** np.ceil(np.log2(n)))
+    k = 2 * np.pi * np.fft.rfftfreq(npad, d=dt)
+    resp = np.exp(-0.5 * (scales[:, None] * k[None, :]) ** 2)
+    out = np.fft.irfft(np.fft.rfft(mat, npad, axis=1) * resp, npad, axis=1)[:, :n]
+    win = max(1, int(round(0.6 * vpo)))
+    if win > 1:
+
+        def box_sum(cols):
+            padded = np.zeros((nb + win - 1, cols.shape[1]), dtype=cols.dtype)
+            padded[(win - 1) // 2:(win - 1) // 2 + nb] = cols
+            cs = np.cumsum(padded, axis=0)
+            summed = np.empty_like(cols)
+            summed[0] = cs[win - 1]
+            summed[1:] = cs[win:] - cs[:nb - 1]
+            return summed
+
+        out = box_sum(out) / box_sum(np.ones((nb, 1)))
+    return out
+
+
+def whole_grid_coherence(x, y, p):
+    """(wc, phase) with every stage over the whole grid: the reference."""
+    n = len(x)
+    npad = int(2 ** np.ceil(np.log2(n)))
+    k = 2 * np.pi * np.fft.fftfreq(npad, d=1.0 / p.sample_rate)
+    scales = p.scales()
+    bank = dense_bank(scales, k, p)
+    wx, wy = (np.fft.ifft(np.fft.fft(np.r_[v - v.mean(), np.zeros(npad - n)]) * bank,
+                          axis=1)[:, :n] for v in (x, y))
+    dt, inv_s, vpo = 1.0 / p.sample_rate, (1.0 / scales)[:, None], p.voices_per_octave
+    xr, xi, yr, yi = wx.real, wx.imag, wy.real, wy.imag
+    sxx = whole_grid_smooth(np.abs(wx) ** 2 * inv_s, scales, dt, vpo)
+    syy = whole_grid_smooth(np.abs(wy) ** 2 * inv_s, scales, dt, vpo)
+    sxy = (whole_grid_smooth((xr * yr + xi * yi) * inv_s, scales, dt, vpo)
+           + 1j * whole_grid_smooth((xi * yr - xr * yi) * inv_s, scales, dt, vpo))
+    denom = sxx * syy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        wc = np.abs(sxy) ** 2 / denom
+    wc[denom <= 0] = 0.0
+    return np.clip(wc, 0.0, 1.0), np.angle(sxy)
+
+
+@st.composite
+def blocked_case(draw):
+    """A series pair (correlated, independent, x = y, y constant, or y zero: every map
+    entry of a zero y is a signed zero), a grid, and rows per block from one up to past
+    the grid's row count."""
+    n = draw(st.integers(32, 5000))
+    p = CwtParams(min_freq=FS / n * draw(st.floats(1.0, 4.0)), max_freq=FS / 2,
+                  sample_rate=FS, voices_per_octave=draw(st.integers(4, 16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.normal(size=n).cumsum() * 10.0 ** draw(st.floats(-3, 3)) + rng.normal()
+    kind = draw(st.sampled_from(["correlated", "independent", "same", "constant", "zero"]))
+    y = {"correlated": lambda: x + rng.normal(size=n), "same": lambda: x.copy(),
+         "independent": lambda: rng.normal(size=n), "constant": lambda: np.full(n, 0.1),
+         "zero": lambda: np.zeros(n)}[kind]()
+    return x, y, p, draw(st.integers(1, len(p.freq_grid()) + 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(blocked_case())
+@example((np.random.default_rng(0).normal(size=32).cumsum(), np.zeros(32),
+          CwtParams(0.3125, 5.0, 10.0, 4), 1))  # win 2: no zero row above the grid
+@example((np.random.default_rng(1).normal(size=40), np.random.default_rng(2).normal(size=40),
+          CwtParams(4.5, 5.0, 10.0, 16), 1))  # three grid rows, a boxcar of ten
+def test_blocked_coherence_equals_whole_grid(case):
+    """Blocks of rows over reused buffers give the whole-grid map, bit for bit."""
+    x, y, p, rows = case
+    want_wc, want_phase = whole_grid_coherence(x, y, p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wavelet, "_BLOCK_POINTS", rows ** 2 * int(2 ** np.ceil(np.log2(len(x)))))
+        got = wavelet_coherence(x, y, p)
+    assert np.array_equal(got.wc, want_wc)
+    assert np.array_equal(got.phase, want_phase)
+    assert np.array_equal(np.signbit(got.phase), np.signbit(want_phase))
+
+
+def test_coherence_peak_memory_near_its_output():
+    """The blocks' buffers stay small beside the returned grids."""
+    n = 8192
+    x = np.random.default_rng(0).normal(size=n).cumsum()
+    y = x + np.random.default_rng(1).normal(size=n)
+    tracemalloc.start()
+    try:
+        cm = wavelet_coherence(x, y, params(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * (cm.wc.nbytes + cm.phase.nbytes + cm.coi.nbytes)
 
 
 class TestCoherence:
