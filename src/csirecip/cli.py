@@ -37,8 +37,15 @@ class _UsageError(Exception):
     """A flag combination the command cannot run with (exit code 1)."""
 
 
+def _path(text: str, what: str) -> str:
+    """``text``, if it can name a file: open() and mkdir() refuse a NUL character."""
+    if "\0" in text:
+        raise _UsageError(f"{what} {text!r} holds a NUL character")
+    return text
+
+
 def _out_dir(args) -> Path:
-    d = Path(args.out_dir or os.environ.get("CSIRECIP_OUT_DIR", "."))
+    d = Path(_path(args.out_dir or os.environ.get("CSIRECIP_OUT_DIR", "."), "output directory"))
     d.mkdir(parents=True, exist_ok=True)
     return d
 
@@ -47,10 +54,11 @@ def _load_config(path: str | None) -> configparser.ConfigParser:
     cp = configparser.ConfigParser(interpolation=None)  # values are read raw: '%' is literal
     if path:
         # open() itself, not cp.read(), which skips a file it cannot open
-        with open(path) as f:
+        with open(_path(path, "config file")) as f:
             try:
                 cp.read_file(f)
-            except configparser.Error as e:  # no section header, a repeated key or section
+            # no section header, a repeated key or section, or bytes that are not text
+            except (configparser.Error, UnicodeDecodeError) as e:
                 raise _UsageError(f"config file {path}: {e}") from None
     return cp
 
@@ -120,11 +128,13 @@ def _load_pair(args, cp):
                    if getattr(args, name) is not None]
         if ignored:
             raise _UsageError(f"{', '.join(ignored)} cannot be used with --ap/--sta")
-        with open(ap_path, "rb") as f:
+        with open(_path(ap_path, "AP trace"), "rb") as f:
             ap = parse_csi_csv(f)
-        with open(sta_path, "rb") as f:
+        with open(_path(sta_path, "STA trace"), "rb") as f:
             sta = parse_csi_csv(f)
-        resolved = {"input": {"ap": str(ap_path), "sta": str(sta_path)}}
+        # what parsing dropped from each file: bad rows by index, duplicates, out-of-order rows
+        resolved = {"input": {"ap": str(ap_path), "sta": str(sta_path),
+                              "parse_stats": {"ap": ap.parse_stats, "sta": sta.parse_stats}}}
         return ap, sta, resolved
     cfg = _channel_config(args, cp)
     ap, sta, _truth = chansim.gen_pair(cfg)
@@ -186,7 +196,7 @@ def cmd_metrics(args, cp) -> int:
     }
     text = _dumps(report)
     if args.out:
-        Path(args.out).write_text(text)
+        Path(_path(args.out, "--out")).write_text(text)
     else:
         print(text)
     return EXIT_OK
@@ -295,7 +305,7 @@ def cmd_auth(args, cp) -> int:
 
 def cmd_report(args, cp) -> int:
     """Aggregate session JSON files into one comparison CSV."""
-    src = Path(args.sessions_dir)
+    src = Path(_path(args.sessions_dir, "sessions directory"))
     files = sorted(src.glob("session_*.json"))
     if not files:
         print(f"no session_*.json under {src}", file=sys.stderr)
@@ -307,7 +317,8 @@ def cmd_report(args, cp) -> int:
             ober = d["overall_ber"]
             rows += [(d["pipeline"], d["sync"], st["error_threshold"], st["kgr"],
                       st["mean_ber"], ober, d["blocks"], d["lag"]) for st in d["per_threshold"]]
-        except (KeyError, TypeError, ValueError) as e:  # not a session report
+        # not a session report, or nested past the parser's recursion limit
+        except (KeyError, TypeError, ValueError, RecursionError) as e:
             print(f"error: {path}: not a session report ({type(e).__name__}: {e})",
                   file=sys.stderr)
             return EXIT_DATA

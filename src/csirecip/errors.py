@@ -69,23 +69,29 @@ class NonFiniteError(CsiRecipError, ValueError):
     """Input contains an infinite sample."""
 
 
-def real_series(x, name: str) -> np.ndarray:
-    """``x`` as a float64 array, if it is a 1-D series of ints or floats: else
-    :class:`InvalidParameterError` naming its shape and dtype."""
-    a = np.asarray(x)
+def real_series(x, name: str, empty: bool = False) -> np.ndarray:
+    """``x`` as a float64 array, if it is a 1-D series of ints or floats, nonempty unless
+    ``empty``: else :class:`InvalidParameterError` naming its shape and dtype."""
+    try:
+        a = np.asarray(x)
+    except ValueError:  # a ragged nested sequence
+        a = np.asarray(x, dtype=object)
     if a.ndim != 1 or a.dtype.kind not in "iuf":
         raise InvalidParameterError(
             f"{name} must be a 1-D real series, got shape {a.shape} of dtype {a.dtype}")
+    if not (a.size or empty):
+        raise InvalidParameterError(
+            f"{name} must be a nonempty 1-D real series, got shape {a.shape} of dtype {a.dtype}")
     return a.astype(np.float64, copy=False)
 
 
-def finite_series(x, name: str) -> np.ndarray:
+def finite_series(x, name: str, empty: bool = False) -> np.ndarray:
     """``x`` as by :func:`real_series`, every sample finite.
 
     A NaN (gap marker) anywhere raises :class:`GapsPresentError`, else a
     +-inf raises :class:`NonFiniteError`; each names the first such index.
     """
-    a = real_series(x, name)
+    a = real_series(x, name, empty)
     if not np.isfinite(a).all():
         nan = np.isnan(a)
         i = int(np.argmax(nan if nan.any() else np.isinf(a)))

@@ -33,6 +33,7 @@ PROBE_LEN = 500  # public probe window, samples: agreement only, never key mater
 MAX_LAG = 50  # lag search on the probe window, samples
 BLOCK_LEN = 100  # samples per key block
 _AGREEMENTS = 8  # probe agreements kept: sessions over one pair agree once
+_QUANTILES = 4  # quantile index tables kept, one per (block length, levels)
 
 
 @dataclass(frozen=True)
@@ -145,6 +146,21 @@ def _error_thresholds(values, name: str) -> tuple[int, ...]:
     return th
 
 
+@lru_cache(maxsize=_QUANTILES)
+def _quantile_index(n: int, levels: int) -> tuple[np.ndarray, ...]:
+    """The k/levels quantiles ``q`` of ``n`` sorted values, as numpy's linear method
+    reads them: lower and upper order-statistic indices and the weight ``g`` of the
+    upper one; read-only."""
+    q = np.arange(1, levels) / levels
+    v = (n - 1) * q  # numpy's virtual index
+    i = np.floor(v).astype(np.intp)
+    g = v - np.where(v >= n - 1, -1, i)  # numpy weighs the last point from index -1
+    table = (q, i, np.minimum(i + 1, n - 1), g)
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
 def _cdf_rows(chunks: np.ndarray, levels: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row's thresholds at its k/levels quantiles (linear between order
     statistics), and which rows can be quantized: those with at least
@@ -158,13 +174,9 @@ def _cdf_rows(chunks: np.ndarray, levels: int) -> tuple[np.ndarray, np.ndarray]:
     itself: its sign follows where numpy's partition leaves -0.0 and 0.0,
     which no sort reproduces.
     """
-    n = chunks.shape[1]
     srt = np.sort(chunks, axis=1)
-    q = np.arange(1, levels) / levels
-    v = (n - 1) * q  # numpy's virtual index
-    i = np.floor(v).astype(np.intp)
-    g = v - np.where(v >= n - 1, -1, i)  # numpy weighs the last point from index -1
-    a, b = srt[:, i], srt[:, np.minimum(i + 1, n - 1)]
+    q, i, i1, g = _quantile_index(chunks.shape[1], levels)
+    a, b = srt[:, i], srt[:, i1]
     with np.errstate(over="ignore", invalid="ignore"):
         d = b - a
         th = np.where(g >= 0.5, b - d * (1 - g), a + d * g)  # numpy's _lerp
@@ -191,10 +203,10 @@ def cdf_thresholds(block, levels: int = 4) -> QuantizerSpec:
     distinct values than levels (or ties collapsing adjacent quantiles)
     is degenerate and should be skipped by the caller.
     """
-    block = finite_series(block, "block")
+    block = finite_series(block, "block", empty=True)  # an empty block is degenerate too
     levels = _check_levels(levels)
     if len(block) < levels:
-        raise DegenerateBlockError(f"block of {len(block)} < {levels} levels")
+        raise DegenerateBlockError(f"block of shape {block.shape} < {levels} levels")
     th, keep = _cdf_rows(block[None], levels)
     if not keep[0]:
         raise DegenerateBlockError(f"fewer than {levels} distinct values, or ties collapse "

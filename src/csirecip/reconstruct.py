@@ -9,11 +9,13 @@ alignment of a pair at a known lag.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import (
     InvalidParameterError,
+    LengthMismatchError,
     TooShortError,
     UnusableCoherenceError,
     _freeze,
@@ -47,6 +49,19 @@ class ReciprocalBand:
 
 # --- baseline pipelines ---
 
+_HATS = 4  # Savitzky-Golay fit matrices kept, one per (window, order)
+
+
+@lru_cache(maxsize=_HATS)
+def _golay_hat(window: int, order: int) -> np.ndarray:
+    """Row j: the weights giving the window's least-squares fit at position j; read-only."""
+    half = window // 2
+    vander = np.vander(np.arange(-half, half + 1.0), order + 1, increasing=True)
+    hat = vander @ np.linalg.pinv(vander)
+    hat.setflags(write=False)
+    return hat
+
+
 def golay_filter(x, window: int = 11, order: int = 3) -> np.ndarray:
     """Savitzky-Golay smoothing (local least-squares polynomial fit).
 
@@ -61,8 +76,7 @@ def golay_filter(x, window: int = 11, order: int = 3) -> np.ndarray:
     if window > len(x):
         raise InvalidParameterError(f"window {window} exceeds series length {len(x)}")
     half = window // 2
-    vander = np.vander(np.arange(-half, half + 1.0), order + 1, increasing=True)
-    hat = vander @ np.linalg.pinv(vander)  # row j: the fit's value at window position j
+    hat = _golay_hat(window, order)
     y = np.empty_like(x)
     y[half:len(x) - half] = np.correlate(x, hat[half], "valid")
     y[:half] = hat[:half] @ x[:window]
@@ -237,11 +251,14 @@ def apply_lag(x, y, lag: int) -> tuple[np.ndarray, np.ndarray]:
     """Align two series given a known shift of y relative to x: (x_aligned, y_aligned).
 
     Positive lag means y lags x: y is advanced and both sides truncated to
-    the overlap, discarding |lag| samples.
+    the overlap, discarding |lag| samples.  The two series must be paired
+    (equal length).
     """
     x = finite_series(x, "x")
     y = finite_series(y, "y")
     n = len(x)
+    if len(y) != n:
+        raise LengthMismatchError(f"lengths differ: {n} vs {len(y)}")
     lag = integer(lag, "lag")
     if lag > 0:
         return x[: n - lag], y[lag:]

@@ -15,14 +15,19 @@ series filtered with it (both devices of a pair).
 Every Morlet row is evaluated only where it can be nonzero: the Gaussian
 ``exp(-z**2 / 2)``, ``z = s*k - w0``, underflows to exactly 0.0 once
 ``|z| > sqrt(1500)``, so skipping those entries changes no bit of the
-transform or of the response.
+transform or of the response.  The same holds for the coherence's
+time-smoothing Gaussians ``exp(-(s*w)**2 / 2)``.  These live entries
+depend only on the grid and the padded length, so each grid keeps them in
+one read-only table per padded length, in a small bounded cache shared by
+every call and thread; a band's response sums a slice of that table.
 
 Coherence works through the grid in blocks of rows over buffers allocated
 once per call: each block transforms, multiplies and time-smooths only its
 own rows, and the scale boxcar runs as a prefix sum carried from block to
 block in the order ``np.cumsum`` adds.  The map is therefore bit-identical
-to computing each stage over the whole grid, while memory holds the output
-and a few blocks rather than a dozen grid-sized temporaries.
+to computing each stage over the whole grid, while memory holds the output,
+a few blocks and the grid's live entries rather than a dozen grid-sized
+temporaries.
 
 Conventions
 -----------
@@ -39,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +55,7 @@ OMEGA0 = 6.0  # Morlet center-frequency parameter (>= 5 keeps the wavelet admiss
 HYSTERESIS = 0.1  # coherence rise above the floor that ends a detected gap
 _LIVE_Z = np.sqrt(1500.0)  # |s*k - OMEGA0| beyond this: exp(-z**2/2) is exactly 0.0
 _RESPONSES = 8  # band responses kept: both devices of a pair share one
+_GRIDS = 4  # grid tables kept: a keygen session reads two, the probe's and the key windows'
 # Coherence rows per block: isqrt(_BLOCK_POINTS // padded length), 16 for a 512-point probe
 # and 4 at 8192 points.  A block's fixed cost is amortized over rows x points, its
 # buffers grow with them, and the square root keeps both in check.
@@ -176,17 +183,34 @@ def _omegas(npad: int, sample_rate: float) -> np.ndarray:
     return 2 * np.pi * np.fft.fftfreq(npad, d=1.0 / sample_rate)
 
 
-def _prepare(x, params: CwtParams, name: str = "x") -> tuple[np.ndarray, np.ndarray, int, float]:
-    """Checked, mean-removed, zero-padded series: (spectrum, bin omegas, n, mean)."""
+def _prepare(x, name: str = "x") -> tuple[np.ndarray, int, float]:
+    """Checked, mean-removed, zero-padded series: (spectrum, n, mean)."""
     x = finite_series(x, name)
     n = len(x)
     if n < 32:
         raise TooShortError(f"need at least 32 samples, got {n}")
     mean = float(x.mean())
-    npad = _next_pow2(n)
-    xp = np.zeros(npad)
+    xp = np.zeros(_next_pow2(n))
     xp[:n] = x - mean
-    return np.fft.fft(xp), _omegas(npad, params.sample_rate), n, mean
+    return np.fft.fft(xp), n, mean
+
+
+def _live_gaussians(scales: np.ndarray, bins: np.ndarray, live: np.ndarray,
+                    center: float = 0.0, amp: np.ndarray | None = None) -> np.ndarray:
+    """Row j's ``amp_j * exp(-0.5 * (s_j*bins - center)**2)`` over ``bins[:live_j]``, the
+    rows concatenated.  Each row is evaluated in place in the result, so building it
+    takes no more memory than it holds."""
+    vals = np.empty(live.sum())
+    for j, (end, m) in enumerate(zip(np.cumsum(live).tolist(), live.tolist())):
+        v = vals[end - m:end]
+        np.multiply(scales[j], bins[:m], out=v)
+        np.subtract(v, center, out=v)
+        np.square(v, out=v)
+        np.multiply(-0.5, v, out=v)
+        np.exp(v, out=v)
+        if amp is not None:
+            np.multiply(amp[j], v, out=v)
+    return vals
 
 
 def _morlet_entries(
@@ -200,18 +224,55 @@ def _morlet_entries(
     """
     dt = 1.0 / params.sample_rate
     live = np.searchsorted(k[1:(len(k) + 1) // 2], (OMEGA0 + _LIVE_Z) / scales, side="right")
-    k_live = np.concatenate([k[1:1 + m] for m in live])
     amp = np.sqrt(2 * np.pi * scales / dt) * np.pi ** -0.25
-    return live, np.repeat(amp, live) * np.exp(
-        -0.5 * (np.repeat(scales, live) * k_live - OMEGA0) ** 2)
+    return live, _live_gaussians(scales, k[1:], live, OMEGA0, amp)
 
 
-def _morlet_bank(scales: np.ndarray, k: np.ndarray, params: CwtParams) -> np.ndarray:
+class _Rows(NamedTuple):
+    """A grid's rows kept by their live entries alone, every array read-only: row j
+    holds ``vals[ends[j] - live[j]:ends[j]]`` from its first live bin on and exactly
+    0.0 past them."""
+
+    live: np.ndarray
+    ends: np.ndarray
+    vals: np.ndarray
+
+
+def _rows(live: np.ndarray, vals: np.ndarray) -> _Rows:
+    table = _Rows(live, np.cumsum(live), vals)
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=_GRIDS)
+def _morlet_rows(params: CwtParams, npad: int) -> _Rows:
+    """The grid's Morlet rows at ``npad`` FFT points, each from bin 1 on."""
+    return _rows(*_morlet_entries(params.scales(), _omegas(npad, params.sample_rate), params))
+
+
+@lru_cache(maxsize=_GRIDS)
+def _gauss_rows(params: CwtParams, npad: int) -> _Rows:
+    """The coherence's Gaussians in time (std = scale), ``exp(-(s*w)**2 / 2)`` over the
+    ``npad // 2 + 1`` rfft bins, each row from bin 0 on; past ``s*w = _LIVE_Z`` they are 0.0."""
+    scales = params.scales()
+    omega = 2 * np.pi * np.fft.rfftfreq(npad, d=1.0 / params.sample_rate)
+    live = np.searchsorted(omega, _LIVE_Z / scales, side="right")
+    return _rows(live, _live_gaussians(scales, omega, live))
+
+
+def _place(out: np.ndarray, table: _Rows, first: int, start: int) -> None:
+    """Write rows ``first`` on of ``table`` into the rows of ``out``, from bin ``start``."""
+    out[...] = 0.0
+    for j, (c, m) in enumerate(zip(table.ends[first:first + len(out)].tolist(),
+                                   table.live[first:first + len(out)].tolist())):
+        out[j, start:start + m] = table.vals[c - m:c]
+
+
+def _morlet_bank(params: CwtParams, npad: int) -> np.ndarray:
     """Fourier-domain daughter wavelets, one energy-normalized row per scale."""
-    live, vals = _morlet_entries(scales, k, params)
-    cols = np.arange(len(k))
-    out = np.zeros((len(scales), len(k)))
-    out[(cols >= 1) & (cols <= live[:, None])] = vals
+    out = np.empty((len(params.scales()), npad))
+    _place(out, _morlet_rows(params, npad), 0, 1)
     return out
 
 
@@ -228,13 +289,13 @@ def cwt(x, params: CwtParams) -> Scalogram:
     sample mean is removed before transforming (stored on the result) and
     the series is zero padded to the next power of two.
     """
-    spec, k, n, mean = _prepare(x, params)
-    scales = params.scales()
-    coeffs = np.fft.ifft(spec * _morlet_bank(scales, k, params), axis=1)[:, :n]
-    coi = _coi(scales, n, 1.0 / params.sample_rate)
+    spec, n, mean = _prepare(x)
+    coeffs = np.fft.ifft(spec * _morlet_bank(params, len(spec)), axis=1)[:, :n]
+    coi = _coi(params.scales(), n, 1.0 / params.sample_rate)
     return Scalogram(coeffs=coeffs, freqs=params.freq_grid(), params=params, coi=coi, mean=mean)
 
 
+@lru_cache(maxsize=_GRIDS)
 def _recon_plateau(params: CwtParams) -> float:
     """Mid-band transfer of the single-integral reconstruction sum.
 
@@ -281,27 +342,31 @@ def icwt(sg: Scalogram, band: tuple[float, float] | None = None) -> np.ndarray:
 def _band_response(params: CwtParams, band: tuple[float, float], npad: int) -> np.ndarray:
     """``sum_j psi_hat_j / sqrt(s_j)`` over the band's rows at ``npad`` points; read-only.
 
-    Rows are added in grid order, each only over its live entries; adding
-    the skipped 0.0 entries would change no bit.
+    The band's rows are contiguous, so their live entries are one slice of the
+    grid's Morlet table.  Rows are added in grid order, each only over its live
+    entries; adding the skipped 0.0 entries would change no bit.
     """
-    scales = params.scales()[_band_rows(params.freq_grid(), band)]
-    live, vals = _morlet_entries(scales, _omegas(npad, params.sample_rate), params)
-    cols = 1 + np.arange(len(vals)) - np.repeat(np.cumsum(live) - live, live)  # FFT bins
-    resp = np.bincount(cols, weights=vals / np.repeat(np.sqrt(scales), live), minlength=npad)
+    rows = _band_rows(params.freq_grid(), band)  # an empty band builds no table
+    table = _morlet_rows(params, npad)
+    lo, hi = rows[0], rows[-1] + 1
+    resp = np.zeros(npad)
+    for root, c, m in zip(np.sqrt(params.scales()[lo:hi]).tolist(),
+                          table.ends[lo:hi].tolist(), table.live[lo:hi].tolist()):
+        resp[1:1 + m] += table.vals[c - m:c] / root
     resp.setflags(write=False)
     return resp
 
 
 def _band_filter(x, params: CwtParams, band: tuple[float, float]) -> np.ndarray:
     """``icwt(cwt(x, params), band)`` as one filter: the band rows' summed response."""
-    spec, _, n, mean = _prepare(x, params)
+    spec, n, mean = _prepare(x)
     f_lo, f_hi = band  # as a float tuple: one cache key for a list, tuple or numpy floats
     resp = _band_response(params, (float(f_lo), float(f_hi)), len(spec))
     r = np.fft.ifft(spec * resp)[:n].real
     return 2.0 * r / _recon_plateau(params) + mean
 
 
-def _coherence_rows(spec_x: np.ndarray, spec_y: np.ndarray, k: np.ndarray, n: int,
+def _coherence_rows(spec_x: np.ndarray, spec_y: np.ndarray, n: int,
                     params: CwtParams) -> tuple[np.ndarray, np.ndarray]:
     """(wc, phase) of two padded spectra, computed a block of grid rows at a time.
 
@@ -313,13 +378,12 @@ def _coherence_rows(spec_x: np.ndarray, spec_y: np.ndarray, k: np.ndarray, n: in
     prefix rows carry into the next block, and each row's wc and phase are
     written once its boxcar closes.  No stage mixes rows or reorders a sum,
     so every value keeps the bits of the whole-grid computation.  Every
-    buffer is allocated once per call.
+    buffer is allocated once per call; the Morlet and Gaussian rows are read
+    from the grid's tables.
     """
     scales = params.scales()
     nb, npad = len(scales), len(spec_x)
-    live, vals = _morlet_entries(scales, k, params)
-    ends = np.cumsum(live)
-    omega = 2 * np.pi * np.fft.rfftfreq(npad, d=1.0 / params.sample_rate)
+    morlet, smoothing = _morlet_rows(params, npad), _gauss_rows(params, npad)
     win = int(round(0.6 * params.voices_per_octave))  # >= 2, as voices_per_octave >= 4
     top = (win - 1) // 2  # zero rows padded above the grid; win - 1 - top below it
     padded = nb + win - 1 - top  # the padded rows from the grid's first on
@@ -343,10 +407,7 @@ def _coherence_rows(spec_x: np.ndarray, spec_y: np.ndarray, k: np.ndarray, n: in
         r = min(rows, padded - g0)
         grid = min(r, nb - g0)  # of which grid rows; the rest (<= 0: all) are zero rows
         if grid > 0:
-            bank[:grid] = 0.0
-            for j in range(grid):
-                c = ends[g0 + j]
-                bank[j, 0, 1:1 + live[g0 + j]] = vals[c - live[g0 + j]:c]
+            _place(bank[:grid, 0], morlet, g0, 1)
             wb = w[:grid]
             np.multiply(spec, bank[:grid], out=wb)
             np.fft.ifft(wb, axis=-1, out=wb)
@@ -360,17 +421,13 @@ def _coherence_rows(spec_x: np.ndarray, spec_y: np.ndarray, k: np.ndarray, n: in
             np.multiply(wx.imag, wy.real, out=mb[:, 3])
             np.multiply(wx.real, wy.imag, out=t)
             np.subtract(mb[:, 3], t, out=mb[:, 3])
-            s = scales[g0:g0 + grid, None, None]
-            np.multiply(mb, 1.0 / s, out=mb)
+            np.multiply(mb, 1.0 / scales[g0:g0 + grid, None, None], out=mb)
             maps[:grid, :, n:] = 0.0  # the time smoothing's zero padding
 
-            g, f = gauss[:grid], spec4[:grid]  # Gaussian in time, std = scale
-            np.multiply(s, omega, out=g)
-            np.square(g, out=g)
-            np.multiply(-0.5, g, out=g)
-            np.exp(g, out=g)
+            f = spec4[:grid]
+            _place(gauss[:grid, 0], smoothing, g0, 0)
             np.fft.rfft(maps[:grid], axis=-1, out=f)
-            np.multiply(f, g, out=f)
+            np.multiply(f, gauss[:grid], out=f)
             np.fft.irfft(f, npad, axis=-1, out=maps[:grid])
 
         first = g0 + top
@@ -416,13 +473,13 @@ def wavelet_coherence(x, y, params: CwtParams) -> CoherenceMap:
     The grid is processed in blocks of rows (see :func:`_coherence_rows`),
     bit-identical to computing each stage over the whole grid at once.
     """
-    spec_x, k, n, _ = _prepare(x, params)
-    spec_y, _, n_y, _ = _prepare(y, params, "y")
+    spec_x, n, _ = _prepare(x)
+    spec_y, n_y, _ = _prepare(y, "y")
     if n_y != n:
         raise InvalidParameterError(f"lengths differ: {n} vs {n_y}")
     scales = params.scales()
     dt = 1.0 / params.sample_rate
-    wc, phase = _coherence_rows(spec_x, spec_y, k, n, params)
+    wc, phase = _coherence_rows(spec_x, spec_y, n, params)
     for grid in (wc, phase):  # built here, so the map takes them without a copy
         grid.setflags(write=False)
 
@@ -492,14 +549,16 @@ def coherence_summary(
 ) -> dict:
     """JSON-ready summary: band means, detected gaps, grid metadata."""
     gaps = coherent_gap_width(cmap, band, wc_floor)
-    inside = cmap.wc[cmap.coi]
+    # the cells inside the cone are a copy as large as the map's edge-free part: freed here,
+    # before band_average makes its own
+    mean_in_coi = float(cmap.wc[cmap.coi].mean()) if cmap.coi.any() else None
     return {
         "freq_range_hz": [float(cmap.freqs[-1]), float(cmap.freqs[0])],
         "n_freq_bins": int(len(cmap.freqs)),
         "duration_s": float(cmap.times[-1]) if len(cmap.times) else 0.0,
         "band_hz": list(band),
         "wc_floor": wc_floor,
-        "mean_wc_in_coi": float(inside.mean()) if inside.size else None,
+        "mean_wc_in_coi": mean_in_coi,
         "band_mean_wc": float(band_average(cmap, band).mean()),
         "gaps": [{"start_s": s, "width_s": w} for s, w in gaps],
     }

@@ -13,8 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import csirecip
-from csirecip import chansim
+from csirecip import chansim, cli
 from csirecip.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from csirecip.errors import CsiRecipError
 from csirecip.keygen import PROBE_LEN
 from csirecip.traces import pair_traces
 
@@ -312,6 +313,46 @@ class TestReport:
         assert not (tmp_path / "out").exists()
 
 
+class TestDatasetParseStats:
+    """Dataset mode records what parsing dropped from each file under config.input.parse_stats."""
+
+    @staticmethod
+    def faulty_ap(sim_dir, dest):
+        """The AP file with a bad row, a duplicate and an out-of-order row after data row 10."""
+        lines = (sim_dir / "ap.csv").read_text().splitlines()
+        rows = lines[1:]
+        extra = [rows[9], rows[4], "10,1.0,ap,1.0"]  # seq 9 again, seq 4 late, too few i/q
+        dest.write_text("\n".join([lines[0], *rows[:10], *extra, *rows[10:]]) + "\n")
+        return dest
+
+    @pytest.mark.parametrize("command", ["keygen", "metrics", "reconstruct"])
+    def test_counts_read_back_from_payload(self, sim_dir, tmp_path, command):
+        ap = self.faulty_ap(sim_dir, tmp_path / "ap.csv")
+        out = tmp_path / "out"
+        argv = [command, "--ap", str(ap), "--sta", str(sim_dir / "sta.csv"), "--out-dir", str(out)]
+        if command == "keygen":
+            argv += ["--pipelines", "raw"]
+        elif command == "metrics":
+            argv += ["--out", str(tmp_path / "metrics.json")]
+        else:
+            argv += ["--pipeline", "raw"]
+        assert run(argv) == EXIT_OK
+        payload = json.loads({"keygen": out / "session_raw.json",
+                              "metrics": tmp_path / "metrics.json",
+                              "reconstruct": out / "reconstructed_raw.json"}[command].read_text())
+        stats = payload["config"]["input"]["parse_stats"]
+        # data rows 11-13 are the duplicate, the late row and the bad row
+        assert stats == {"ap": {"bad_rows": [13], "duplicates": 1, "out_of_order": 1},
+                         "sta": {"bad_rows": [], "duplicates": 0, "out_of_order": 0}}
+
+    def test_simulation_records_none(self, tmp_path):
+        out = tmp_path / "kg"
+        assert run(["keygen", "--preset", "los-short", "--duration", "60", "--seed", "1",
+                    "--pipelines", "raw", "--out-dir", str(out)]) == EXIT_OK
+        payload = json.loads((out / "session_raw.json").read_text())
+        assert "parse_stats" not in payload["config"]["input"]
+
+
 class TestConfigFile:
     def test_ini_defaults_with_flag_override(self, tmp_path):
         ini = tmp_path / "exp.ini"
@@ -435,6 +476,167 @@ def test_simulate_exits_0_1_or_2_without_traceback(duration, snr, lag, preset, j
         assert "lag_samples" in err.getvalue()
     else:
         assert rc == EXIT_OK
+
+
+@contextlib.contextmanager
+def no_bare_value_error():
+    """Fail on a ValueError outside the CsiRecipError family that would reach ``main``'s
+    data-error catch: the catch stays as a guard, and nothing the fuzzers reach relies on it."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_load_config", "cmd_keygen", "cmd_metrics", "cmd_report"):
+            def guarded(*args, fn=getattr(cli, name)):
+                try:
+                    return fn(*args)
+                except ValueError as e:
+                    if not isinstance(e, CsiRecipError):
+                        raise AssertionError(f"bare {type(e).__name__} reached main: {e}") from e
+                    raise
+            mp.setattr(cli, name, guarded)
+        yield
+
+
+def run_quietly(argv) -> tuple[int, str]:
+    """``main(argv)`` with stdout dropped: (exit code, stderr)."""
+    err = io.StringIO()
+    with no_bare_value_error(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+# files a --config file may name, written once per test module; an INI value "@name@" stands
+# for the path of file "name"
+FUZZ_FILES = ("ap", "sta", "missing", "dir", "nul", "garbage", "non-utf8", "empty")
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory) -> dict[str, str]:
+    root = tmp_path_factory.mktemp("fuzz")
+    assert main(["simulate", "--preset", "los-short", "--duration", "60", "--seed", "2",
+                 "--out-dir", str(root / "sim")]) == EXIT_OK
+    (root / "garbage.csv").write_text("seq,t\n1,2,3\n")
+    (root / "latin1.csv").write_bytes(b"seq,t,dev,i0,q0\n1,0.1,\xe9,1,2\n")
+    return {"ap": str(root / "sim" / "ap.csv"), "sta": str(root / "sim" / "sta.csv"),
+            "missing": str(root / "missing.csv"), "dir": str(root), "nul": "a\0b.csv",
+            "garbage": str(root / "garbage.csv"), "non-utf8": str(root / "latin1.csv"), "empty": ""}
+
+
+# values that a --config file may give each setting; durations stay small, since a large
+# finite one would simulate gigabytes
+INI_VALUES = {
+    ("input", "preset"): st.sampled_from(["los-short", "nlos-long", "reciprocal", "nope", ""]),
+    ("input", "duration_s"): st.sampled_from(["nan", "inf", "-inf", "0", "-3", "1e-300", "1e309",
+                                              "x", ""]) | st.floats(30, 80).map(repr),
+    ("input", "seed"): st.sampled_from(["-1", "1.5", "x", "", str(2 ** 80)])
+    | st.integers(0, 9).map(str),
+    ("input", "subcarrier"): st.sampled_from(["6.0", "x", "", "99999999999999999999"])
+    | st.integers(-3, 20).map(str),
+    ("input", "ap"): st.sampled_from(FUZZ_FILES).map("@{}@".format),
+    ("input", "sta"): st.sampled_from(FUZZ_FILES).map("@{}@".format),
+    ("pipelines", "list"): st.lists(st.sampled_from(["raw", "golay", "fft", "wpt", "wt", " wt", "x",
+                                                     ""]), min_size=1, max_size=3).map(",".join),
+    ("pipelines", "thresholds"): st.sampled_from(["5,15,20", "15", "", "a", "-1", "15,5", "1.5",
+                                                  "0,99"]),
+    ("junk", "key"): st.text(max_size=8),
+}
+
+
+@st.composite
+def ini_files(draw) -> bytes:
+    """An INI file: some settings with fuzzed values, or arbitrary text, or arbitrary bytes."""
+    kind = draw(st.sampled_from(["settings", "settings", "settings", "text", "bytes"]))
+    if kind == "text":
+        return draw(st.text(max_size=60)).encode()
+    if kind == "bytes":
+        return draw(st.binary(max_size=60))
+    keys = draw(st.lists(st.sampled_from(sorted(INI_VALUES)), unique=True, max_size=6))
+    sections: dict[str, list[str]] = {}
+    for section, key in keys:
+        value = draw(INI_VALUES[section, key]).replace("\n", " ").replace("\r", " ")
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    return "".join(f"[{name}]\n" + "".join(line + "\n" for line in body)
+                   for name, body in sections.items()).encode()
+
+
+@settings(max_examples=40, deadline=None)
+@given(command=st.sampled_from(["keygen", "metrics"]), ini=ini_files())
+# each reached main's ValueError catch: open() refused the NUL path, the file was not UTF-8
+@example(command="keygen", ini=b"[input]\nap = @nul@\nsta = @nul@\n")
+@example(command="metrics", ini=b"[input]\nseed = \xff\n")
+@example(command="keygen", ini=b"[input]\nap = @ap@\nsta = @sta@\n")
+@example(command="metrics", ini=b"[input]\nduration_s = 45.0\nsubcarrier = 3\n")
+def test_config_fuzz_exits_0_1_or_2_without_traceback(fuzz_paths, command, ini):
+    for name, path in fuzz_paths.items():
+        ini = ini.replace(f"@{name}@".encode(), path.encode())
+    with tempfile.TemporaryDirectory() as d:
+        config = Path(d) / "fuzz.ini"
+        config.write_bytes(ini)
+        rc, err = run_quietly([command, "--config", str(config), "--out-dir", str(Path(d) / "out")])
+    assert rc in (EXIT_OK, EXIT_USAGE, EXIT_DATA)
+    assert "Traceback" not in err
+    assert (rc == EXIT_OK) == (err == "")
+
+
+JSON_LEAVES = (st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | st.floats()
+               | st.text(max_size=6))
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.lists(inner, max_size=3)
+                           | st.dictionaries(st.text(max_size=6), inner, max_size=3), max_leaves=8)
+
+
+def fuzzed(strategy):
+    """A field's proper values, or any JSON value in their place."""
+    return strategy | JSON_VALUES
+
+
+SESSION_FIELDS = {
+    "pipeline": fuzzed(st.sampled_from(["raw", "wt"])),
+    "sync": fuzzed(st.booleans()),
+    "overall_ber": fuzzed(st.none() | st.floats(0, 1)),
+    "blocks": fuzzed(st.integers(0, 60)),
+    "lag": fuzzed(st.integers(-50, 50)),
+    "per_threshold": fuzzed(st.lists(st.fixed_dictionaries({
+        "error_threshold": fuzzed(st.integers(0, 30)),
+        "kgr": fuzzed(st.floats(0, 2)),
+        "mean_ber": fuzzed(st.none() | st.floats(0, 1)),
+    }), max_size=3)),
+}
+
+
+@st.composite
+def session_files(draw) -> bytes | None:
+    """A session file: a session report with fuzzed or missing fields, any JSON value, any
+    bytes, or None for a directory of that name."""
+    kind = draw(st.sampled_from(["session", "session", "json", "bytes", "directory"]))
+    if kind == "directory":
+        return None
+    if kind == "bytes":
+        return draw(st.binary(max_size=40))
+    if kind == "json":
+        return json.dumps(draw(JSON_VALUES)).encode()
+    keep = draw(st.lists(st.sampled_from(sorted(SESSION_FIELDS)), unique=True,
+                         min_size=len(SESSION_FIELDS) - 1))
+    return json.dumps({k: draw(SESSION_FIELDS[k]) for k in keep}).encode()
+
+
+@settings(max_examples=60, deadline=None)
+@given(files=st.lists(session_files(), min_size=1, max_size=3))
+# nested past the JSON parser's recursion limit: a RecursionError and a traceback
+@example(files=[b"[" * 100000])
+def test_report_fuzz_exits_0_1_or_2_without_traceback(files):
+    with tempfile.TemporaryDirectory() as d:
+        sessions = Path(d) / "sessions"
+        sessions.mkdir()
+        for i, content in enumerate(files):
+            path = sessions / f"session_{i}.json"
+            if content is None:
+                path.mkdir()
+            else:
+                path.write_bytes(content)
+        rc, err = run_quietly(["report", str(sessions), "--out-dir", str(Path(d) / "out")])
+        wrote = (Path(d) / "out" / "report.csv").exists()
+    assert rc in (EXIT_OK, EXIT_DATA)
+    assert "Traceback" not in err
+    assert wrote == (rc == EXIT_OK)
 
 
 def test_import_loads_no_scipy():

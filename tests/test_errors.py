@@ -11,21 +11,23 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import csirecip
-from csirecip import errors
+from csirecip import errors, keygen, reconstruct, wavelet
 from csirecip.authsim import (AuthMessage, AuthPolicy, run_handshake, sign_csi,
                               temporal_decorrelation_curve)
 from csirecip.chansim import ChannelConfig, LossEvent, base_signal, gen_attacker, ou_process
 from csirecip.errors import CsiRecipError, InvalidParameterError, MalformedHeaderError
-from csirecip.keygen import (KeyBlock, QuantizerSpec, SessionConfig, evaluate, gray_encode,
-                             make_keys)
+from csirecip.keygen import (KeyBlock, QuantizerSpec, SessionConfig, cdf_thresholds, evaluate,
+                             gray_encode, make_keys, quantize)
 from csirecip.metrics import DivergenceConfig, pearson, xcorr_lag
 from csirecip.reconstruct import (ReciprocalBand, apply_lag, fft_reconstruct, golay_filter,
-                                  select_reciprocal_freqs, wpt_denoise)
+                                  select_reciprocal_freqs, wpt_denoise, wt_reconstruct)
 from csirecip.traces import (CsiTrace, MagnitudeSeries, magnitude_series, pair_traces,
                              parse_csi_csv)
-from csirecip.wavelet import CoherenceMap, CwtParams, Scalogram, default_params, wavelet_coherence
+from csirecip.wavelet import (CoherenceMap, CwtParams, Scalogram, cwt, default_params,
+                              wavelet_coherence)
 
 SRC = Path(csirecip.__file__).parent
 
@@ -306,6 +308,85 @@ def test_numeric_parameter_raises_only_the_family(call, kind, value):
     except CsiRecipError:
         return
     assert not refused, f"{value!r} was accepted"
+
+
+GOOD = np.sin(np.arange(600.0) / 7.0) + 0.01 * np.arange(600.0)
+P600 = default_params(600, 10.0)
+SPEC = QuantizerSpec(4, [0.0, 1.0, 2.0])
+
+# (public callable, series parameter): a call with that one series set to v, every other
+# argument valid
+SERIES_PARAMS = {
+    "xcorr_lag.x": lambda v: xcorr_lag(v, GOOD, 10),
+    "xcorr_lag.y": lambda v: xcorr_lag(GOOD, v, 10),
+    "pearson.x": lambda v: pearson(v, GOOD),
+    "pearson.y": lambda v: pearson(GOOD, v),
+    "make_keys.x": lambda v: make_keys(v),
+    "cdf_thresholds.block": lambda v: cdf_thresholds(v),
+    "quantize.block": lambda v: quantize(v, SPEC),
+    "golay_filter.x": lambda v: golay_filter(v),
+    "fft_reconstruct.x": lambda v: fft_reconstruct(v),
+    "wpt_denoise.x": lambda v: wpt_denoise(v),
+    "wt_reconstruct.x": lambda v: wt_reconstruct(v, (0.1, 1.0), P600),
+    "wavelet_coherence.x": lambda v: wavelet_coherence(v, GOOD, P600),
+    "wavelet_coherence.y": lambda v: wavelet_coherence(GOOD, v, P600),
+    "cwt.x": lambda v: cwt(v, P600),
+    "apply_lag.x": lambda v: apply_lag(v, GOOD, 1),
+    "apply_lag.y": lambda v: apply_lag(GOOD, v, 1),
+    "sign_csi.csi": lambda v: sign_csi(v, b"k"),
+}
+# the configuration tables: a refused argument must build none
+TABLES = (wavelet._morlet_rows, wavelet._gauss_rows, wavelet._recon_plateau,
+          wavelet._band_response, reconstruct._golay_hat, keygen._quantile_index)
+LENGTHS = st.integers(1, 700)
+BAD_ARRAYS = st.one_of(
+    hnp.arrays(np.float64, st.tuples(st.integers(0, 700), st.integers(1, 3))
+               | st.tuples(st.integers(1, 3), st.integers(0, 700))),  # 2-D
+    hnp.arrays(np.complex128, LENGTHS),
+    hnp.arrays(np.bool_, LENGTHS),
+    hnp.arrays(hnp.unicode_string_dtypes(max_len=3), LENGTHS),
+    LENGTHS.map(lambda n: GOOD[:n].astype(object)),
+    st.lists(st.lists(st.floats(-1.0, 1.0), max_size=3), min_size=2, max_size=4)
+    .filter(lambda rows: len({len(r) for r in rows}) > 1),  # ragged
+    st.sampled_from([np.array([]), np.array([], np.int64), []]),  # empty
+)
+
+
+def _shape_and_dtype(v) -> tuple[str, str]:
+    try:
+        a = np.asarray(v)
+    except ValueError:  # ragged
+        a = np.asarray(v, dtype=object)
+    return str(a.shape), str(a.dtype)
+
+
+@pytest.mark.parametrize("call", SERIES_PARAMS.values(), ids=SERIES_PARAMS)
+@settings(max_examples=20, deadline=None)
+@given(value=BAD_ARRAYS)
+@example(value=np.ones((600, 2)))
+@example(value=GOOD.astype(complex))  # every imaginary part zero
+@example(value=GOOD > 0)
+@example(value=np.array(["1.0"] * 600))
+@example(value=[[1.0], [1.0, 2.0]])  # a bare ValueError from np.asarray
+@example(value=np.array([]))  # quantize, apply_lag and sign_csi accepted it
+def test_array_argument_raises_naming_shape_or_dtype(call, value):
+    for table in TABLES:
+        table.cache_clear()
+    with pytest.raises(CsiRecipError) as exc:
+        call(value)
+    shape, dtype = _shape_and_dtype(value)
+    assert shape in str(exc.value) or dtype in str(exc.value)
+    assert [t.cache_info().currsize for t in TABLES] == [0] * len(TABLES)
+
+
+@pytest.mark.parametrize("name", ["make_keys.x", "cdf_thresholds.block", "golay_filter.x",
+                                  "wt_reconstruct.x", "wavelet_coherence.x", "cwt.x"])
+def test_valid_array_argument_builds_its_tables(name):
+    # the check above is not vacuous: a valid series of these calls does build tables
+    for table in TABLES:
+        table.cache_clear()
+    SERIES_PARAMS[name](GOOD)
+    assert sum(t.cache_info().currsize for t in TABLES) > 0
 
 
 def _frozen_cases():

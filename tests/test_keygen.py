@@ -645,6 +645,9 @@ def test_session_digest_pinned():
 
 
 AGREE = keygen._agree_cached  # step 1, memoized on the exact probe bytes and the rate
+# the configuration-only tables a session reads
+TABLES = (wavelet._morlet_rows, wavelet._gauss_rows, wavelet._recon_plateau,
+          wavelet._band_response, R._golay_hat, keygen._quantile_index)
 
 
 class TestAgreementMemo:
@@ -655,6 +658,16 @@ class TestAgreementMemo:
     def test_cold_cache_equals_warm(self):
         warm = digest_sweep()
         assert digest_sweep(AGREE.cache_clear) == warm
+
+    def test_cold_tables_equal_warm(self):
+        # every session agrees afresh, over configuration tables built afresh
+        warm = digest_sweep()
+
+        def cold():
+            AGREE.cache_clear()
+            for table in TABLES:
+                table.cache_clear()
+        assert digest_sweep(cold) == warm
 
     def test_five_pipelines_agree_once(self):
         a, b = session_pair(5)

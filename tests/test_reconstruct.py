@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 import csirecip.reconstruct as R
 from csirecip.errors import (
     InvalidParameterError,
+    LengthMismatchError,
     TooShortError,
     UnusableCoherenceError,
 )
@@ -544,6 +545,11 @@ class TestSynchronize:
         assert len(xa) == len(ya) == 16
         np.testing.assert_array_equal(xa, x[4:])
         np.testing.assert_array_equal(ya, y[:16])
+
+    def test_apply_lag_refuses_unpaired_series(self):
+        # the two were cut at one offset each and returned misaligned
+        with pytest.raises(LengthMismatchError, match="lengths differ: 20 vs 21"):
+            apply_lag(np.arange(20.0), np.arange(21.0), 1)
 
 
 class TestEnhancementContract:

@@ -1,12 +1,14 @@
 import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from csirecip import wavelet
+from csirecip import keygen, reconstruct, wavelet
 from csirecip.errors import EmptyBandError, GapsPresentError, NonFiniteError, TooShortError
 from csirecip.reconstruct import wt_reconstruct
 from csirecip.wavelet import (
@@ -290,8 +292,9 @@ def test_band_response_equals_dense_row_sum(case):
         for s in scales:
             want += dense_bank(np.array([s]), k, p)[0] / np.sqrt(s)
     assert np.array_equal(got, want)
-    head = scales[:8]
-    assert np.array_equal(wavelet._morlet_bank(head, k, p), dense_bank(head, k, p))
+    head = np.empty((min(8, len(p.freq_grid())), npad))  # the grid table's first rows
+    wavelet._place(head, wavelet._morlet_rows(p, npad), 0, 1)
+    assert np.array_equal(head, dense_bank(p.scales()[:len(head)], k, p))
 
 
 def test_band_response_is_shared_and_read_only():
@@ -304,8 +307,60 @@ def test_band_response_is_shared_and_read_only():
         resp[1] = 0.0
 
 
+def test_tables_are_read_only():
+    p = params(500)
+    arrays = [*wavelet._morlet_rows(p, 512), *wavelet._gauss_rows(p, 512),
+              reconstruct._golay_hat(11, 3), *keygen._quantile_index(100, 4)]
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        wavelet._morlet_rows(p, 512).vals[0] = 1.0
+
+
+def test_tables_stay_within_their_bounds():
+    """A sweep over more configurations than each cache keeps leaves each at its bound."""
+    caches = (wavelet._morlet_rows, wavelet._gauss_rows, wavelet._recon_plateau,
+              wavelet._band_response, reconstruct._golay_hat, keygen._quantile_index)
+    for cache in caches:
+        cache.cache_clear()
+    x = band_limited_fixture(1, 400)
+    for vpo in range(4, 14):  # ten grids
+        wavelet_coherence(x, x[::-1], params(400, vpo=vpo))
+        wt_reconstruct(x, (0.1, 1.0), params(400, vpo=vpo))
+    for window in range(5, 25, 2):
+        reconstruct.golay_filter(x, window)
+    for block_len in range(20, 30):
+        keygen.make_keys(x, block_len)
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.misses >= 10 > info.maxsize
+        assert info.currsize == info.maxsize
+
+
+def test_threads_on_one_cold_grid_agree():
+    """Four threads that start together on a cold grid return the serial map, bit for bit."""
+    x = band_limited_fixture(2, 500)
+    y = x + 0.3 * np.random.default_rng(2).normal(size=500)
+    p = params(500, vpo=10)
+    want = wavelet_coherence(x, y, p)
+    wavelet._morlet_rows.cache_clear()
+    wavelet._gauss_rows.cache_clear()
+    start = threading.Barrier(4)
+
+    def one(_):
+        start.wait()
+        return wavelet_coherence(x, y, p)
+    with ThreadPoolExecutor(4) as pool:
+        maps = list(pool.map(one, range(4)))
+    for got in maps:
+        assert np.array_equal(got.wc, want.wc)
+        assert np.array_equal(got.phase, want.phase)
+        assert np.array_equal(np.signbit(got.phase), np.signbit(want.phase))
+
+
 def test_coherence_builds_one_bank(monkeypatch):
-    """One Morlet evaluation serves both transforms and every block of rows."""
+    """One Morlet evaluation serves both transforms and every block of rows, and a
+    second coherence on the same grid reads the grid's table without evaluating any."""
+    wavelet._morlet_rows.cache_clear()
     built = []
     entries = wavelet._morlet_entries
     monkeypatch.setattr(wavelet, "_morlet_entries", lambda *a: built.append(a) or entries(*a))
@@ -313,6 +368,8 @@ def test_coherence_builds_one_bank(monkeypatch):
     p = params(500)
     assert len(p.freq_grid()) > math.isqrt(wavelet._BLOCK_POINTS // 512)  # several blocks
     wavelet_coherence(x, x + 0.1 * np.random.default_rng(0).normal(size=500), p)
+    assert len(built) == 1
+    wavelet_coherence(x, x + 0.2 * np.random.default_rng(1).normal(size=500), p)
     assert len(built) == 1
 
 
