@@ -124,17 +124,12 @@ def _decide(ap_csi, message: AuthMessage, policy: AuthPolicy, key: bytes) -> Aut
     return AuthDecision(True, corr, shift, Reason.OK)
 
 
-def run_handshake(ap_csi, sta_csi, policy: AuthPolicy, key: bytes,
-                  message: AuthMessage | None = None) -> AuthDecision:
+def run_handshake(ap_csi, sta_csi, policy: AuthPolicy, key: bytes) -> AuthDecision:
     """Legitimate handshake: AP checks the station's signed CSI report.
 
-    The signature gate runs before any channel math.  ``message``
-    overrides the station's signed report, which lets tests inject
-    tampered tags.
+    The signature gate runs before any channel math.
     """
-    if message is None:
-        message = sign_csi(sta_csi, key)
-    return _decide(ap_csi, message, policy, key)
+    return _decide(ap_csi, sign_csi(sta_csi, key), policy, key)
 
 
 def replay_attack(recorded_s1, recorded_s3: AuthMessage, ap_now,

@@ -22,7 +22,7 @@ from math import inf, isfinite
 
 import numpy as np
 
-from .errors import InvalidParameterError, UnknownPresetError, integer, real
+from .errors import InvalidParameterError, UnknownPresetError, integer, pair, real
 from .traces import CsiTrace
 
 MAGNITUDE_OFFSET = 10.0  # keeps simulated magnitudes positive
@@ -64,12 +64,7 @@ class ChannelConfig:
         snr = self.snr_db  # any real number: negative is noisier than the signal, +inf noise-free
         if isinstance(snr, bool) or not isinstance(snr, numbers.Real) or not snr > -inf:
             raise InvalidParameterError(f"snr_db must be a number above -inf, got {snr!r}")
-        try:
-            f_lo, f_hi = self.base_band
-        except (TypeError, ValueError):
-            raise InvalidParameterError(
-                f"base_band must be a pair (f_lo, f_hi), got {self.base_band!r}") from None
-        f_lo, f_hi = real(f_lo, "base_band[0]"), real(f_hi, "base_band[1]")
+        f_lo, f_hi = pair(self.base_band, "base_band")
         object.__setattr__(self, "base_band", (f_lo, f_hi))
         if not f_lo < f_hi:
             raise InvalidParameterError(f"base_band needs 0 < f_lo < f_hi, got [{f_lo}, {f_hi}]")

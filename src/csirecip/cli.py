@@ -171,6 +171,11 @@ def cmd_simulate(args, cp) -> int:
 
 
 def cmd_metrics(args, cp) -> int:
+    out = args.out and Path(_path(args.out, "--out"))  # checked before any work, not created
+    if out and not out.absolute().parent.is_dir():
+        raise FileNotFoundError(f"--out {args.out!r}: its directory does not exist")
+    if out and out.is_dir():
+        raise IsADirectoryError(f"--out {args.out!r} is a directory")
     ap, sta, resolved = _load_pair(args, cp)
     sub = _opt(args, cp, "input", "subcarrier")
     m_ap, m_sta = pair_traces(ap, sta, sub, gap_policy="drop_both")
@@ -195,8 +200,8 @@ def cmd_metrics(args, cp) -> int:
         "wc_summary": coherence_summary(cmap),
     }
     text = _dumps(report)
-    if args.out:
-        Path(_path(args.out, "--out")).write_text(text)
+    if out:
+        out.write_text(text)
     else:
         print(text)
     return EXIT_OK

@@ -1,6 +1,6 @@
 """Exception hierarchy for csirecip, the one series rule (with its finite-input
-check), the two scalar-argument rules (integer and real) and the one
-frozen-array rule.
+check), the two scalar-argument rules (integer and real), the band rule built
+on the real one (pair) and the one frozen-array rule.
 
 Every data-dependent failure raises a subclass of :class:`CsiRecipError`,
 so callers (and the CLI) can distinguish data errors from programming
@@ -131,6 +131,17 @@ def real(value, name: str, hi: float | None = None, zero: bool = False) -> float
         raise InvalidParameterError(
             f"{name} must be finite and {'>= 0' if zero else 'positive'}, got {value!r}")
     raise InvalidParameterError(f"{name} must be in {'[' if zero else '('}0, {hi}], got {value!r}")
+
+
+def pair(value, name: str, zero: bool = False) -> tuple[float, float]:
+    """``value`` as two floats, if it holds exactly two items that pass :func:`real` (with
+    ``zero``) as ``{name}[0]`` and ``{name}[1]``: else :class:`InvalidParameterError`,
+    ``{name} must be a pair (f_lo, f_hi), got …``, or the edge's own message."""
+    try:
+        lo, hi = value
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"{name} must be a pair (f_lo, f_hi), got {value!r}") from None
+    return real(lo, f"{name}[0]", zero=zero), real(hi, f"{name}[1]", zero=zero)
 
 
 def _freeze(obj, **dtypes) -> None:

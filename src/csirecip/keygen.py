@@ -354,25 +354,18 @@ class SessionConfig:
                            _error_thresholds(self.error_thresholds, "error_thresholds"))
 
 
-def _rate(series, default: float = 10.0) -> float:
-    return series.rate_hz if isinstance(series, MagnitudeSeries) else default
-
-
 def _key_params(n: int, rate: float, band: tuple[float, float]) -> CwtParams:
     return CwtParams(min_freq=min(4.0 / (n / rate), band[0]), max_freq=rate / 2, sample_rate=rate)
 
 
-def _agree_thresholds(a: np.ndarray, b: np.ndarray, rate: float) -> tuple[ReciprocalBand, int]:
-    """Step 1: probe-window coherence, threshold adaptation, lag estimate.
-
-    Memoized on the exact probe bytes and the rate, so sessions that
-    compare pipelines over one pair agree once.  The result is immutable.
-    """
-    return _agree_cached(a.tobytes(), b.tobytes(), rate)
-
-
 @lru_cache(maxsize=_AGREEMENTS)
 def _agree_cached(a: bytes, b: bytes, rate: float) -> tuple[ReciprocalBand, int]:
+    """Step 1: probe-window coherence, threshold adaptation, lag estimate.
+
+    Memoized on the exact probe bytes (``a`` and ``b``, float64) and the
+    rate, so sessions that compare pipelines over one pair agree once.  The
+    result is immutable.
+    """
     a, b = np.frombuffer(a), np.frombuffer(b)
     # one full period per probe window: maximizes the octave span so the
     # half-grid selection target stays inside the physically coherent band
@@ -419,7 +412,7 @@ def preprocess_pair(ap, sta, cfg: SessionConfig = SessionConfig()) -> Preprocess
             for s, name in ((ap, "ap"), (sta, "sta")))
     if len(a) != len(b):
         raise LengthMismatchError("session inputs must be paired to equal length")
-    rate = _rate(ap)
+    rate = ap.rate_hz if isinstance(ap, MagnitudeSeries) else 10.0
     n = len(a)
     L = PROBE_LEN
     if n < L + BLOCK_LEN:
@@ -427,7 +420,7 @@ def preprocess_pair(ap, sta, cfg: SessionConfig = SessionConfig()) -> Preprocess
             f"need at least PROBE_LEN + BLOCK_LEN = {L + BLOCK_LEN} samples, got {n}"
         )
 
-    band, lag = _agree_thresholds(a[:L], b[:L], rate)
+    band, lag = _agree_cached(a[:L].tobytes(), b[:L].tobytes(), rate)
     pa = _run_pipeline(a[L:], rate, band.band, cfg.pipeline)
     pb = _run_pipeline(b[L:], rate, band.band, cfg.pipeline)
     if cfg.sync and lag != 0:

@@ -21,9 +21,10 @@ from .errors import (
     _freeze,
     finite_series,
     integer,
+    pair,
     real,
 )
-from .wavelet import CoherenceMap, CwtParams, _band_filter
+from .wavelet import CoherenceMap, CwtParams, _band_response, _prepare, _recon_plateau
 
 
 @dataclass(frozen=True)
@@ -241,10 +242,14 @@ def wt_reconstruct(x, band: tuple[float, float], params: CwtParams) -> np.ndarra
     """Band-limited wavelet reconstruction of one series over ``band`` = (f_lo, f_hi).
 
     The result equals ``icwt(cwt(x, params), band)``, computed as one FFT
-    filter whose response sums the rows' daughter wavelets, so no scalogram
-    is built.
+    filter whose response sums the band rows' daughter wavelets, so no
+    scalogram is built.
     """
-    return _band_filter(x, params, band)
+    spec, n, mean = _prepare(x)
+    # as a float pair: one cache key for a list, tuple or numpy floats, and none for a bad band
+    resp = _band_response(params, pair(band, "band", zero=True), len(spec))
+    r = np.fft.ifft(spec * resp)[:n].real
+    return 2.0 * r / _recon_plateau(params) + mean
 
 
 def apply_lag(x, y, lag: int) -> tuple[np.ndarray, np.ndarray]:

@@ -18,8 +18,8 @@ Every Morlet row is evaluated only where it can be nonzero: the Gaussian
 transform or of the response.  The same holds for the coherence's
 time-smoothing Gaussians ``exp(-(s*w)**2 / 2)``.  These live entries
 depend only on the grid and the padded length, so each grid keeps them in
-one read-only table per padded length, in a small bounded cache shared by
-every call and thread; a band's response sums a slice of that table.
+one read-only table per padded length, a tuple of rows, in a small bounded
+cache shared by every call and thread; a band's response sums its run of rows.
 
 Coherence works through the grid in blocks of rows over buffers allocated
 once per call: each block transforms, multiplies and time-smooths only its
@@ -44,12 +44,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (EmptyBandError, InvalidParameterError, TooShortError, _freeze, finite_series,
-                     integer, real)
+                     integer, pair, real)
 
 OMEGA0 = 6.0  # Morlet center-frequency parameter (>= 5 keeps the wavelet admissible)
 HYSTERESIS = 0.1  # coherence rise above the floor that ends a detected gap
@@ -196,27 +195,26 @@ def _prepare(x, name: str = "x") -> tuple[np.ndarray, int, float]:
 
 
 def _live_gaussians(scales: np.ndarray, bins: np.ndarray, live: np.ndarray,
-                    center: float = 0.0, amp: np.ndarray | None = None) -> np.ndarray:
-    """Row j's ``amp_j * exp(-0.5 * (s_j*bins - center)**2)`` over ``bins[:live_j]``, the
-    rows concatenated.  Each row is evaluated in place in the result, so building it
-    takes no more memory than it holds."""
-    vals = np.empty(live.sum())
-    for j, (end, m) in enumerate(zip(np.cumsum(live).tolist(), live.tolist())):
-        v = vals[end - m:end]
-        np.multiply(scales[j], bins[:m], out=v)
+                    center: float = 0.0, amp: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """A grid table: row j is ``amp_j * exp(-0.5 * (s_j*bins - center)**2)`` over
+    ``bins[:live_j]``, read-only and exactly 0.0 past its end.  Each row is evaluated in
+    place, so building the table takes no more memory than it holds."""
+    rows = []
+    for j, m in enumerate(live.tolist()):
+        v = np.multiply(scales[j], bins[:m])
         np.subtract(v, center, out=v)
         np.square(v, out=v)
         np.multiply(-0.5, v, out=v)
         np.exp(v, out=v)
         if amp is not None:
             np.multiply(amp[j], v, out=v)
-    return vals
+        v.setflags(write=False)
+        rows.append(v)
+    return tuple(rows)
 
 
-def _morlet_entries(
-    scales: np.ndarray, k: np.ndarray, params: CwtParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """The Morlet bank's live entries: (count per row, their values row by row).
+def _morlet_entries(scales: np.ndarray, k: np.ndarray, params: CwtParams) -> tuple[np.ndarray, ...]:
+    """The Morlet bank's live entries, one row per scale from bin 1 on.
 
     Row j can be nonzero only where ``k > 0`` and ``|s_j*k - OMEGA0| <=
     _LIVE_Z``.  Since OMEGA0 < _LIVE_Z, that is a prefix ``k[1:1 + live_j]``
@@ -225,55 +223,29 @@ def _morlet_entries(
     dt = 1.0 / params.sample_rate
     live = np.searchsorted(k[1:(len(k) + 1) // 2], (OMEGA0 + _LIVE_Z) / scales, side="right")
     amp = np.sqrt(2 * np.pi * scales / dt) * np.pi ** -0.25
-    return live, _live_gaussians(scales, k[1:], live, OMEGA0, amp)
-
-
-class _Rows(NamedTuple):
-    """A grid's rows kept by their live entries alone, every array read-only: row j
-    holds ``vals[ends[j] - live[j]:ends[j]]`` from its first live bin on and exactly
-    0.0 past them."""
-
-    live: np.ndarray
-    ends: np.ndarray
-    vals: np.ndarray
-
-
-def _rows(live: np.ndarray, vals: np.ndarray) -> _Rows:
-    table = _Rows(live, np.cumsum(live), vals)
-    for a in table:
-        a.setflags(write=False)
-    return table
+    return _live_gaussians(scales, k[1:], live, OMEGA0, amp)
 
 
 @lru_cache(maxsize=_GRIDS)
-def _morlet_rows(params: CwtParams, npad: int) -> _Rows:
+def _morlet_rows(params: CwtParams, npad: int) -> tuple[np.ndarray, ...]:
     """The grid's Morlet rows at ``npad`` FFT points, each from bin 1 on."""
-    return _rows(*_morlet_entries(params.scales(), _omegas(npad, params.sample_rate), params))
+    return _morlet_entries(params.scales(), _omegas(npad, params.sample_rate), params)
 
 
 @lru_cache(maxsize=_GRIDS)
-def _gauss_rows(params: CwtParams, npad: int) -> _Rows:
+def _gauss_rows(params: CwtParams, npad: int) -> tuple[np.ndarray, ...]:
     """The coherence's Gaussians in time (std = scale), ``exp(-(s*w)**2 / 2)`` over the
     ``npad // 2 + 1`` rfft bins, each row from bin 0 on; past ``s*w = _LIVE_Z`` they are 0.0."""
     scales = params.scales()
     omega = 2 * np.pi * np.fft.rfftfreq(npad, d=1.0 / params.sample_rate)
-    live = np.searchsorted(omega, _LIVE_Z / scales, side="right")
-    return _rows(live, _live_gaussians(scales, omega, live))
+    return _live_gaussians(scales, omega, np.searchsorted(omega, _LIVE_Z / scales, side="right"))
 
 
-def _place(out: np.ndarray, table: _Rows, first: int, start: int) -> None:
+def _place(out: np.ndarray, table: tuple[np.ndarray, ...], first: int, start: int) -> None:
     """Write rows ``first`` on of ``table`` into the rows of ``out``, from bin ``start``."""
     out[...] = 0.0
-    for j, (c, m) in enumerate(zip(table.ends[first:first + len(out)].tolist(),
-                                   table.live[first:first + len(out)].tolist())):
-        out[j, start:start + m] = table.vals[c - m:c]
-
-
-def _morlet_bank(params: CwtParams, npad: int) -> np.ndarray:
-    """Fourier-domain daughter wavelets, one energy-normalized row per scale."""
-    out = np.empty((len(params.scales()), npad))
-    _place(out, _morlet_rows(params, npad), 0, 1)
-    return out
+    for dst, row in zip(out, table[first:first + len(out)]):
+        dst[start:start + len(row)] = row
 
 
 def _coi(scales: np.ndarray, n: int, dt: float) -> np.ndarray:
@@ -290,7 +262,9 @@ def cwt(x, params: CwtParams) -> Scalogram:
     the series is zero padded to the next power of two.
     """
     spec, n, mean = _prepare(x)
-    coeffs = np.fft.ifft(spec * _morlet_bank(params, len(spec)), axis=1)[:, :n]
+    bank = np.empty((len(params.scales()), len(spec)))  # one energy-normalized row per scale
+    _place(bank, _morlet_rows(params, len(spec)), 0, 1)
+    coeffs = np.fft.ifft(spec * bank, axis=1)[:, :n]
     coi = _coi(params.scales(), n, 1.0 / params.sample_rate)
     return Scalogram(coeffs=coeffs, freqs=params.freq_grid(), params=params, coi=coi, mean=mean)
 
@@ -312,17 +286,21 @@ def _recon_plateau(params: CwtParams) -> float:
     return float(g)
 
 
-def _band_rows(freqs: np.ndarray, band: tuple[float, float] | None) -> np.ndarray:
-    """Grid rows inside ``band`` (all rows when None)."""
-    if band is None:
-        return np.arange(len(freqs))
-    f_lo, f_hi = band
+def _band_rows(freqs: np.ndarray, band) -> slice:
+    """The grid rows inside ``band`` = (f_lo, f_hi), edges finite and >= 0 Hz: one run of
+    rows, since the grid descends."""
+    f_lo, f_hi = pair(band, "band", zero=True)
+    rise = np.flatnonzero(~(np.diff(freqs) < 0))  # a hand-built map's grid may not descend
+    if rise.size:
+        i = rise[0] + 1
+        raise InvalidParameterError(
+            f"freqs must be strictly descending, got {freqs[i]} after {freqs[i - 1]} at row {i}")
     if f_lo > f_hi:
         raise EmptyBandError(f"inverted band [{f_lo}, {f_hi}]")
-    rows = np.flatnonzero((freqs >= f_lo) & (freqs <= f_hi))
-    if rows.size == 0:
+    lo, hi = np.count_nonzero(freqs > f_hi), np.count_nonzero(freqs >= f_lo)
+    if lo >= hi:
         raise EmptyBandError(f"no frequency bins inside band {band}")
-    return rows
+    return slice(lo, hi)
 
 
 def icwt(sg: Scalogram, band: tuple[float, float] | None = None) -> np.ndarray:
@@ -332,7 +310,7 @@ def icwt(sg: Scalogram, band: tuple[float, float] | None = None) -> np.ndarray:
     ``band = (f_lo, f_hi)`` (all rows when None), normalized by the
     reconstruction plateau, and restores the stored mean.
     """
-    rows = _band_rows(sg.freqs, band)
+    rows = slice(None) if band is None else _band_rows(sg.freqs, band)
     scales = sg.params.scales()[rows]
     r = (sg.coeffs[rows].real / np.sqrt(scales)[:, None]).sum(axis=0)
     return 2.0 * r / _recon_plateau(sg.params) + sg.mean
@@ -342,28 +320,15 @@ def icwt(sg: Scalogram, band: tuple[float, float] | None = None) -> np.ndarray:
 def _band_response(params: CwtParams, band: tuple[float, float], npad: int) -> np.ndarray:
     """``sum_j psi_hat_j / sqrt(s_j)`` over the band's rows at ``npad`` points; read-only.
 
-    The band's rows are contiguous, so their live entries are one slice of the
-    grid's Morlet table.  Rows are added in grid order, each only over its live
-    entries; adding the skipped 0.0 entries would change no bit.
+    Rows are added in grid order, each only over its live entries; adding the
+    skipped 0.0 entries would change no bit.
     """
     rows = _band_rows(params.freq_grid(), band)  # an empty band builds no table
-    table = _morlet_rows(params, npad)
-    lo, hi = rows[0], rows[-1] + 1
     resp = np.zeros(npad)
-    for root, c, m in zip(np.sqrt(params.scales()[lo:hi]).tolist(),
-                          table.ends[lo:hi].tolist(), table.live[lo:hi].tolist()):
-        resp[1:1 + m] += table.vals[c - m:c] / root
+    for root, row in zip(np.sqrt(params.scales()[rows]).tolist(), _morlet_rows(params, npad)[rows]):
+        resp[1:1 + len(row)] += row / root
     resp.setflags(write=False)
     return resp
-
-
-def _band_filter(x, params: CwtParams, band: tuple[float, float]) -> np.ndarray:
-    """``icwt(cwt(x, params), band)`` as one filter: the band rows' summed response."""
-    spec, n, mean = _prepare(x)
-    f_lo, f_hi = band  # as a float tuple: one cache key for a list, tuple or numpy floats
-    resp = _band_response(params, (float(f_lo), float(f_hi)), len(spec))
-    r = np.fft.ifft(spec * resp)[:n].real
-    return 2.0 * r / _recon_plateau(params) + mean
 
 
 def _coherence_rows(spec_x: np.ndarray, spec_y: np.ndarray, n: int,

@@ -51,7 +51,7 @@ class TestHandshake:
         x, y, _ = legit_pair(2)
         msg = sign_csi(y, KEY)
         bad = AuthMessage(payload_csi=msg.payload_csi, tag=b"\x00" * 32)
-        d = run_handshake(x, y, AuthPolicy(), KEY, message=bad)
+        d = replay_attack(None, bad, x, AuthPolicy(), KEY)
         assert not d.accepted
         assert d.reason is Reason.BAD_SIGNATURE
         assert d.corr == 0.0 and d.shift == 0  # no channel math ran
@@ -61,7 +61,7 @@ class TestHandshake:
         x, _, cfg = legit_pair(3)
         fresh = magnitude_series(gen_attacker(cfg, "independent"), 6).values
         msg = sign_csi(fresh, b"some-other-key")
-        d = run_handshake(x, fresh, AuthPolicy(), KEY, message=msg)
+        d = replay_attack(None, msg, x, AuthPolicy(), KEY)
         assert d.reason is Reason.BAD_SIGNATURE
 
     def test_frozen_channel_fails_closed(self):

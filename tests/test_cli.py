@@ -153,6 +153,19 @@ class TestMetrics:
         assert rc == EXIT_OK
         assert "pearson" in json.loads(dest.read_text())
 
+    @pytest.mark.parametrize("kind, code", [("nul", EXIT_USAGE), ("dir", EXIT_DATA),
+                                            ("no-parent", EXIT_DATA)])
+    def test_bad_out_refused_before_any_work(self, kind, code, tmp_path, monkeypatch, capsys):
+        # the whole report was computed first, then the write failed
+        def no_work(*args):
+            raise AssertionError("the coherence ran before --out was checked")
+        monkeypatch.setattr(cli, "wavelet_coherence", no_work)
+        dest = {"nul": "a\0b.json", "dir": str(tmp_path),
+                "no-parent": str(tmp_path / "missing" / "m.json")}[kind]
+        assert run(["metrics", "--duration", "60", "--out", dest]) == code
+        assert repr(dest) in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == []
+
 
 class TestReconstruct:
     def test_writes_series_and_meta(self, tmp_path):

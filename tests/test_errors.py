@@ -18,7 +18,8 @@ from csirecip import errors, keygen, reconstruct, wavelet
 from csirecip.authsim import (AuthMessage, AuthPolicy, run_handshake, sign_csi,
                               temporal_decorrelation_curve)
 from csirecip.chansim import ChannelConfig, LossEvent, base_signal, gen_attacker, ou_process
-from csirecip.errors import CsiRecipError, InvalidParameterError, MalformedHeaderError
+from csirecip.errors import (CsiRecipError, EmptyBandError, InvalidParameterError,
+                             MalformedHeaderError)
 from csirecip.keygen import (KeyBlock, QuantizerSpec, SessionConfig, cdf_thresholds, evaluate,
                              gray_encode, make_keys, quantize)
 from csirecip.metrics import DivergenceConfig, pearson, xcorr_lag
@@ -26,8 +27,8 @@ from csirecip.reconstruct import (ReciprocalBand, apply_lag, fft_reconstruct, go
                                   select_reciprocal_freqs, wpt_denoise, wt_reconstruct)
 from csirecip.traces import (CsiTrace, MagnitudeSeries, magnitude_series, pair_traces,
                              parse_csi_csv)
-from csirecip.wavelet import (CoherenceMap, CwtParams, Scalogram, cwt, default_params,
-                              wavelet_coherence)
+from csirecip.wavelet import (CoherenceMap, CwtParams, Scalogram, band_average, coherence_summary,
+                              coherent_gap_width, cwt, default_params, icwt, wavelet_coherence)
 
 SRC = Path(csirecip.__file__).parent
 
@@ -79,6 +80,12 @@ def _cmap(**kw):
     args = dict(wc=grid.copy(), phase=grid.copy(), freqs=PARAMS.freq_grid(),
                 times=np.arange(4.0), coi=np.ones((NB, 4), bool), params=PARAMS)
     return CoherenceMap(**{**args, **kw})
+
+
+def _scalogram(**kw):
+    args = dict(coeffs=np.zeros((NB, 4), complex), freqs=PARAMS.freq_grid(), params=PARAMS,
+                coi=np.zeros(4, int))
+    return Scalogram(**{**args, **kw})
 
 
 def _pairs_of(series):
@@ -193,6 +200,12 @@ def _pairs_of(series):
     (lambda: CwtParams("0.1", 5.0, 10.0), "min_freq must be finite and positive, got '0.1'"),
     (lambda: CwtParams(0.1, "5", 10.0), "max_freq must be finite and positive, got '5'"),
     (lambda: CwtParams(0.1, 5.0, "10"), "sample_rate must be finite and positive, got '10'"),
+    # a band is one run of rows only on a descending grid: an ascending one averaged other rows
+    (lambda: band_average(_cmap(freqs=PARAMS.freq_grid()[::-1]), (0.1, 0.2)),
+     f"freqs must be strictly descending, got {PARAMS.freq_grid()[-2]} after "
+     f"{PARAMS.freq_grid()[-1]} at row 1"),
+    (lambda: icwt(_scalogram(freqs=np.r_[PARAMS.freq_grid()[:-1], np.nan]), (0.1, 0.2)),
+     f"freqs must be strictly descending, got nan after {PARAMS.freq_grid()[-2]} at row {NB - 1}"),
 ])
 def test_bad_parameter_names_value(call, message):
     with pytest.raises(InvalidParameterError) as exc:
@@ -389,16 +402,50 @@ def test_valid_array_argument_builds_its_tables(name):
     assert sum(t.cache_info().currsize for t in TABLES) > 0
 
 
+# (public callable, band parameter): a call with that band, every other argument valid
+BAND_PARAMS = {
+    "wt_reconstruct.band": lambda v: wt_reconstruct(GOOD, v, P600),
+    "icwt.band": lambda v: icwt(_scalogram(), v),
+    "band_average.band": lambda v: band_average(_cmap(), v),
+    "coherent_gap_width.band": lambda v: coherent_gap_width(_cmap(), v),
+    "coherence_summary.band": lambda v: coherence_summary(_cmap(), v),
+}
+# each ended in a bare TypeError, ValueError or UFuncTypeError, or a NaN edge in EmptyBandError;
+# an inverted band, or one between two grid rows, stays an EmptyBandError
+BAD_BANDS = [
+    (None, InvalidParameterError, "band must be a pair (f_lo, f_hi), got None"),  # icwt: all rows
+    ((1,), InvalidParameterError, "band must be a pair (f_lo, f_hi), got (1,)"),
+    ("ab", InvalidParameterError, "band[0] must be finite and >= 0, got 'a'"),
+    ((0.5, "a"), InvalidParameterError, "band[1] must be finite and >= 0, got 'a'"),
+    ((np.nan, 1.0), InvalidParameterError, "band[0] must be finite and >= 0, got nan"),
+    ((-1.0, 1.0), InvalidParameterError, "band[0] must be finite and >= 0, got -1.0"),
+    ((2.0, 1.0), EmptyBandError, "inverted band [2.0, 1.0]"),
+    ((4.8, 4.9), EmptyBandError, "no frequency bins inside band (4.8, 4.9)"),
+]
+
+
+@pytest.mark.parametrize("name, band, error, message",
+                         [pytest.param(name, *case, id=f"{name}-{case[0]!r}")
+                          for name in BAND_PARAMS for case in BAD_BANDS
+                          if (name, case[0]) != ("icwt.band", None)])
+def test_bad_band_raises_naming_it(name, band, error, message):
+    for table in TABLES:
+        table.cache_clear()
+    with pytest.raises(error) as exc:
+        BAND_PARAMS[name](band)
+    assert str(exc.value) == message
+    assert [t.cache_info().currsize for t in TABLES] == [0] * len(TABLES)
+
+
+@pytest.mark.parametrize("name", BAND_PARAMS)
+def test_band_may_start_at_zero_hz(name):
+    BAND_PARAMS[name]([0, 1.0])
+
+
 def _frozen_cases():
     """(build from a caller's array, the field holding it, that writeable array) for
     every array field of the eight frozen dataclasses."""
     grid = np.zeros((NB, 4))
-
-    def scalogram(**kw):
-        args = dict(coeffs=grid.astype(complex), freqs=PARAMS.freq_grid(), params=PARAMS,
-                    coi=np.zeros(4, int))
-        return Scalogram(**{**args, **kw})
-
     return [
         (lambda v: _trace(seqs=v), "seqs", np.array([1, 2], np.int64)),
         (lambda v: _trace(t=v), "t", np.array([0.1, 0.2])),
@@ -410,8 +457,8 @@ def _frozen_cases():
         (lambda v: QuantizerSpec(4, v), "thresholds", np.array([0.0, 1.0, 2.0])),
         (lambda v: ReciprocalBand(v, (0.5, 1.0), 0.5, 3), "f_rec", np.array([0.5, 1.0])),
         (lambda v: AuthMessage(v, b"tag"), "payload_csi", np.array([1.0, 2.0])),
-        (lambda v: scalogram(coeffs=v), "coeffs", grid.astype(complex)),
-        (lambda v: scalogram(coi=v), "coi", np.zeros(4, int)),
+        (lambda v: _scalogram(coeffs=v), "coeffs", grid.astype(complex)),
+        (lambda v: _scalogram(coi=v), "coi", np.zeros(4, int)),
         (lambda v: _cmap(wc=v), "wc", grid.copy()),
         (lambda v: _cmap(phase=v), "phase", grid.copy()),
         (lambda v: _cmap(times=v), "times", np.arange(4.0)),

@@ -313,7 +313,7 @@ def test_tables_are_read_only():
               reconstruct._golay_hat(11, 3), *keygen._quantile_index(100, 4)]
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
-        wavelet._morlet_rows(p, 512).vals[0] = 1.0
+        wavelet._morlet_rows(p, 512)[0][0] = 1.0
 
 
 def test_tables_stay_within_their_bounds():
