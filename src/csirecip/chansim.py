@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import numbers
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from math import inf, isfinite
 
 import numpy as np
 
-from .errors import InvalidParameterError, UnknownPresetError, integer, pair, real
+from .errors import InvalidParameterError, UnknownPresetError, choice, integer, pair, real
 from .traces import CsiTrace
 
 MAGNITUDE_OFFSET = 10.0  # keeps simulated magnitudes positive
@@ -38,8 +38,7 @@ class LossEvent:
     count: int
 
     def __post_init__(self):
-        if self.side not in ("ap", "sta"):
-            raise InvalidParameterError(f"LossEvent.side must be 'ap' or 'sta', got {self.side!r}")
+        choice(self.side, "LossEvent.side", ("ap", "sta"))
         # a negative start would index the packets from the end of the trace
         real(self.start_s, "LossEvent.start_s", zero=True)
         object.__setattr__(self, "count", integer(self.count, "LossEvent.count", 0))
@@ -84,15 +83,17 @@ class ChannelConfig:
                 f"|lag_samples| must be below the {self.n_samples} samples of duration_s, "
                 f"got {self.lag_samples!r}")
         object.__setattr__(self, "lag_samples", lag)
-        object.__setattr__(self, "loss", tuple(self.loss))
+        loss = self.loss
+        if not (isinstance(loss, (tuple, list)) and all(isinstance(e, LossEvent) for e in loss)):
+            raise InvalidParameterError(f"loss must be a sequence of LossEvent, got {loss!r}")
+        object.__setattr__(self, "loss", tuple(loss))
 
     @property
     def n_samples(self) -> int:
         return int(round(self.duration_s * self.rate_hz))
 
 
-def ou_process(n: int, dt: float, tau: float, rng: np.random.Generator,
-               complex_valued: bool = False) -> np.ndarray:
+def ou_process(n: int, dt: float, tau: float, rng: np.random.Generator) -> np.ndarray:
     """Unit-variance Ornstein-Uhlenbeck path via exact AR(1) discretization.
 
     Autocorrelation at lag k*dt is exp(-k*dt/tau) in expectation; the
@@ -100,18 +101,13 @@ def ou_process(n: int, dt: float, tau: float, rng: np.random.Generator,
     """
     n = integer(n, "n", 1)
     rho = float(np.exp(-real(dt, "dt") / real(tau, "tau")))
-    if complex_valued:
-        # interleaved draws keep sample i independent of the horizon n,
-        # which is what makes delayed-replay windows prefix-stable
-        innov = _innovations(rng.standard_normal((n, 2)))
-    else:
-        innov = rng.standard_normal(n)
+    innov = rng.standard_normal(n)
     drive = np.sqrt(1 - rho * rho) * innov
     drive[0] = innov[0]
     y = drive.tolist()
     for i in range(1, n):
         y[i] += rho * y[i - 1]
-    return np.array(y, dtype=drive.dtype)
+    return np.array(y)
 
 
 def _innovations(z: np.ndarray) -> np.ndarray:
@@ -256,11 +252,14 @@ def base_signal(cfg: ChannelConfig, n: int, start_s: float = 0.0) -> np.ndarray:
     starting at ``start_s`` equals sample i+offset of the window starting
     at zero, provided offsets are whole samples.
 
-    Equals the sum over carriers of ``ou_process(..., complex_valued=True)``
-    times the carrier phasor, bit for bit.  Time is streamed in blocks of
-    BLOCK samples through fixed buffers, and each sample advances the OU
-    recurrence of all carriers in one vector step.  The carrier generators
-    and the buffers live in a per-thread workspace that every call reuses.
+    Each carrier's coefficient is the :func:`ou_process` recurrence driven
+    by unit-variance complex innovations from interleaved (re, im) draws,
+    so sample i does not depend on the horizon.  Every sample before
+    ``start_s`` is simulated too: time grows linearly with ``start_s``.
+    Time is streamed in blocks of BLOCK samples through fixed buffers, and
+    each sample advances the OU recurrence of all carriers in one vector
+    step.  The carrier generators and the buffers live in a per-thread
+    workspace that every call reuses.
     The phasors of the first TABLE samples are read from a 2 MB read-only
     table shared by all calls and threads, kept for the last ``_TABLES``
     (band, rate) pairs used; later samples compute theirs per block.
@@ -372,17 +371,16 @@ def gen_attacker(cfg: ChannelConfig, mode: str = "independent",
     (spatial decorrelation); ``delayed_replay`` continues the legitimate
     base process ``gap_s`` later, so its correlation with the original is
     bounded by the OU envelope exp(-gap_s / coherence_time_s) and decays
-    even faster once the carrier phases rotate through a full cycle.
+    even faster once the carrier phases rotate through a full cycle.  The
+    base process is simulated through the gap, so time grows linearly with
+    ``gap_s``.
     """
     gap_s = real(gap_s, "gap_s", zero=True)
     n = cfg.n_samples
-    if mode == "independent":
-        alt = replace(cfg, seed=cfg.seed + 0x5EED)
-        base = base_signal(alt, n)
-    elif mode == "delayed_replay":
-        base = base_signal(cfg, n, start_s=gap_s)
+    if choice(mode, "mode", ("independent", "delayed_replay")) == "independent":
+        base = base_signal(replace(cfg, seed=cfg.seed + 0x5EED), n)
     else:
-        raise InvalidParameterError(f"unknown attacker mode {mode!r}")
+        base = base_signal(cfg, n, start_s=gap_s)
     rng_stream = 303 if mode == "independent" else 404
     return _device_trace(
         cfg, f"attacker-{mode}", MAGNITUDE_OFFSET + base, rng_stream,
@@ -416,9 +414,12 @@ _PRESETS = {
 def preset(name: str, duration_s: float = 600.0, seed: int = 0,
            **overrides) -> ChannelConfig:
     """Named scenario presets; any field can be overridden."""
-    key = name.lower().replace("_", "-")
+    key = name.lower().replace("_", "-") if isinstance(name, str) else None
     if key not in _PRESETS:
         raise UnknownPresetError(f"unknown preset {name!r}; choose from {sorted(_PRESETS)}")
+    unknown = sorted(set(overrides) - {f.name for f in fields(ChannelConfig)})
+    if unknown:
+        raise InvalidParameterError(f"unknown ChannelConfig field {unknown[0]!r}")
     kw = dict(_PRESETS[key])
     kw.update(overrides)
     return ChannelConfig(duration_s=duration_s, seed=seed, **kw)

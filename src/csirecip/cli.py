@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import authsim, chansim, keygen
 from .authsim import AuthPolicy, replay_attack, run_handshake, sign_csi
-from .errors import CsiRecipError, InvalidParameterError, UnknownPresetError
+from .errors import CsiRecipError, InvalidParameterError, UnknownPresetError, integer
 from .keygen import PIPELINES, SessionConfig, preprocess_pair, wskg_session
 from .metrics import DivergenceConfig, jeffrey_divergence, pearson, wasserstein_1d, xcorr_lag
 from .traces import magnitude_series, pair_traces, parse_csi_csv, write_csi_csv
@@ -268,7 +268,7 @@ def cmd_keygen(args, cp) -> int:
 
 
 def cmd_auth(args, cp) -> int:
-    trials = _opt(args, cp, "auth", "trials")
+    trials = integer(_opt(args, cp, "auth", "trials"), "trials", 1)  # before any trial or file
     seed = _opt(args, cp, "auth", "seed")
     policy = AuthPolicy(min_corr=_opt(args, cp, "auth", "min_corr"),
                         max_shift=_opt(args, cp, "auth", "max_shift"))

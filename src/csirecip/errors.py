@@ -1,6 +1,6 @@
 """Exception hierarchy for csirecip, the one series rule (with its finite-input
-check), the two scalar-argument rules (integer and real), the band rule built
-on the real one (pair) and the one frozen-array rule.
+check), the scalar-argument rules (integer, real, the band rule pair built on
+real, and choice for a named option) and the one frozen-array rule.
 
 Every data-dependent failure raises a subclass of :class:`CsiRecipError`,
 so callers (and the CLI) can distinguish data errors from programming
@@ -144,6 +144,14 @@ def pair(value, name: str, zero: bool = False) -> tuple[float, float]:
     return real(lo, f"{name}[0]", zero=zero), real(hi, f"{name}[1]", zero=zero)
 
 
+def choice(value, name: str, options: tuple[str, ...]) -> str:
+    """``value``, if it is one of the strings ``options``: else :class:`InvalidParameterError`,
+    ``{name} must be one of {options}, got {value!r}``."""
+    if not (isinstance(value, str) and value in options):
+        raise InvalidParameterError(f"{name} must be one of {options}, got {value!r}")
+    return value
+
+
 def _freeze(obj, **dtypes) -> None:
     """Set each named field of the frozen dataclass ``obj`` to a read-only C-ordered
     array of its dtype (None: as given).  An array already read-only is kept; any
@@ -178,5 +186,5 @@ class DegenerateBlockError(CsiRecipError):
 
 # --- channel simulation ---
 
-class UnknownPresetError(CsiRecipError, ValueError):
-    """No channel preset has the requested name."""
+class UnknownPresetError(InvalidParameterError):
+    """No channel preset has the requested name (a non-string included)."""

@@ -8,13 +8,13 @@ bit-error thresholds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import (DegenerateBlockError, InvalidParameterError, LengthMismatchError,
-                     TooShortError, _freeze, finite_series, integer)
+                     TooShortError, _freeze, choice, finite_series, integer)
 from .metrics import xcorr_lag
 from .reconstruct import (
     ReciprocalBand,
@@ -114,16 +114,7 @@ class SessionReport:
             "blocks": self.blocks,
             "skipped_blocks": self.skipped_blocks,
             "overall_ber": self.overall_ber,
-            "per_threshold": [
-                {
-                    "error_threshold": st.error_threshold,
-                    "accepted": st.accepted,
-                    "attempted": st.attempted,
-                    "kgr": st.kgr,
-                    "mean_ber": st.mean_ber,
-                }
-                for st in self.per_threshold
-            ],
+            "per_threshold": [asdict(st) for st in self.per_threshold],
         }
 
 
@@ -347,9 +338,9 @@ class SessionConfig:
     error_thresholds: tuple[int, ...] = (5, 15, 20)
 
     def __post_init__(self):
-        if self.pipeline not in PIPELINES:
-            raise InvalidParameterError(
-                f"pipeline must be one of {PIPELINES}, got {self.pipeline!r}")
+        choice(self.pipeline, "pipeline", PIPELINES)
+        if not isinstance(self.sync, (bool, np.bool_)):
+            raise InvalidParameterError(f"sync must be a bool, got {self.sync!r}")
         object.__setattr__(self, "error_thresholds",
                            _error_thresholds(self.error_thresholds, "error_thresholds"))
 

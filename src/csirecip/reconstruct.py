@@ -9,7 +9,7 @@ alignment of a pair at a known lag.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -50,51 +50,49 @@ class ReciprocalBand:
 
 # --- baseline pipelines ---
 
-_HATS = 4  # Savitzky-Golay fit matrices kept, one per (window, order)
+GOLAY_WINDOW = 11  # Savitzky-Golay baseline: samples per local fit
+GOLAY_ORDER = 3  # and the degree of the fitted polynomial
+FFT_POWER_KEEP = 0.98  # FFT baseline: share of the non-DC power kept
+WPT_DEPTH = 4  # wavelet-packet baseline: levels of the tree
 
 
-@lru_cache(maxsize=_HATS)
-def _golay_hat(window: int, order: int) -> np.ndarray:
+@cache
+def _golay_hat() -> np.ndarray:
     """Row j: the weights giving the window's least-squares fit at position j; read-only."""
-    half = window // 2
-    vander = np.vander(np.arange(-half, half + 1.0), order + 1, increasing=True)
+    half = GOLAY_WINDOW // 2
+    vander = np.vander(np.arange(-half, half + 1.0), GOLAY_ORDER + 1, increasing=True)
     hat = vander @ np.linalg.pinv(vander)
     hat.setflags(write=False)
     return hat
 
 
-def golay_filter(x, window: int = 11, order: int = 3) -> np.ndarray:
-    """Savitzky-Golay smoothing (local least-squares polynomial fit).
+def golay_filter(x) -> np.ndarray:
+    """Savitzky-Golay smoothing: a GOLAY_ORDER least-squares polynomial fit per GOLAY_WINDOW.
 
     Endpoints are handled by fitting the polynomial over the one-sided
     edge window and evaluating it there (scipy's ``mode="interp"``).
     """
     x = finite_series(x, "x")
-    window = integer(window, "window", 3)
-    if window % 2 == 0:
-        raise InvalidParameterError(f"window must be odd and >= 3, got {window}")
-    order = integer(order, "order", 0, window)
-    if window > len(x):
-        raise InvalidParameterError(f"window {window} exceeds series length {len(x)}")
-    half = window // 2
-    hat = _golay_hat(window, order)
+    if len(x) < GOLAY_WINDOW:
+        raise TooShortError(f"need at least {GOLAY_WINDOW} samples, got {len(x)}")
+    half = GOLAY_WINDOW // 2
+    hat = _golay_hat()
     y = np.empty_like(x)
     y[half:len(x) - half] = np.correlate(x, hat[half], "valid")
-    y[:half] = hat[:half] @ x[:window]
-    y[len(x) - half:] = hat[half + 1:] @ x[-window:]
+    y[:half] = hat[:half] @ x[:GOLAY_WINDOW]
+    y[len(x) - half:] = hat[half + 1:] @ x[-GOLAY_WINDOW:]
     return y
 
 
-def fft_reconstruct(x, power_keep: float = 0.98) -> np.ndarray:
-    """Keep the lowest-frequency bins holding ``power_keep`` of the power.
+def fft_reconstruct(x) -> np.ndarray:
+    """Keep the lowest-frequency bins holding FFT_POWER_KEEP of the power.
 
     The mean is removed first and re-added afterwards, so a constant
-    series passes through unchanged and power_keep = 1 is the identity.
+    series passes through unchanged.
     """
     x = finite_series(x, "x")
     if len(x) < 8:
         raise TooShortError(f"need at least 8 samples, got {len(x)}")
-    real(power_keep, "power_keep", hi=1)
     mean = x.mean()
     spec = np.fft.rfft(x - mean)
     power = np.abs(spec) ** 2
@@ -102,7 +100,7 @@ def fft_reconstruct(x, power_keep: float = 0.98) -> np.ndarray:
     if total == 0.0:
         return x.copy()
     cum = np.cumsum(power[1:])
-    keep = int(np.searchsorted(cum, power_keep * total) + 1)
+    keep = int(np.searchsorted(cum, FFT_POWER_KEEP * total) + 1)
     spec[keep + 1:] = 0.0
     return np.fft.irfft(spec, n=len(x)) + mean
 
@@ -156,21 +154,21 @@ def wpt_inverse(bands, n: int) -> np.ndarray:
     return level[0]
 
 
-def wpt_denoise(x, depth: int = 4) -> np.ndarray:
+def wpt_denoise(x) -> np.ndarray:
     """Wavelet-packet median nulling.
 
-    Decomposes to ``depth`` levels with the 4-tap Daubechies filter bank,
+    Decomposes to WPT_DEPTH levels with the 4-tap Daubechies filter bank,
     zeroes every coefficient whose magnitude falls below the median of all
     coefficient magnitudes, and reconstructs.
     """
     x = finite_series(x, "x")
     n0 = len(x)
-    block = 1 << integer(depth, "depth", 1)
+    block = 1 << WPT_DEPTH
     if n0 < block:
-        raise TooShortError(f"need at least 2**{depth} samples, got {n0}")
+        raise TooShortError(f"need at least 2**{WPT_DEPTH} samples, got {n0}")
     n = ((n0 + block - 1) // block) * block
     xp = np.pad(x, (0, n - n0), mode="reflect") if n != n0 else x
-    coef = np.array(wpt_forward(xp, depth))  # one row per band
+    coef = np.array(wpt_forward(xp, WPT_DEPTH))  # one row per band
     mag = np.abs(coef)
     coef[mag < np.median(mag)] = 0.0
     return wpt_inverse(coef, n)[:n0]

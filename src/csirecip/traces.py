@@ -30,6 +30,7 @@ from .errors import (
     SubcarrierOutOfRangeError,
     UnknownRateError,
     _freeze,
+    choice,
     integer,
     real,
 )
@@ -311,8 +312,7 @@ def pair_traces(
     run longer than twice the rows the sparser side holds in it raises
     :class:`NoOverlapError`, so the work stays bounded by the row count.
     """
-    if gap_policy not in ("drop_both", "interpolate_linear"):
-        raise InvalidParameterError(f"unknown gap_policy {gap_policy!r}")
+    choice(gap_policy, "gap_policy", ("drop_both", "interpolate_linear"))
     if not len(ap) or not len(sta):
         raise EmptyTraceError("cannot pair an empty trace")
     if ap.subcarriers != sta.subcarriers:

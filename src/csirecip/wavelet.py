@@ -51,6 +51,8 @@ from .errors import (EmptyBandError, InvalidParameterError, TooShortError, _free
                      integer, pair, real)
 
 OMEGA0 = 6.0  # Morlet center-frequency parameter (>= 5 keeps the wavelet admissible)
+GAP_BAND = (0.06, 1.5)  # Hz: the band where coherence gaps are detected by default
+GAP_WC_FLOOR = 0.3  # band-averaged coherence below this opens a gap
 HYSTERESIS = 0.1  # coherence rise above the floor that ends a detected gap
 _LIVE_Z = np.sqrt(1500.0)  # |s*k - OMEGA0| beyond this: exp(-z**2/2) is exactly 0.0
 _RESPONSES = 8  # band responses kept: both devices of a pair share one
@@ -475,8 +477,8 @@ def band_average(cmap: CoherenceMap, band: tuple[float, float]) -> np.ndarray:
 
 def coherent_gap_width(
     cmap: CoherenceMap,
-    band: tuple[float, float] = (0.06, 1.5),
-    wc_floor: float = 0.3,
+    band: tuple[float, float] = GAP_BAND,
+    wc_floor: float = GAP_WC_FLOOR,
 ) -> list[tuple[float, float]]:
     """Detect low-coherence time intervals in a frequency band.
 
@@ -507,13 +509,9 @@ def estimate_lost_packets(gaps: list[tuple[float, float]], rate_hz: float) -> fl
     return sum(w for _, w in gaps) * rate_hz
 
 
-def coherence_summary(
-    cmap: CoherenceMap,
-    band: tuple[float, float] = (0.06, 1.5),
-    wc_floor: float = 0.3,
-) -> dict:
-    """JSON-ready summary: band means, detected gaps, grid metadata."""
-    gaps = coherent_gap_width(cmap, band, wc_floor)
+def coherence_summary(cmap: CoherenceMap) -> dict:
+    """JSON-ready summary over GAP_BAND and GAP_WC_FLOOR: band means, gaps, grid metadata."""
+    gaps = coherent_gap_width(cmap)
     # the cells inside the cone are a copy as large as the map's edge-free part: freed here,
     # before band_average makes its own
     mean_in_coi = float(cmap.wc[cmap.coi].mean()) if cmap.coi.any() else None
@@ -521,9 +519,9 @@ def coherence_summary(
         "freq_range_hz": [float(cmap.freqs[-1]), float(cmap.freqs[0])],
         "n_freq_bins": int(len(cmap.freqs)),
         "duration_s": float(cmap.times[-1]) if len(cmap.times) else 0.0,
-        "band_hz": list(band),
-        "wc_floor": wc_floor,
+        "band_hz": list(GAP_BAND),
+        "wc_floor": GAP_WC_FLOOR,
         "mean_wc_in_coi": mean_in_coi,
-        "band_mean_wc": float(band_average(cmap, band).mean()),
+        "band_mean_wc": float(band_average(cmap, GAP_BAND).mean()),
         "gaps": [{"start_s": s, "width_s": w} for s, w in gaps],
     }

@@ -116,12 +116,11 @@ CHANNELS = [((0.05, 2.0), 10.0), ((0.05, 0.8), 10.0), ((0.5, 20.0), 100.0),
 
 
 class TestOu:
-    @pytest.mark.parametrize("complex_valued", [False, True])
     @pytest.mark.parametrize("seed", [0, 1, 7, 123])
-    def test_bit_equal_to_lfilter(self, seed, complex_valued):
+    def test_bit_equal_to_lfilter(self, seed):
         for n, tau in ((1, 3.0), (2, 0.5), (997, 12.0)):
-            got = ou_process(n, 0.1, tau, np.random.default_rng(seed), complex_valued)
-            want = lfilter_ou_process(n, 0.1, tau, np.random.default_rng(seed), complex_valued)
+            got = ou_process(n, 0.1, tau, np.random.default_rng(seed))
+            want = lfilter_ou_process(n, 0.1, tau, np.random.default_rng(seed))
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
 
@@ -150,11 +149,6 @@ class TestOu:
     def test_unit_variance(self):
         x = ou_process(100_000, 0.1, 3.0, np.random.default_rng(1))
         assert np.var(x.real) == pytest.approx(1.0, abs=0.05)
-
-    def test_complex_variant(self):
-        z = ou_process(50_000, 0.1, 2.0, np.random.default_rng(2),
-                       complex_valued=True)
-        assert np.mean(np.abs(z) ** 2) == pytest.approx(1.0, abs=0.05)
 
 
 class TestGenPair:

@@ -278,6 +278,20 @@ class TestAuth:
         assert conf["replay_accept"] == 0
         assert len(payload["decisions"]) == 24
 
+    # each ran zero trials, wrote auth_decisions.json and exited 0
+    @pytest.mark.parametrize("flags, ini, value", [
+        (["--trials", "-1"], None, "-1"), (["--trials", "0"], None, "0"),
+        ([], "[auth]\ntrials = 0\n", "0"),
+    ], ids=["flag-1", "flag0", "ini0"])
+    def test_trials_below_one_is_data_error(self, tmp_path, capsys, flags, ini, value):
+        out = tmp_path / "auth"
+        if ini:
+            (tmp_path / "auth.ini").write_text(ini)
+            flags = flags + ["--config", str(tmp_path / "auth.ini")]
+        assert run(["auth", *flags, "--out-dir", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: trials must be >= 1, got {value}\n"
+        assert not out.exists()
+
 
 class TestFlagGroups:
     @pytest.mark.parametrize("argv", [

@@ -17,7 +17,7 @@ import csirecip
 from csirecip import errors, keygen, reconstruct, wavelet
 from csirecip.authsim import (AuthMessage, AuthPolicy, run_handshake, sign_csi,
                               temporal_decorrelation_curve)
-from csirecip.chansim import ChannelConfig, LossEvent, base_signal, gen_attacker, ou_process
+from csirecip.chansim import ChannelConfig, LossEvent, base_signal, gen_attacker, ou_process, preset
 from csirecip.errors import (CsiRecipError, EmptyBandError, InvalidParameterError,
                              MalformedHeaderError)
 from csirecip.keygen import (KeyBlock, QuantizerSpec, SessionConfig, cdf_thresholds, evaluate,
@@ -27,8 +27,8 @@ from csirecip.reconstruct import (ReciprocalBand, apply_lag, fft_reconstruct, go
                                   select_reciprocal_freqs, wpt_denoise, wt_reconstruct)
 from csirecip.traces import (CsiTrace, MagnitudeSeries, magnitude_series, pair_traces,
                              parse_csi_csv)
-from csirecip.wavelet import (CoherenceMap, CwtParams, Scalogram, band_average, coherence_summary,
-                              coherent_gap_width, cwt, default_params, icwt, wavelet_coherence)
+from csirecip.wavelet import (CoherenceMap, CwtParams, Scalogram, band_average, coherent_gap_width,
+                              cwt, default_params, icwt, wavelet_coherence)
 
 SRC = Path(csirecip.__file__).parent
 
@@ -106,7 +106,7 @@ def _pairs_of(series):
     (lambda: MagnitudeSeries(0, [1.0, -0.5], [1, 2], 10.0),
      "magnitudes must be non-negative, got -0.5 at index 1"),
     (lambda: pair_traces(_trace(), _trace(), 0, gap_policy="nearest"),
-     "unknown gap_policy 'nearest'"),
+     "gap_policy must be one of ('drop_both', 'interpolate_linear'), got 'nearest'"),
     (lambda: pair_traces(_trace(), _trace(subcarriers=2, iq=np.ones((2, 2))), 0),
      "traces declare different subcarrier counts: AP 1, STA 2"),
     (lambda: AuthPolicy(min_corr=1.5), "min_corr must be in (0, 1], got 1.5"),
@@ -130,14 +130,11 @@ def _pairs_of(series):
     (lambda: DivergenceConfig(bins=1), "bins must be >= 2, got 1"),
     (lambda: DivergenceConfig(epsilon=0.0), "epsilon must be finite and positive, got 0.0"),
     (lambda: gen_attacker(ChannelConfig(duration_s=1.0), "teleport"),
-     "unknown attacker mode 'teleport'"),
+     "mode must be one of ('independent', 'delayed_replay'), got 'teleport'"),
+    # accepted, and read as sync on
+    (lambda: SessionConfig(sync="no"), "sync must be a bool, got 'no'"),
     # each ended in a bare TypeError, IndexError, ValueError or ZeroDivisionError, or was
-    # accepted (depth 0 returned a result, total_packets nan gave a NaN kgr)
-    (lambda: golay_filter(np.ones(20), window=11.0), "window must be an integer, got 11.0"),
-    (lambda: golay_filter(np.ones(20), order=2.5), "order must be an integer, got 2.5"),
-    (lambda: wpt_denoise(np.ones(32), depth=2.5), "depth must be an integer, got 2.5"),
-    (lambda: wpt_denoise(np.ones(32), depth=-1), "depth must be >= 1, got -1"),
-    (lambda: wpt_denoise(np.ones(32), depth=0), "depth must be >= 1, got 0"),
+    # accepted (total_packets nan gave a NaN kgr)
     (lambda: apply_lag(np.ones(4), np.ones(4), 2.5), "lag must be an integer, got 2.5"),
     (lambda: ou_process(2.5, 0.1, 1.0, np.random.default_rng(0)),
      "n must be an integer, got 2.5"),
@@ -181,7 +178,12 @@ def _pairs_of(series):
      "x must be a 1-D real series, got shape (300,) of dtype bool"),
     (lambda: pearson(np.ones(8), 3.0),
      "y must be a 1-D real series, got shape () of dtype float64"),
-    # each ended in a bare TypeError
+    # each ended in a bare TypeError or AttributeError, or was accepted
+    (lambda: ChannelConfig(loss=5), "loss must be a sequence of LossEvent, got 5"),
+    (lambda: ChannelConfig(loss=("x",)), "loss must be a sequence of LossEvent, got ('x',)"),
+    (lambda: preset(1), "unknown preset 1; choose from "
+     "['los-short', 'nlos-long', 'nlos-short', 'reciprocal']"),
+    (lambda: preset("los-short", bogus=1), "unknown ChannelConfig field 'bogus'"),
     (lambda: ChannelConfig(snr_db="15"), "snr_db must be a number above -inf, got '15'"),
     (lambda: ChannelConfig(snr_db=True), "snr_db must be a number above -inf, got True"),
     (lambda: ChannelConfig(base_band=("0.05", 2.0)),
@@ -244,10 +246,7 @@ INTEGER_PARAMS = {
     "xcorr_lag.max_lag": lambda v: xcorr_lag(np.sin(np.arange(64.0)), np.cos(np.arange(64.0)), v),
     "ReciprocalBand.beta": lambda v: ReciprocalBand([0.5], (0.5, 0.5), 0.5, v),
     "select_reciprocal_freqs.beta": lambda v: select_reciprocal_freqs(_cmap(), 0.5, v),
-    "golay_filter.window": lambda v: golay_filter(np.ones(20), window=v),
-    "golay_filter.order": lambda v: golay_filter(np.ones(20), order=v),
     "CwtParams.voices_per_octave": lambda v: CwtParams(0.1, 5.0, 10.0, v),
-    "wpt_denoise.depth": lambda v: wpt_denoise(np.ones(32), depth=v),
     "apply_lag.lag": lambda v: apply_lag(np.ones(4), np.ones(4), v),
     "default_params.n_samples": lambda v: default_params(v, 10.0),
     "base_signal.n": lambda v: base_signal(SLOW, v),
@@ -263,7 +262,6 @@ REAL_PARAMS = {
     "DivergenceConfig.epsilon": lambda v: DivergenceConfig(epsilon=v),
     "ReciprocalBand.alpha": lambda v: ReciprocalBand([0.5], (0.5, 0.5), v, 3),
     "select_reciprocal_freqs.alpha": lambda v: select_reciprocal_freqs(_cmap(), v, 2),
-    "fft_reconstruct.power_keep": lambda v: fft_reconstruct(np.sin(np.arange(16.0)), v),
     "CsiTrace.rate_hz": lambda v: _trace(rate_hz=v),
     "MagnitudeSeries.rate_hz": lambda v: MagnitudeSeries(0, [1.0], [1], v),
     "parse_csi_csv.rate_hz": lambda v: parse_csi_csv("seq,t,dev,i0,q0\n1,0.1,a,1,2\n", v),
@@ -408,7 +406,6 @@ BAND_PARAMS = {
     "icwt.band": lambda v: icwt(_scalogram(), v),
     "band_average.band": lambda v: band_average(_cmap(), v),
     "coherent_gap_width.band": lambda v: coherent_gap_width(_cmap(), v),
-    "coherence_summary.band": lambda v: coherence_summary(_cmap(), v),
 }
 # each ended in a bare TypeError, ValueError or UFuncTypeError, or a NaN edge in EmptyBandError;
 # an inverted band, or one between two grid rows, stays an EmptyBandError

@@ -310,7 +310,7 @@ def test_band_response_is_shared_and_read_only():
 def test_tables_are_read_only():
     p = params(500)
     arrays = [*wavelet._morlet_rows(p, 512), *wavelet._gauss_rows(p, 512),
-              reconstruct._golay_hat(11, 3), *keygen._quantile_index(100, 4)]
+              reconstruct._golay_hat(), *keygen._quantile_index(100, 4)]
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
         wavelet._morlet_rows(p, 512)[0][0] = 1.0
@@ -319,15 +319,13 @@ def test_tables_are_read_only():
 def test_tables_stay_within_their_bounds():
     """A sweep over more configurations than each cache keeps leaves each at its bound."""
     caches = (wavelet._morlet_rows, wavelet._gauss_rows, wavelet._recon_plateau,
-              wavelet._band_response, reconstruct._golay_hat, keygen._quantile_index)
+              wavelet._band_response, keygen._quantile_index)
     for cache in caches:
         cache.cache_clear()
     x = band_limited_fixture(1, 400)
     for vpo in range(4, 14):  # ten grids
         wavelet_coherence(x, x[::-1], params(400, vpo=vpo))
         wt_reconstruct(x, (0.1, 1.0), params(400, vpo=vpo))
-    for window in range(5, 25, 2):
-        reconstruct.golay_filter(x, window)
     for block_len in range(20, 30):
         keygen.make_keys(x, block_len)
     for cache in caches:
@@ -632,7 +630,7 @@ class TestExports:
         x = band_limited_fixture(0, n)
         y = x + 0.1 * np.random.default_rng(1).normal(size=n)
         cm = wavelet_coherence(x, y, params(n))
-        s = coherence_summary(cm, band=(0.06, 1.5))
+        s = coherence_summary(cm)
         assert set(s) >= {"gaps", "band_mean_wc", "mean_wc_in_coi", "freq_range_hz"}
         assert 0 <= s["band_mean_wc"] <= 1
 
