@@ -1,6 +1,7 @@
 """Exception hierarchy for csirecip, the one series rule (with its finite-input
 check), the scalar-argument rules (integer, real, the band rule pair built on
-real, and choice for a named option) and the one frozen-array rule.
+real, and choice for a named option), the type rule instance and the one
+frozen-array rule.
 
 Every data-dependent failure raises a subclass of :class:`CsiRecipError`,
 so callers (and the CLI) can distinguish data errors from programming
@@ -149,6 +150,15 @@ def choice(value, name: str, options: tuple[str, ...]) -> str:
     ``{name} must be one of {options}, got {value!r}``."""
     if not (isinstance(value, str) and value in options):
         raise InvalidParameterError(f"{name} must be one of {options}, got {value!r}")
+    return value
+
+
+def instance(value, name: str, kinds: tuple[type, ...]):
+    """``value``, if it is an instance of one of ``kinds``: else
+    :class:`InvalidParameterError`, ``{name} must be of type {kinds}, got {value!r}``."""
+    if not isinstance(value, kinds):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise InvalidParameterError(f"{name} must be of type {names}, got {value!r}")
     return value
 
 

@@ -25,7 +25,7 @@ from .reconstruct import (
     wpt_denoise,
     wt_reconstruct,
 )
-from .traces import MagnitudeSeries
+from .traces import MagnitudeSeries, _common_rate
 from .wavelet import CwtParams, default_params, wavelet_coherence
 
 PIPELINES = ("raw", "golay", "fft", "wpt", "wt")
@@ -403,7 +403,8 @@ def preprocess_pair(ap, sta, cfg: SessionConfig = SessionConfig()) -> Preprocess
             for s, name in ((ap, "ap"), (sta, "sta")))
     if len(a) != len(b):
         raise LengthMismatchError("session inputs must be paired to equal length")
-    rate = ap.rate_hz if isinstance(ap, MagnitudeSeries) else 10.0
+    rate = _common_rate(*(s.rate_hz if isinstance(s, MagnitudeSeries) else 10.0
+                          for s in (ap, sta)))
     n = len(a)
     L = PROBE_LEN
     if n < L + BLOCK_LEN:
@@ -433,8 +434,9 @@ def wskg_session(ap, sta, cfg: SessionConfig = SessionConfig()) -> SessionReport
     ``ap`` and ``sta`` must already be paired (equal length, gap-free),
     e.g. via ``pair_traces(..., gap_policy="interpolate_linear")``.  Plain
     arrays are taken as sampled at 10 Hz; pass ``MagnitudeSeries`` for any
-    other rate.  Sessions over the same probe bytes and rate reuse one
-    step-1 agreement.
+    other rate.  Rates further apart than ``traces.RATE_TOLERANCE`` raise
+    :class:`RateMismatchError`.  Sessions over the same probe bytes and rate
+    reuse one step-1 agreement.
     """
     pre = preprocess_pair(ap, sta, cfg)
     short = len(pre.x) < BLOCK_LEN

@@ -31,6 +31,7 @@ from .errors import (
     UnknownRateError,
     _freeze,
     choice,
+    instance,
     integer,
     real,
 )
@@ -52,8 +53,8 @@ class CsiTrace:
 
     def __post_init__(self):
         real(self.rate_hz, "rate_hz")
-        if any(c in self.device_id for c in ",\n\r"):  # would break its CSV row
-            raise InvalidParameterError(
+        if any(c in instance(self.device_id, "device_id", (str,)) for c in ",\n\r"):
+            raise InvalidParameterError(  # it would break its CSV row
                 f"device_id {self.device_id!r} must not hold ',', '\\n' or '\\r'")
         _freeze(self, seqs=np.int64, t=np.float64, iq=np.complex128)
         seqs, t, iq = self.seqs, self.t, self.iq
@@ -120,20 +121,24 @@ def parse_csi_csv(stream, rate_hz: float | None = None) -> CsiTrace:
     """Parse the documented CSI CSV format into a :class:`CsiTrace`.
 
     ``stream`` may be bytes, str, or a file-like object.  Rows that fail to
-    parse are rejected and recorded by row index; out-of-order rows are
-    dropped (sorting would fabricate a loss-free trace) and duplicated seq
-    numbers keep the first occurrence.  Counts of everything dropped live
-    in ``trace.parse_stats``.
+    parse or hold a value that is not finite are rejected and recorded by
+    row index; of the rest, a row is kept only if its seq exceeds every
+    earlier one, so out-of-order rows are dropped (sorting would fabricate
+    a loss-free trace) and duplicated seq numbers keep the first
+    occurrence.  The device id is the last kept row's.  Counts of
+    everything dropped live in ``trace.parse_stats``.
 
-    A clean file is parsed in one columnar pass through numpy's C reader;
-    any other file goes through the row loop, with the same result.
+    A clean file is converted in one columnar pass through numpy's C
+    reader; any other file goes through the row loop, with the same result.
+    Either way the one row rule above then picks the rows.
 
     When ``rate_hz`` is None the nominal packet rate is inferred from the
     seq/time span of the accepted rows; :class:`UnknownRateError` is
     raised when they hold one row, or their times do not increase, or the
     spans give no finite positive rate.
     """
-    text = stream if isinstance(stream, (bytes, str)) else stream.read()
+    read = getattr(stream, "read", None)  # bytes and str have none
+    text = instance(stream if read is None else read(), "stream", (bytes, str))
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -157,8 +162,8 @@ def parse_csi_csv(stream, rate_hz: float | None = None) -> CsiTrace:
         raise MalformedHeaderError("header does not declare i0,q0,...,i{N-1},q{N-1}")
 
     body = lines[1:]
-    seqs, ts, iq, device_id, parse_stats = (_parse_columns(text, body, n_sub)
-                                            or _parse_rows(body, n_sub))
+    seqs, ts, iq, device_id, parse_stats = _keep_rows(
+        *(_parse_columns(text, body, n_sub) or _parse_rows(body, n_sub)))
     if not len(seqs):
         raise EmptyTraceError("no rows survived parsing")
     for col in (seqs, ts, iq):  # built here, so the trace takes them without a copy
@@ -186,20 +191,34 @@ def parse_csi_csv(stream, rate_hz: float | None = None) -> CsiTrace:
     )
 
 
+def _keep_rows(seq, t, iq, devs, unread):
+    """The row rule, on the columns a pass converted and the indices of the body rows it
+    could not: a row with a non-finite value is bad, and a finite row is kept only if its
+    seq exceeds every earlier one (equal is a duplicate, lower is out of order).  Returns
+    the kept columns, the device of the last kept row and the parse stats."""
+    body_idx = np.delete(np.arange(1, len(t) + len(unread) + 1), np.asarray(unread, np.intp) - 1)
+    finite = np.isfinite(t) & np.isfinite(iq).all(axis=1)
+    rows = np.flatnonzero(finite)
+    prev_max = np.maximum.accumulate(seq[rows])[:-1]
+    later = seq[rows[1:]]
+    kept = rows[np.r_[True, later > prev_max][:len(rows)]]
+    return (seq[kept], t[kept], iq[kept], devs[kept[-1]] if len(kept) else "",
+            {"bad_rows": sorted(unread + body_idx[~finite].tolist()),
+             "duplicates": int(np.count_nonzero(later == prev_max)),
+             "out_of_order": int(np.count_nonzero(later < prev_max))})
+
+
 def _parse_columns(text: str, body: list[str], n_sub: int):
-    """The columnar pass over ``body``, the lines of ``text`` after its header: None
-    unless every row holds 3 + 2 * n_sub fields, all finite and from one device.
+    """The columnar pass over ``body``, the lines of ``text`` after its header: the
+    columns as :func:`_parse_rows` converts them, or None unless numpy's reader reads
+    every row, each of 3 + 2 * n_sub fields.
 
     Within ASCII, numpy's reader reads a field as ``int()`` and ``float()`` do,
     except that it strips \\x1c-\\x1f; beyond ASCII it misreads some characters
     as digits.  So text holding either goes to the row loop.
     """
-    if (not body or not text.isascii() or any(c in text for c in "\x1c\x1d\x1e\x1f")
+    if (not text.isascii() or any(c in text for c in "\x1c\x1d\x1e\x1f")
             or {ln.count(",") for ln in body} != {2 + 2 * n_sub}):
-        return None
-    devs = {ln.split(",", 3)[2] for ln in body}
-    device_id = devs.pop()
-    if devs or "\r" in device_id:
         return None
     dtype = np.dtype([("seq", np.int64), ("t", np.float64), ("iq", np.float64, (2 * n_sub,))])
     try:
@@ -207,57 +226,30 @@ def _parse_columns(text: str, body: list[str], n_sub: int):
                           usecols=[0, 1, *range(3, 3 + 2 * n_sub)])
     except ValueError:  # a field neither int64 nor float, or a \r inside a row
         return None
-    seq, t, iq = cols["seq"], cols["t"], cols["iq"]
-    if not (np.isfinite(t).all() and np.isfinite(iq).all()):
-        return None
-    # a row is kept iff its seq exceeds every earlier one: equal is a duplicate
-    prev_max = np.maximum.accumulate(seq)[:-1]
-    later = seq[1:]
-    keep = np.r_[True, later > prev_max]
-    n_dup = int(np.count_nonzero(later == prev_max))
-    n_ooo = int(np.count_nonzero(later < prev_max))
-    return (seq[keep], t[keep], iq[keep], device_id,
-            {"bad_rows": [], "duplicates": n_dup, "out_of_order": n_ooo})
+    return cols["seq"], cols["t"], cols["iq"], [ln.split(",", 3)[2] for ln in body], []
 
 
 def _parse_rows(body: list[str], n_sub: int):
-    """The row loop: ``float()`` on every value, each bad row recorded by its index."""
+    """The row loop: ``int()`` and ``float()`` on every field of each row of 3 + 2 * n_sub
+    fields, an int64 seq and no \\r in its device; any other row recorded by its index."""
     seqs: list[int] = []
-    ts: list[float] = []
-    rows: list[list[float]] = []
-    device_id = ""
-    bad_rows: list[int] = []
-    n_dup = 0
-    n_ooo = 0
+    rows: list[list[float]] = []  # t, then the i/q values
+    devs: list[str] = []
+    unread: list[int] = []
     for idx, line in enumerate(body, start=1):
         parts = line.split(",")
-        if len(parts) != 3 + 2 * n_sub:
-            bad_rows.append(idx)
-            continue
         try:
             seq = int(parts[0])
-            t = float(parts[1])
-            vals = [float(v) for v in parts[3:]]
+            if len(parts) != 3 + 2 * n_sub or "\r" in parts[2] or not -2 ** 63 <= seq < 2 ** 63:
+                raise ValueError
+            rows.append([float(v) for v in parts[1:2] + parts[3:]])
         except ValueError:
-            bad_rows.append(idx)
+            unread.append(idx)
             continue
-        if not (isfinite(t) and all(map(isfinite, vals)) and -2 ** 63 <= seq < 2 ** 63
-                and "\r" not in parts[2]):
-            bad_rows.append(idx)
-            continue
-        if seqs and seq <= seqs[-1]:
-            if seq == seqs[-1]:
-                n_dup += 1
-            else:
-                n_ooo += 1
-            continue
-        device_id = parts[2]
         seqs.append(seq)
-        ts.append(t)
-        rows.append(vals)
-    return (np.array(seqs, dtype=np.int64), np.array(ts, dtype=np.float64),
-            np.array(rows, dtype=np.float64).reshape(len(rows), 2 * n_sub), device_id,
-            {"bad_rows": bad_rows, "duplicates": n_dup, "out_of_order": n_ooo})
+        devs.append(parts[2])
+    cols = np.array(rows, dtype=np.float64).reshape(len(rows), 1 + 2 * n_sub)
+    return np.array(seqs, dtype=np.int64), cols[:, 0], cols[:, 1:], devs, unread
 
 
 def write_csi_csv(trace: CsiTrace, stream=None) -> str | None:
@@ -266,6 +258,7 @@ def write_csi_csv(trace: CsiTrace, stream=None) -> str | None:
     Floats are written with repr precision, so parse -> write round-trips
     accepted rows bit-exactly.
     """
+    instance(trace, "trace", (CsiTrace,))
     out = io.StringIO() if stream is None else stream
     cols = ",".join(f"i{k},q{k}" for k in range(trace.subcarriers))
     out.write(f"seq,t,dev,{cols}\n")
@@ -283,7 +276,7 @@ def write_csi_csv(trace: CsiTrace, stream=None) -> str | None:
 def magnitude_series(trace: CsiTrace, subcarrier: int) -> MagnitudeSeries:
     """Extract |iq[subcarrier]| per sample, preserving sample order."""
     subcarrier = integer(subcarrier, "subcarrier")
-    if not 0 <= subcarrier < trace.subcarriers:
+    if not 0 <= subcarrier < instance(trace, "trace", (CsiTrace,)).subcarriers:
         raise SubcarrierOutOfRangeError(
             f"subcarrier {subcarrier} outside [0, {trace.subcarriers})"
         )
@@ -313,16 +306,12 @@ def pair_traces(
     :class:`NoOverlapError`, so the work stays bounded by the row count.
     """
     choice(gap_policy, "gap_policy", ("drop_both", "interpolate_linear"))
-    if not len(ap) or not len(sta):
+    if not len(instance(ap, "ap", (CsiTrace,))) or not len(instance(sta, "sta", (CsiTrace,))):
         raise EmptyTraceError("cannot pair an empty trace")
     if ap.subcarriers != sta.subcarriers:
         raise InvalidParameterError(f"traces declare different subcarrier counts: "
                                     f"AP {ap.subcarriers}, STA {sta.subcarriers}")
-    if abs(ap.rate_hz - sta.rate_hz) > RATE_TOLERANCE * max(ap.rate_hz, sta.rate_hz):
-        raise RateMismatchError(
-            f"AP rate {ap.rate_hz} Hz and STA rate {sta.rate_hz} Hz differ by more "
-            f"than {RATE_TOLERANCE:.0%}"
-        )
+    _common_rate(ap.rate_hz, sta.rate_hz)
 
     sides = (magnitude_series(ap, subcarrier), magnitude_series(sta, subcarrier))
     lo = max(m.seqs[0] for m in sides)
@@ -342,6 +331,15 @@ def pair_traces(
         raise NoOverlapError("no jointly present samples in the overlap")
     return tuple(MagnitudeSeries(subcarrier=subcarrier, values=v, seqs=grid,
                                  rate_hz=ap.rate_hz) for v in values)
+
+
+def _common_rate(ap_hz: float, sta_hz: float) -> float:
+    """``ap_hz``, if ``sta_hz`` is within :data:`RATE_TOLERANCE` of it: else
+    :class:`RateMismatchError` naming both."""
+    if abs(ap_hz - sta_hz) > RATE_TOLERANCE * max(ap_hz, sta_hz):
+        raise RateMismatchError(f"AP rate {ap_hz} Hz and STA rate {sta_hz} Hz differ by more "
+                                f"than {RATE_TOLERANCE:.0%}")
+    return ap_hz
 
 
 def _interpolate_run(sides, first, last) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -470,7 +470,7 @@ def band_average(cmap: CoherenceMap, band: tuple[float, float]) -> np.ndarray:
     sub = cmap.wc[rows]
     mask = cmap.coi[rows]
     cnt = mask.sum(axis=0)
-    tot = np.where(mask, sub, 0.0).sum(axis=0)
+    tot = sub.sum(axis=0, where=mask)
     out = np.where(cnt > 0, tot / np.maximum(cnt, 1), sub.mean(axis=0))
     return out
 

@@ -26,7 +26,7 @@ from csirecip.metrics import DivergenceConfig, pearson, xcorr_lag
 from csirecip.reconstruct import (ReciprocalBand, apply_lag, fft_reconstruct, golay_filter,
                                   select_reciprocal_freqs, wpt_denoise, wt_reconstruct)
 from csirecip.traces import (CsiTrace, MagnitudeSeries, magnitude_series, pair_traces,
-                             parse_csi_csv)
+                             parse_csi_csv, write_csi_csv)
 from csirecip.wavelet import (CoherenceMap, CwtParams, Scalogram, band_average, coherent_gap_width,
                               cwt, default_params, icwt, wavelet_coherence)
 
@@ -202,6 +202,12 @@ def _pairs_of(series):
     (lambda: CwtParams("0.1", 5.0, 10.0), "min_freq must be finite and positive, got '0.1'"),
     (lambda: CwtParams(0.1, "5", 10.0), "max_freq must be finite and positive, got '5'"),
     (lambda: CwtParams(0.1, 5.0, "10"), "sample_rate must be finite and positive, got '10'"),
+    # each ended in a bare AttributeError or TypeError
+    (lambda: parse_csi_csv(5), "stream must be of type bytes or str, got 5"),
+    (lambda: magnitude_series("x", 1), "trace must be of type CsiTrace, got 'x'"),
+    (lambda: write_csi_csv("x"), "trace must be of type CsiTrace, got 'x'"),
+    (lambda: pair_traces(_trace(), "x", 0), "sta must be of type CsiTrace, got 'x'"),
+    (lambda: _trace(device_id=5), "device_id must be of type str, got 5"),
     # a band is one run of rows only on a descending grid: an ascending one averaged other rows
     (lambda: band_average(_cmap(freqs=PARAMS.freq_grid()[::-1]), (0.1, 0.2)),
      f"freqs must be strictly descending, got {PARAMS.freq_grid()[-2]} after "

@@ -15,6 +15,7 @@ from csirecip.errors import (
     InvalidParameterError,
     LengthMismatchError,
     NonFiniteError,
+    RateMismatchError,
     TooShortError,
     UnusableCoherenceError,
 )
@@ -29,6 +30,7 @@ from csirecip.keygen import (
     evaluate,
     gray_encode,
     make_keys,
+    preprocess_pair,
     quantize,
     wskg_session,
 )
@@ -707,6 +709,20 @@ class TestAgreementMemo:
                 wskg_session(x, b.values, SessionConfig(pipeline="raw"))
         info = AGREE.cache_info()
         assert (info.misses, info.hits, info.currsize) == (2, 0, 0)
+
+
+@pytest.mark.parametrize("series_first", [True, False])
+def test_session_rate_comes_from_both_inputs(series_first):
+    """A plain array counts as 10 Hz, on either side of the pair."""
+    a, b = session_pair(5)
+
+    def pair(series):
+        return (series, b.values) if series_first else (b.values, series)
+    with pytest.raises(RateMismatchError) as exc:
+        preprocess_pair(*pair(MagnitudeSeries(a.subcarrier, a.values, a.seqs, 20.0)))
+    ap_hz, sta_hz = (20.0, 10.0) if series_first else (10.0, 20.0)
+    assert str(exc.value) == f"AP rate {ap_hz} Hz and STA rate {sta_hz} Hz differ by more than 1%"
+    assert preprocess_pair(*pair(a)).band == preprocess_pair(*pair(a.values)).band
 
 
 def test_wt_session_builds_one_response_per_pair():

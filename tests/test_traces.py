@@ -286,6 +286,8 @@ SEQ_TRAPS = ["5.0", "5e0", str(2 ** 63), str(-2 ** 63 - 1), str(-2 ** 63), "1_0"
 FLOAT_TRAPS = ["nan", "inf", "-Infinity", "1e400", "1e-400", "-0", ".5", "5.", "1_0",
                "١.5", "１", "1.0#x", "", " ", "0x10", "1.0\x00", "\x1f1.0",
                "1.0\x0b", "1.0\x85", "1.0 ", "1.0\u3000", "1e", "nan(1)"]
+# Spellings both read alike as values that are not finite: such a row is bad.
+NON_FINITE = ["nan", "-inf", "Infinity", "+NaN"]
 
 
 def csv_text(n_sub, rows, eol="\n", bom=""):
@@ -295,8 +297,9 @@ def csv_text(n_sub, rows, eol="\n", bom=""):
 
 @st.composite
 def fuzzed_csv(draw):
-    """CSV text whose rows mix clean spellings with every trap; with ``clean`` drawn
-    true, only spellings both parsers read alike, so the columnar pass mostly accepts."""
+    """CSV text whose rows mix clean spellings with every trap, some rows holding a value
+    that is not finite; with ``clean`` drawn true, only spellings both parsers read
+    alike, so the columnar pass mostly accepts."""
     clean = draw(st.booleans())
     n_sub = draw(st.integers(1, 3))
     floats = st.floats(-1e6, 1e6, allow_subnormal=True) | st.sampled_from([-0.0, 5e-324, 1e308])
@@ -312,6 +315,9 @@ def fuzzed_csv(draw):
     for _ in range(draw(st.integers(0, 12))):
         fields = [draw(seq_field), draw(float_field), draw(dev_field),
                   *(draw(float_field) for _ in range(2 * n_sub))]
+        if draw(st.integers(0, 3)) == 0:
+            fields[draw(st.sampled_from([1, *range(3, len(fields))]))] = draw(
+                st.sampled_from(NON_FINITE))
         line = ",".join(fields)
         if not clean:
             edit = draw(st.sampled_from(["none", "none", "drop", "extra", "comma", "cr", "blank"]))
@@ -363,7 +369,8 @@ def parse_both_ways(text):
 
 
 def _columns_key(parsed):
-    seqs, t, iq, device_id, stats = parsed
+    """The row rule applied to one pass's raw columns."""
+    seqs, t, iq, device_id, stats = traces._keep_rows(*parsed)
     return ([(a.dtype, a.shape, a.tobytes()) for a in (seqs, t, iq)], device_id, stats)
 
 
@@ -408,11 +415,24 @@ def nlos_long_csvs():
 def test_clean_files_take_the_columnar_pass(nlos_long_csvs, monkeypatch):
     # a columnar pass that always declined would pass every other test
     want = [parse_csi_csv(text) for text in nlos_long_csvs]
+    ap_lines, sta_lines = (text.split("\n") for text in nlos_long_csvs)
+    nan_row = ap_lines[30].split(",")
+    nan_row[5] = "nan"
+    odd = {"one nan row": "\n".join([*ap_lines[:30], ",".join(nan_row), *ap_lines[31:]]),
+           "two devices": "\n".join([*ap_lines[:1500], *sta_lines[1500:]])}
+    with mock.patch.object(traces, "_parse_columns", lambda *args: None):
+        odd_want = {name: parse_csi_csv(text) for name, text in odd.items()}
+    assert odd_want["one nan row"].parse_stats["bad_rows"] == [30]
+    assert odd_want["two devices"].device_id == "sta"
 
     def no_row_loop(*args):
         raise AssertionError("the row loop ran")
 
     monkeypatch.setattr(traces, "_parse_rows", no_row_loop)
+    for name, text in odd.items():
+        got, tr = parse_csi_csv(text), odd_want[name]
+        assert got == tr and got.device_id == tr.device_id, name
+        assert got.parse_stats == tr.parse_stats, name
     for text, tr in zip(nlos_long_csvs, want):
         lines = text.split("\n")
         shuffled = [*lines[:11], lines[10], *lines[11:21], lines[5], *lines[21:]]
