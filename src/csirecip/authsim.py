@@ -17,8 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (DegenerateSeriesError, InvalidParameterError, TooShortError, _freeze, integer,
-                     real, real_series)
+from .errors import (DegenerateSeriesError, InvalidParameterError, TooShortError, _freeze, instance,
+                     integer, real, real_series)
 from .metrics import pearson, xcorr_lag
 
 PROBE_LEN = 600  # samples of each side's CSI that the channel checks compare
@@ -75,8 +75,8 @@ class AuthDecision:
 
 
 def _tag(payload: np.ndarray, key: bytes) -> bytes:
-    return hmac.new(key, np.ascontiguousarray(payload, dtype=np.float64).tobytes(),
-                    hashlib.sha256).digest()
+    data = np.ascontiguousarray(payload, dtype=np.float64).tobytes()
+    return hmac.new(instance(key, "key", (bytes, bytearray)), data, hashlib.sha256).digest()
 
 
 def sign_csi(csi, key: bytes) -> AuthMessage:
@@ -110,6 +110,8 @@ def _decide(ap_csi, message: AuthMessage, policy: AuthPolicy, key: bytes) -> Aut
     frozen channel.
     """
     ap_csi = real_series(ap_csi, "ap_csi")
+    instance(message, "message", (AuthMessage,))
+    instance(policy, "policy", (AuthPolicy,))
     if not verify_tag(message, key):
         return AuthDecision(False, 0.0, 0, Reason.BAD_SIGNATURE)
     n = min(len(ap_csi), len(message.payload_csi), PROBE_LEN)

@@ -423,7 +423,3 @@ def preset(name: str, duration_s: float = 600.0, seed: int = 0,
     kw = dict(_PRESETS[key])
     kw.update(overrides)
     return ChannelConfig(duration_s=duration_s, seed=seed, **kw)
-
-
-def preset_names() -> list[str]:
-    return sorted(_PRESETS)

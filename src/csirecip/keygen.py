@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (DegenerateBlockError, InvalidParameterError, LengthMismatchError,
-                     TooShortError, _freeze, choice, finite_series, integer)
+                     TooShortError, _freeze, choice, finite_series, instance, integer)
 from .metrics import xcorr_lag
 from .reconstruct import (
     ReciprocalBand,
@@ -291,8 +291,8 @@ def evaluate(keys_a: list[KeyBlock], keys_b: list[KeyBlock], total_packets: int,
     total_packets = integer(total_packets, "total_packets", 1)
     thresholds = _error_thresholds(thresholds, "thresholds")
 
-    bits_a = [k.bits for k in keys_a]
-    bits_b = [k.bits for k in keys_b]
+    bits_a = [instance(k, "keys_a block", (KeyBlock,)).bits for k in keys_a]
+    bits_b = [instance(k, "keys_b block", (KeyBlock,)).bits for k in keys_b]
     key_bits = len(bits_a[0]) if bits_a else 0
     for i, (a, b) in enumerate(zip(bits_a, bits_b)):
         if len(a) != key_bits or len(b) != key_bits:
@@ -399,6 +399,7 @@ def preprocess_pair(ap, sta, cfg: SessionConfig = SessionConfig()) -> Preprocess
     both devices with the configured pipeline over that agreed band, and
     aligns them by the agreed lag when ``sync`` is on.
     """
+    instance(cfg, "cfg", (SessionConfig,))
     a, b = (finite_series(s.values if isinstance(s, MagnitudeSeries) else s, name)
             for s, name in ((ap, "ap"), (sta, "sta")))
     if len(a) != len(b):

@@ -20,6 +20,7 @@ from .errors import (
     UnusableCoherenceError,
     _freeze,
     finite_series,
+    instance,
     integer,
     pair,
     real,
@@ -137,17 +138,17 @@ def _wp_synthesize(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
     return y
 
 
-def wpt_forward(x: np.ndarray, depth: int) -> list[np.ndarray]:
-    """Full wavelet-packet tree to the given depth, periodic extension; each
-    level is one (bands, length) matrix, and the bands are the rows of the last."""
+def wpt_forward(x: np.ndarray) -> np.ndarray:
+    """Full wavelet-packet tree, WPT_DEPTH levels, periodic extension; each level is one
+    (bands, length) matrix, and the last, (2**WPT_DEPTH, n / 2**WPT_DEPTH), is returned."""
     level = np.asarray(x, dtype=np.float64)[None]
-    for _ in range(depth):
+    for _ in range(WPT_DEPTH):
         level = _wp_analyze(level)
-    return list(level)
+    return level
 
 
 def wpt_inverse(bands, n: int) -> np.ndarray:
-    """Invert :func:`wpt_forward`: ``bands`` is its list, or the same bands as rows of a matrix."""
+    """Invert :func:`wpt_forward`: ``bands`` is its band matrix, one band per row."""
     level = np.asarray(bands, dtype=np.float64)
     while len(level) > 1:
         level = _wp_synthesize(level[0::2], level[1::2], n // (len(level) // 2))
@@ -168,7 +169,7 @@ def wpt_denoise(x) -> np.ndarray:
         raise TooShortError(f"need at least 2**{WPT_DEPTH} samples, got {n0}")
     n = ((n0 + block - 1) // block) * block
     xp = np.pad(x, (0, n - n0), mode="reflect") if n != n0 else x
-    coef = np.array(wpt_forward(xp, WPT_DEPTH))  # one row per band
+    coef = wpt_forward(xp)
     mag = np.abs(coef)
     coef[mag < np.median(mag)] = 0.0
     return wpt_inverse(coef, n)[:n0]
@@ -184,7 +185,7 @@ def select_reciprocal_freqs(cmap: CoherenceMap, alpha: float, beta: int) -> Reci
     individually.
     """
     alpha = real(alpha, "alpha", hi=1)
-    beta = integer(beta, "beta", 1, cmap.wc.shape[1] + 1)
+    beta = integer(beta, "beta", 1, instance(cmap, "cmap", (CoherenceMap,)).wc.shape[1] + 1)
     counts = (cmap.wc >= alpha).sum(axis=1)
     sel = np.flatnonzero(counts >= beta)
     if sel.size == 0:
@@ -215,7 +216,7 @@ def adapt_thresholds(cmap: CoherenceMap) -> ReciprocalBand:
     stays >= alpha for beta samples exactly when its beta-th largest value
     is >= alpha, so each step compares one order statistic per bin.
     """
-    n_bins, L = cmap.wc.shape
+    n_bins, L = instance(cmap, "cmap", (CoherenceMap,)).wc.shape
     peak = float(cmap.wc.max())
     if peak <= 0.0:
         raise UnusableCoherenceError("coherence map is identically zero")

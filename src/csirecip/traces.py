@@ -53,6 +53,7 @@ class CsiTrace:
 
     def __post_init__(self):
         real(self.rate_hz, "rate_hz")
+        object.__setattr__(self, "subcarriers", integer(self.subcarriers, "subcarriers", 1))
         if any(c in instance(self.device_id, "device_id", (str,)) for c in ",\n\r"):
             raise InvalidParameterError(  # it would break its CSV row
                 f"device_id {self.device_id!r} must not hold ',', '\\n' or '\\r'")

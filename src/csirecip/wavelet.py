@@ -1,9 +1,10 @@
 """Continuous wavelet transform, band-limited inversion, and wavelet coherence.
 
 The transform follows the classic FFT formulation with an analytic Morlet
-mother wavelet on a logarithmic frequency grid.  Coherence uses the
-standard smoothing operator (scale-matched Gaussian in time, fixed-width
-boxcar across scales); without smoothing, coherence is identically one.
+mother wavelet on a logarithmic frequency grid of ``VOICES_PER_OCTAVE`` =
+12 rows per octave.  Coherence uses the standard smoothing operator
+(scale-matched Gaussian in time, fixed-width boxcar across scales);
+without smoothing, coherence is identically one.
 
 Band-limited reconstruction builds no scalogram: ``icwt(cwt(x), band)`` is
 linear and shift-invariant, so it equals one FFT filter, ``Re(IFFT(FFT(x) *
@@ -33,7 +34,7 @@ Conventions
 -----------
 * ``freqs`` are stored in descending order; row 0 is the highest frequency.
 * Scale s and frequency f are related through the Morlet Fourier factor
-  ``ff = 4*pi / (w0 + sqrt(2 + w0**2))``, ``w0 = OMEGA0``, as ``s = 1 / (ff * f)``.
+  ``ff = 4*pi / (w0 + sqrt(2 + w0**2))`` (``FOURIER_FACTOR``, w0 = OMEGA0) as ``s = 1 / (ff * f)``.
 * Boundaries are zero padded.  The cone of influence derives from the
   wavelet's e-folding time ``sqrt(2)*s`` and is reported so callers can
   mask edge artifacts.
@@ -51,6 +52,12 @@ from .errors import (EmptyBandError, InvalidParameterError, TooShortError, _free
                      integer, pair, real)
 
 OMEGA0 = 6.0  # Morlet center-frequency parameter (>= 5 keeps the wavelet admissible)
+FOURIER_FACTOR = 4 * np.pi / (OMEGA0 + np.sqrt(2 + OMEGA0 ** 2))  # Morlet scale * frequency
+VOICES_PER_OCTAVE = 12  # rows per octave of every grid
+# the coherence's scale boxcar spans 0.6 decorrelation lengths of scale, _WIN = 7 rows; the
+# grid is zero padded with _TOP rows above it and _WIN - 1 - _TOP below
+_WIN = round(0.6 * VOICES_PER_OCTAVE)
+_TOP = (_WIN - 1) // 2
 GAP_BAND = (0.06, 1.5)  # Hz: the band where coherence gaps are detected by default
 GAP_WC_FLOOR = 0.3  # band-averaged coherence below this opens a gap
 HYSTERESIS = 0.1  # coherence rise above the floor that ends a detected gap
@@ -65,12 +72,10 @@ _BLOCK_POINTS = 2 ** 17
 
 @dataclass(frozen=True)
 class CwtParams:
-    """Analytic-Morlet CWT configuration.
+    """Analytic-Morlet CWT configuration on a ``VOICES_PER_OCTAVE`` logarithmic grid.
 
     Parameters
     ----------
-    voices_per_octave : int
-        Frequency bins per octave of the logarithmic grid.
     min_freq, max_freq : float
         Grid limits in Hz; ``max_freq`` must respect Nyquist.
     sample_rate : float
@@ -80,11 +85,8 @@ class CwtParams:
     min_freq: float
     max_freq: float
     sample_rate: float
-    voices_per_octave: int = 12
 
     def __post_init__(self):
-        object.__setattr__(self, "voices_per_octave",
-                           integer(self.voices_per_octave, "voices_per_octave", 4))
         for name in ("min_freq", "max_freq", "sample_rate"):
             object.__setattr__(self, name, real(getattr(self, name), name))
         if not (0 < self.min_freq < self.max_freq <= self.sample_rate / 2):
@@ -93,18 +95,14 @@ class CwtParams:
                 f"[{self.min_freq}, {self.max_freq}] at rate {self.sample_rate}"
             )
 
-    @property
-    def fourier_factor(self) -> float:
-        return 4 * np.pi / (OMEGA0 + np.sqrt(2 + OMEGA0 ** 2))
-
     def freq_grid(self) -> np.ndarray:
         """Descending log-spaced frequencies covering [min_freq, max_freq]."""
         n_oct = np.log2(self.max_freq / self.min_freq)
-        j = np.arange(int(np.floor(n_oct * self.voices_per_octave + 1e-9)) + 1)
-        return self.max_freq * 2.0 ** (-j / self.voices_per_octave)
+        j = np.arange(int(np.floor(n_oct * VOICES_PER_OCTAVE + 1e-9)) + 1)
+        return self.max_freq * 2.0 ** (-j / VOICES_PER_OCTAVE)
 
     def scales(self) -> np.ndarray:
-        return 1.0 / (self.fourier_factor * self.freq_grid())
+        return 1.0 / (FOURIER_FACTOR * self.freq_grid())
 
 
 def default_params(n_samples: int, sample_rate: float, periods: float = 4.0) -> CwtParams:
@@ -144,11 +142,6 @@ class Scalogram:
             raise InvalidParameterError(
                 f"coeffs shape {self.coeffs.shape} inconsistent with "
                 f"{len(self.freqs)} freqs and {len(self.coi)} coi entries")
-
-    def coi_mask(self) -> np.ndarray:
-        """Boolean (n_bins, n_times) mask, True inside the cone of influence."""
-        rows = np.arange(len(self.freqs))[:, None]
-        return rows <= self.coi[None, :]
 
 
 @dataclass(frozen=True)
@@ -341,7 +334,7 @@ def _coherence_rows(spec_x: np.ndarray, spec_y: np.ndarray, n: int,
     forms the four maps (|Wx|^2, |Wy|^2 and the cross spectrum's real and
     imaginary parts, each over s) and smooths them in time with one
     rfft/irfft.  The scale boxcar is a running prefix sum down the
-    zero-padded rows, added in ``np.cumsum``'s order; the last ``win``
+    zero-padded rows, added in ``np.cumsum``'s order; the last ``_WIN``
     prefix rows carry into the next block, and each row's wc and phase are
     written once its boxcar closes.  No stage mixes rows or reorders a sum,
     so every value keeps the bits of the whole-grid computation.  Every
@@ -351,11 +344,9 @@ def _coherence_rows(spec_x: np.ndarray, spec_y: np.ndarray, n: int,
     scales = params.scales()
     nb, npad = len(scales), len(spec_x)
     morlet, smoothing = _morlet_rows(params, npad), _gauss_rows(params, npad)
-    win = int(round(0.6 * params.voices_per_octave))  # >= 2, as voices_per_octave >= 4
-    top = (win - 1) // 2  # zero rows padded above the grid; win - 1 - top below it
-    padded = nb + win - 1 - top  # the padded rows from the grid's first on
+    padded = nb + _WIN - 1 - _TOP  # the padded rows from the grid's first on
     i = np.arange(nb)
-    counts = (np.minimum(i - top + win, nb) - np.maximum(i - top, 0)).astype(float)
+    counts = (np.minimum(i - _TOP + _WIN, nb) - np.maximum(i - _TOP, 0)).astype(float)
 
     rows = min(nb, max(1, math.isqrt(_BLOCK_POINTS // npad)))
     spec = np.stack([spec_x, spec_y])
@@ -364,13 +355,13 @@ def _coherence_rows(spec_x: np.ndarray, spec_y: np.ndarray, n: int,
     maps = np.zeros((rows, 4, npad))  # the four maps; smoothed in time; boxcar means
     gauss = np.empty((rows, 1, npad // 2 + 1))
     spec4 = np.empty((rows, 4, npad // 2 + 1), dtype=np.complex128)
-    cs = np.zeros((win + rows, 4, n))  # the carried prefix rows, then the block's
+    cs = np.zeros((_WIN + rows, 4, n))  # the carried prefix rows, then the block's
     tmp = np.empty((rows, n))
     wc = np.empty((nb, n))
     phase = np.empty((nb, n))
 
     m = maps[:, :, :n]
-    for g0 in range(0, padded, rows):  # block g0 adds the padded rows from g0 + top
+    for g0 in range(0, padded, rows):  # block g0 adds the padded rows from g0 + _TOP
         r = min(rows, padded - g0)
         grid = min(r, nb - g0)  # of which grid rows; the rest (<= 0: all) are zero rows
         if grid > 0:
@@ -397,18 +388,18 @@ def _coherence_rows(spec_x: np.ndarray, spec_y: np.ndarray, n: int,
             np.multiply(f, gauss[:grid], out=f)
             np.fft.irfft(f, npad, axis=-1, out=maps[:grid])
 
-        first = g0 + top
+        first = g0 + _TOP
         for j in range(r):
             if first + j == 0:  # np.cumsum copies its first row
-                np.copyto(cs[win], m[0])
+                np.copyto(cs[_WIN], m[0])
             else:
-                np.add(cs[win + j - 1], m[j] if j < grid else 0.0, out=cs[win + j])
+                np.add(cs[_WIN + j - 1], m[j] if j < grid else 0.0, out=cs[_WIN + j])
 
-        lo, hi = max(0, first - win + 1), first + r - win + 1  # rows whose boxcars closed
+        lo, hi = max(0, first - _WIN + 1), first + r - _WIN + 1  # rows whose boxcars closed
         if lo < hi:
-            a, q = lo + win - 1 - first, hi - lo
+            a, q = lo + _WIN - 1 - first, hi - lo
             box, d, z, out = m[:q], tmp[:q], w[:q, 0, :n], wc[lo:hi]
-            np.subtract(cs[win + a:win + r], cs[a:r], out=box)
+            np.subtract(cs[_WIN + a:_WIN + r], cs[a:r], out=box)
             np.divide(box, counts[lo:hi, None, None], out=box)
             np.multiply(box[:, 0], box[:, 1], out=d)
             np.multiply(1j, box[:, 3], out=z)
@@ -420,7 +411,7 @@ def _coherence_rows(spec_x: np.ndarray, spec_y: np.ndarray, n: int,
             out[d <= 0] = 0.0
             np.clip(out, 0.0, 1.0, out=out)
             np.arctan2(z.imag, z.real, out=phase[lo:hi])
-        np.copyto(cs[:win], cs[r:r + win])
+        np.copyto(cs[:_WIN], cs[r:r + _WIN])
     return wc, phase
 
 
@@ -429,9 +420,9 @@ def wavelet_coherence(x, y, params: CwtParams) -> CoherenceMap:
 
     wc = |S(Wx * conj(Wy) / s)|^2 / (S(|Wx|^2 / s) * S(|Wy|^2 / s)) with S
     the smoothing operator: a Gaussian in time (std = scale), then a boxcar
-    across 0.6 decorrelation lengths of scale (``round(0.6 *
-    voices_per_octave)`` rows, the grid zero padded above and below).  Both
-    are positive-weight averages, which is what bounds wc by Cauchy-Schwarz.
+    across 0.6 decorrelation lengths of scale (``_WIN`` = 7 rows, the grid
+    zero padded above and below).  Both are positive-weight averages, which
+    is what bounds wc by Cauchy-Schwarz.
     phase is the argument of the smoothed cross spectrum (positive when y
     lags x).  The cross spectrum's real and imaginary parts are built and
     smoothed as real rows, so swapping x and y negates the imaginary part

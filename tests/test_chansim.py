@@ -26,7 +26,6 @@ from csirecip.chansim import (
     gen_pair,
     ou_process,
     preset,
-    preset_names,
 )
 from csirecip.errors import (
     CsiRecipError,
@@ -482,8 +481,13 @@ class TestAttacker:
 
 class TestPresets:
     def test_names(self):
-        assert set(preset_names()) == {"los-short", "nlos-short", "nlos-long",
-                                       "reciprocal"}
+        names = ["los-short", "nlos-long", "nlos-short", "reciprocal"]
+        for name in names:
+            assert isinstance(preset(name), ChannelConfig)
+        # any other name is refused, and the refusal lists exactly the presets
+        for name in ("los", "nlos-medium", "urban-canyon", "reciprocal2", ""):
+            with pytest.raises(UnknownPresetError, match=re.escape(f"choose from {names}")):
+                preset(name)
 
     def test_preset_overrides(self):
         cfg = preset("nlos-long", duration_s=300.0, seed=5, snr_db=3.0)

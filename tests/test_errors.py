@@ -15,16 +15,17 @@ from hypothesis.extra import numpy as hnp
 
 import csirecip
 from csirecip import errors, keygen, reconstruct, wavelet
-from csirecip.authsim import (AuthMessage, AuthPolicy, run_handshake, sign_csi,
+from csirecip.authsim import (AuthMessage, AuthPolicy, replay_attack, run_handshake, sign_csi,
                               temporal_decorrelation_curve)
 from csirecip.chansim import ChannelConfig, LossEvent, base_signal, gen_attacker, ou_process, preset
 from csirecip.errors import (CsiRecipError, EmptyBandError, InvalidParameterError,
                              MalformedHeaderError)
 from csirecip.keygen import (KeyBlock, QuantizerSpec, SessionConfig, cdf_thresholds, evaluate,
-                             gray_encode, make_keys, quantize)
+                             gray_encode, make_keys, preprocess_pair, quantize, wskg_session)
 from csirecip.metrics import DivergenceConfig, pearson, xcorr_lag
-from csirecip.reconstruct import (ReciprocalBand, apply_lag, fft_reconstruct, golay_filter,
-                                  select_reciprocal_freqs, wpt_denoise, wt_reconstruct)
+from csirecip.reconstruct import (ReciprocalBand, adapt_thresholds, apply_lag, fft_reconstruct,
+                                  golay_filter, select_reciprocal_freqs, wpt_denoise,
+                                  wt_reconstruct)
 from csirecip.traces import (CsiTrace, MagnitudeSeries, magnitude_series, pair_traces,
                              parse_csi_csv, write_csi_csv)
 from csirecip.wavelet import (CoherenceMap, CwtParams, Scalogram, band_average, coherent_gap_width,
@@ -142,7 +143,6 @@ def _pairs_of(series):
     (lambda: DivergenceConfig(bins=2.5), "bins must be an integer, got 2.5"),
     (lambda: select_reciprocal_freqs(_cmap(), 0.5, 2.5), "beta must be an integer, got 2.5"),
     (lambda: ReciprocalBand([0.5], (0.5, 0.5), 0.5, 3.5), "beta must be an integer, got 3.5"),
-    (lambda: CwtParams(0.1, 5.0, 10.0, 4.5), "voices_per_octave must be an integer, got 4.5"),
     (lambda: evaluate([], [], 2.5), "total_packets must be an integer, got 2.5"),
     (lambda: evaluate([], [], np.nan), "total_packets must be an integer, got nan"),
     (lambda: MagnitudeSeries(0, [1.0], [1], np.nan),
@@ -208,6 +208,21 @@ def _pairs_of(series):
     (lambda: write_csi_csv("x"), "trace must be of type CsiTrace, got 'x'"),
     (lambda: pair_traces(_trace(), "x", 0), "sta must be of type CsiTrace, got 'x'"),
     (lambda: _trace(device_id=5), "device_id must be of type str, got 5"),
+    # accepted, and write_csi_csv then ended in a bare TypeError from range(1.0)
+    (lambda: _trace(subcarriers=1.0), "subcarriers must be an integer, got 1.0"),
+    # each ended in a bare TypeError or AttributeError
+    (lambda: sign_csi(np.ones(3), "k"), "key must be of type bytes or bytearray, got 'k'"),
+    (lambda: run_handshake(np.ones(4), np.ones(4), None, b"k"),
+     "policy must be of type AuthPolicy, got None"),
+    (lambda: replay_attack(None, None, np.ones(4), AuthPolicy(), b"k"),
+     "message must be of type AuthMessage, got None"),
+    (lambda: wskg_session(np.ones(4), np.ones(4), None),
+     "cfg must be of type SessionConfig, got None"),
+    (lambda: preprocess_pair(np.ones(4), np.ones(4), None),
+     "cfg must be of type SessionConfig, got None"),
+    (lambda: evaluate([1], [2], 10), "keys_a block must be of type KeyBlock, got 1"),
+    (lambda: select_reciprocal_freqs("x", 0.5, 1), "cmap must be of type CoherenceMap, got 'x'"),
+    (lambda: adapt_thresholds("x"), "cmap must be of type CoherenceMap, got 'x'"),
     # a band is one run of rows only on a descending grid: an ascending one averaged other rows
     (lambda: band_average(_cmap(freqs=PARAMS.freq_grid()[::-1]), (0.1, 0.2)),
      f"freqs must be strictly descending, got {PARAMS.freq_grid()[-2]} after "
@@ -242,6 +257,7 @@ INTEGER_PARAMS = {
     "ChannelConfig.seed": lambda v: ChannelConfig(seed=v),
     "ChannelConfig.subcarriers": lambda v: ChannelConfig(subcarriers=v),
     "ChannelConfig.lag_samples": lambda v: ChannelConfig(lag_samples=v),
+    "CsiTrace.subcarriers": lambda v: _trace(subcarriers=v),
     "ou_process.n": lambda v: ou_process(v, 0.1, 1.0, np.random.default_rng(0)),
     "AuthPolicy.max_shift": lambda v: AuthPolicy(max_shift=v),
     "make_keys.block_len": lambda v: make_keys(np.arange(300.0), v),
@@ -252,7 +268,6 @@ INTEGER_PARAMS = {
     "xcorr_lag.max_lag": lambda v: xcorr_lag(np.sin(np.arange(64.0)), np.cos(np.arange(64.0)), v),
     "ReciprocalBand.beta": lambda v: ReciprocalBand([0.5], (0.5, 0.5), 0.5, v),
     "select_reciprocal_freqs.beta": lambda v: select_reciprocal_freqs(_cmap(), 0.5, v),
-    "CwtParams.voices_per_octave": lambda v: CwtParams(0.1, 5.0, 10.0, v),
     "apply_lag.lag": lambda v: apply_lag(np.ones(4), np.ones(4), v),
     "default_params.n_samples": lambda v: default_params(v, 10.0),
     "base_signal.n": lambda v: base_signal(SLOW, v),

@@ -3,13 +3,14 @@
 Each function exported by ``csirecip`` maps to its parameter names and each exported
 dataclass to its field names.  Settings fixed by the scheme are module constants, not
 parameters: ``reconstruct.GOLAY_WINDOW``, ``GOLAY_ORDER``, ``FFT_POWER_KEEP``, ``WPT_DEPTH``
-and ``wavelet.GAP_BAND``, ``GAP_WC_FLOOR``.
+and ``wavelet.GAP_BAND``, ``GAP_WC_FLOOR``, ``VOICES_PER_OCTAVE``; their values are pinned too.
 """
 
 import dataclasses
 import inspect
 
 import csirecip
+from csirecip import reconstruct, wavelet
 
 FUNCTIONS = {
     "adapt_thresholds": ("cmap",),
@@ -60,7 +61,7 @@ DATACLASSES = {
                       "coherence_time_s", "subcarriers", "seed"),
     "CoherenceMap": ("wc", "phase", "freqs", "times", "coi", "params"),
     "CsiTrace": ("device_id", "subcarriers", "rate_hz", "seqs", "t", "iq", "parse_stats"),
-    "CwtParams": ("min_freq", "max_freq", "sample_rate", "voices_per_octave"),
+    "CwtParams": ("min_freq", "max_freq", "sample_rate"),
     "DivergenceConfig": ("bins", "epsilon"),
     "KeyBlock": ("start_seq", "levels", "bits"),
     "LagEstimate": ("lag", "peak_corr", "lags", "curve"),
@@ -96,3 +97,16 @@ def test_dataclass_fields():
     got = {name: tuple(f.name for f in dataclasses.fields(obj))
            for name, obj in _exports().items() if dataclasses.is_dataclass(obj)}
     assert got == DATACLASSES
+
+
+def test_scheme_constants():
+    assert (reconstruct.GOLAY_WINDOW, reconstruct.GOLAY_ORDER, reconstruct.FFT_POWER_KEEP,
+            reconstruct.WPT_DEPTH) == (11, 3, 0.98, 4)
+    assert (wavelet.GAP_BAND, wavelet.GAP_WC_FLOOR, wavelet.VOICES_PER_OCTAVE) == (
+        (0.06, 1.5), 0.3, 12)
+
+
+def test_packet_tree_parameters():
+    # not exported, but the benchmark traces both by name
+    assert tuple(inspect.signature(reconstruct.wpt_forward).parameters) == ("x",)
+    assert tuple(inspect.signature(reconstruct.wpt_inverse).parameters) == ("bands", "n")

@@ -31,11 +31,10 @@ from csirecip.wavelet import CoherenceMap, CwtParams, Scalogram, wavelet_coheren
 FS = 10.0
 
 
-def make_map(wc, fs=FS, vpo=12):
+def make_map(wc, fs=FS):
     """CoherenceMap from a raw wc matrix (synthetic selection fixtures)."""
     nb, nt = wc.shape
-    params = CwtParams(min_freq=0.05, max_freq=fs / 2, sample_rate=fs,
-                       voices_per_octave=vpo)
+    params = CwtParams(min_freq=0.05, max_freq=fs / 2, sample_rate=fs)
     freqs = np.geomspace(fs / 2, 0.05, nb)
     return CoherenceMap(
         wc=np.asarray(wc, dtype=np.float64),
@@ -116,16 +115,15 @@ class TestWpt:
 
     def test_perfect_reconstruction_without_threshold(self):
         x = np.random.default_rng(1).normal(size=256)
-        np.testing.assert_allclose(wpt_inverse(wpt_forward(x, 4), 256), x, atol=1e-9)
+        np.testing.assert_allclose(wpt_inverse(wpt_forward(x), 256), x, atol=1e-9)
         # step function too (filter-bank identity holds for any input)
         step = np.concatenate([np.zeros(64), np.ones(64)])
-        np.testing.assert_allclose(wpt_inverse(wpt_forward(step, 4), 128), step, atol=1e-9)
+        np.testing.assert_allclose(wpt_inverse(wpt_forward(step), 128), step, atol=1e-9)
 
     def test_reanalysis_has_half_zeros(self):
         x = np.random.default_rng(2).normal(size=256)
         den = wpt_denoise(x)
-        bands = wpt_forward(den, R.WPT_DEPTH)
-        coeffs = np.concatenate(bands)
+        coeffs = wpt_forward(den).ravel()
         assert np.sum(np.abs(coeffs) < 1e-10) >= len(coeffs) // 2
 
     def test_nonmultiple_length(self):
@@ -138,7 +136,8 @@ class TestWpt:
 
     def test_energy_preserved(self):
         x = np.random.default_rng(4).normal(size=128)
-        bands = wpt_forward(x, 3)
+        bands = wpt_forward(x)
+        assert bands.shape == (2 ** R.WPT_DEPTH, 128 // 2 ** R.WPT_DEPTH)  # one band per row
         assert sum(float(b @ b) for b in bands) == pytest.approx(float(x @ x))
         np.testing.assert_allclose(wpt_inverse(bands, 128), x, atol=1e-9)
 
@@ -216,8 +215,7 @@ def band_wpt_denoise(x, depth):
 
 @st.composite
 def wpt_case(draw):
-    depth = draw(st.integers(1, 5))
-    n = draw(st.integers(max(16, 1 << depth), 5000))
+    n = draw(st.integers(1 << R.WPT_DEPTH, 5000))
     scale = 10.0 ** draw(st.floats(-6, 6))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
@@ -228,36 +226,32 @@ def wpt_case(draw):
     elif kind == "zeros":  # signed zeros and runs of them
         x[rng.random(n) < 0.5] = 0.0
         x[rng.random(n) < 0.25] = -0.0
-    return x, depth
+    return x
 
 
 @settings(max_examples=60, deadline=None)
 @given(wpt_case())
-@example((np.zeros(16), 4))
-@example((-np.zeros(33), 1))
-def test_level_matrix_equals_per_band_tree(case):
-    """Bit for bit, the sign of zero included, at every level and through the denoiser."""
-    x, depth = case
+@example(np.zeros(16))
+@example(-np.zeros(33))
+def test_level_matrix_equals_per_band_tree(x):
+    """Bit for bit, the sign of zero included, at every band and through the denoiser."""
     got, want = wpt_denoise(x), band_wpt_denoise(x, R.WPT_DEPTH)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    bands = wpt_forward(x, depth)
-    ref = band_wpt_forward(x, depth)
-    assert len(bands) == len(ref) == 2 ** depth
+    bands = wpt_forward(x)
+    ref = band_wpt_forward(x, R.WPT_DEPTH)
+    assert len(bands) == len(ref) == 2 ** R.WPT_DEPTH
     for b, r in zip(bands, ref):
         assert np.array_equal(b.view(np.int64), r.view(np.int64))
-    n = len(x) - len(x) % (1 << depth)
-    if n:
-        tree = wpt_forward(x[:n], depth)
-        inv = wpt_inverse(tree, n)
-        assert np.array_equal(inv.view(np.int64), band_wpt_inverse(tree, n).view(np.int64))
-        assert np.array_equal(wpt_inverse(np.array(tree), n), inv)  # a band matrix is accepted
+    n = len(x) - len(x) % (1 << R.WPT_DEPTH)  # at least one sample per band
+    tree = wpt_forward(x[:n])
+    inv = wpt_inverse(tree, n)
+    assert np.array_equal(inv.view(np.int64), band_wpt_inverse(tree, n).view(np.int64))
 
 
 _P = CwtParams(0.05, 5.0, 10.0)
 
 
 @pytest.mark.parametrize("call, value", [
-    (lambda: CwtParams(0.05, 5.0, 10.0, voices_per_octave=3), "got 3"),
     (lambda: CwtParams(6.0, 5.0, 10.0), "[6.0, 5.0]"),
     (lambda: Scalogram(np.zeros((3, 5)), np.ones(2), _P, np.zeros(5, int)), "(3, 5)"),
     (lambda: CoherenceMap(np.zeros((2, 4)), np.zeros((2, 3)), np.ones(2), np.arange(4.0),
@@ -270,7 +264,7 @@ _P = CwtParams(0.05, 5.0, 10.0)
     (lambda: ReciprocalBand([0.2], (0.2, 0.2), 0.5, 0), "got 0"),
     (lambda: select_reciprocal_freqs(make_map(np.ones((4, 10))), -0.5, 3), "got -0.5"),
     (lambda: select_reciprocal_freqs(make_map(np.ones((4, 10))), 0.5, 11), "got 11"),
-], ids=["voices_per_octave", "freq_range", "scalogram_shape", "coherence_shape",
+], ids=["freq_range", "scalogram_shape", "coherence_shape",
         "coherence_axes", "coherence_lengths", "f_rec", "band_alpha", "band_beta",
         "select_alpha", "select_beta"])
 def test_bad_value_named(call, value):
