@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -160,12 +161,13 @@ def temporal_decorrelation_curve(generator, gaps, seed: int = 0
     samples of the default policy, the shortest window it decides, raise
     :class:`TooShortError`.
     """
-    gaps = list(gaps)
+    gaps = list(instance(gaps, "gaps", (Iterable,)))
     for gap in gaps:
         real(gap, "gaps", zero=True)
     if not gaps or gaps[0] != 0 or gaps != sorted(gaps):
         raise InvalidParameterError(f"gaps must be ascending and start at 0, got {gaps}")
-    rng = np.random.default_rng(seed)
+    instance(generator, "generator", (Callable,))
+    rng = np.random.default_rng(integer(seed, "seed", 0))
     min_len = 3 * (AuthPolicy.max_shift + 1)
     out = []
     for gap in gaps:

@@ -22,7 +22,7 @@ from math import inf, isfinite
 
 import numpy as np
 
-from .errors import InvalidParameterError, UnknownPresetError, choice, integer, pair, real
+from .errors import InvalidParameterError, UnknownPresetError, choice, instance, integer, pair, real
 from .traces import CsiTrace
 
 MAGNITUDE_OFFSET = 10.0  # keeps simulated magnitudes positive
@@ -101,7 +101,7 @@ def ou_process(n: int, dt: float, tau: float, rng: np.random.Generator) -> np.nd
     """
     n = integer(n, "n", 1)
     rho = float(np.exp(-real(dt, "dt") / real(tau, "tau")))
-    innov = rng.standard_normal(n)
+    innov = instance(rng, "rng", (np.random.Generator,)).standard_normal(n)
     drive = np.sqrt(1 - rho * rho) * innov
     drive[0] = innov[0]
     y = drive.tolist()
@@ -264,6 +264,7 @@ def base_signal(cfg: ChannelConfig, n: int, start_s: float = 0.0) -> np.ndarray:
     table shared by all calls and threads, kept for the last ``_TABLES``
     (band, rate) pairs used; later samples compute theirs per block.
     """
+    instance(cfg, "cfg", (ChannelConfig,))
     n = integer(n, "n", 0)
     dt = 1.0 / cfg.rate_hz
     offset = -1
@@ -344,7 +345,7 @@ def gen_pair(cfg: ChannelConfig) -> tuple[CsiTrace, CsiTrace, dict]:
     packets per side.  Returns (ap, sta, truth) with the ground truth a
     dict of the injected lag and per-side dropped seq arrays.
     """
-    n = cfg.n_samples
+    n = instance(cfg, "cfg", (ChannelConfig,)).n_samples
     lag = cfg.lag_samples
     pad = abs(lag)
     b = base_signal(cfg, n + pad)
@@ -376,7 +377,7 @@ def gen_attacker(cfg: ChannelConfig, mode: str = "independent",
     ``gap_s``.
     """
     gap_s = real(gap_s, "gap_s", zero=True)
-    n = cfg.n_samples
+    n = instance(cfg, "cfg", (ChannelConfig,)).n_samples
     if choice(mode, "mode", ("independent", "delayed_replay")) == "independent":
         base = base_signal(replace(cfg, seed=cfg.seed + 0x5EED), n)
     else:

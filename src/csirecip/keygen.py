@@ -8,7 +8,7 @@ bit-error thresholds.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -34,6 +34,7 @@ MAX_LAG = 50  # lag search on the probe window, samples
 BLOCK_LEN = 100  # samples per key block
 _AGREEMENTS = 8  # probe agreements kept: sessions over one pair agree once
 _QUANTILES = 4  # quantile index tables kept, one per (block length, levels)
+_GRAY_TABLES = 2  # Gray code tables kept, one per level count
 
 
 @dataclass(frozen=True)
@@ -180,11 +181,12 @@ def _cdf_rows(chunks: np.ndarray, levels: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _level_rows(chunks: np.ndarray, th: np.ndarray) -> np.ndarray:
-    """Each sample's level: how many of its row's thresholds lie strictly below it."""
-    lv = np.zeros(chunks.shape, dtype=np.int64)
+    """Each sample's level: how many of its row's thresholds lie strictly below it, counted
+    in the narrowest unsigned type that holds the threshold count, then cast to int64."""
+    lv = np.zeros(chunks.shape, dtype=np.min_scalar_type(th.shape[1]))
     for k in range(th.shape[1]):
         lv += chunks > th[:, k:k + 1]
-    return lv
+    return lv.astype(np.int64)
 
 
 def cdf_thresholds(block, levels: int = 4) -> QuantizerSpec:
@@ -208,7 +210,7 @@ def cdf_thresholds(block, levels: int = 4) -> QuantizerSpec:
 def quantize(block, spec: QuantizerSpec) -> np.ndarray:
     """Map every sample to a level; boundary values go to the lower level."""
     block = finite_series(block, "block")
-    return _level_rows(block[None], spec.thresholds[None])[0]
+    return _level_rows(block[None], instance(spec, "spec", (QuantizerSpec,)).thresholds[None])[0]
 
 
 def _gray_rows(lv: np.ndarray, width: int) -> np.ndarray:
@@ -217,12 +219,21 @@ def _gray_rows(lv: np.ndarray, width: int) -> np.ndarray:
     return ((gray[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
 
 
+@lru_cache(maxsize=_GRAY_TABLES)
+def _gray_table(levels_count: int) -> np.ndarray:
+    """The (levels_count, width) Gray code table of :func:`gray_encode`; read-only."""
+    table = _gray_rows(np.arange(levels_count), levels_count.bit_length() - 1)
+    table.setflags(write=False)
+    return table
+
+
 def gray_encode(levels_seq, levels_count: int) -> np.ndarray:
     """Binary-reflected Gray code of each level, MSB first, concatenated.
 
-    The codes are read from a (levels_count, width) table indexed by level.
-    When there are fewer levels to encode than table rows, they are coded
-    directly, so memory follows the input and not the level count.
+    The codes are read from a (levels_count, width) table indexed by level,
+    built once per level count.  When there are fewer levels to encode than
+    table rows, they are coded directly and no table is built, so memory
+    follows the input and not the level count.
     """
     levels_count = _check_levels(levels_count, "levels_count")
     lv = np.asarray(levels_seq)
@@ -239,21 +250,14 @@ def gray_encode(levels_seq, levels_count: int) -> np.ndarray:
         raise InvalidParameterError(
             f"levels outside [0, {levels_count}): {lv.min()}..{lv.max()}"
         )
-    width = levels_count.bit_length() - 1
     if lv.size < levels_count:
-        return _gray_rows(lv, width).ravel()
-    return np.take(_gray_rows(np.arange(levels_count), width), lv, axis=0).ravel()
+        return _gray_rows(lv, levels_count.bit_length() - 1).ravel()
+    return np.take(_gray_table(levels_count), lv, axis=0).ravel()
 
 
-def make_keys(x, block_len: int = BLOCK_LEN, levels: int = 4) -> tuple[list[KeyBlock], int]:
-    """Cut a series into key blocks: quantize, Gray-encode.
-
-    Blocks are consecutive and non-overlapping; a trailing partial block is
-    discarded.  Degenerate blocks (the cases :func:`cdf_thresholds` rejects)
-    are skipped and counted (second return value).  Thresholds are
-    per-block, tracking channel drift.  All blocks are processed as one
-    (blocks, block_len) matrix.
-    """
+def _key_rows(x, block_len: int, levels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``make_keys``' checks, then every whole block of the window at once: which blocks
+    are kept (the mask), and the kept blocks' levels and Gray-coded bits, one row each."""
     x = finite_series(x, "x")
     block_len = integer(block_len, "block_len", 1)
     levels = _check_levels(levels)
@@ -264,46 +268,35 @@ def make_keys(x, block_len: int = BLOCK_LEN, levels: int = 4) -> tuple[list[KeyB
     th, keep = _cdf_rows(chunks, levels)
     lv = _level_rows(chunks[keep], th[keep])
     bits = gray_encode(lv, levels).reshape(len(lv), block_len * (levels.bit_length() - 1))
+    return keep, lv, bits
+
+
+def make_keys(x, block_len: int = BLOCK_LEN, levels: int = 4) -> tuple[list[KeyBlock], int]:
+    """Cut a series into key blocks: quantize, Gray-encode.
+
+    Blocks are consecutive and non-overlapping; a trailing partial block is
+    discarded.  Degenerate blocks (the cases :func:`cdf_thresholds` rejects)
+    are skipped and counted (second return value).  Thresholds are
+    per-block, tracking channel drift.  All blocks are processed as one
+    (blocks, block_len) matrix, and each kept block's :class:`KeyBlock`
+    holds read-only row views of it.
+    """
+    keep, lv, bits = _key_rows(x, block_len, levels)
     lv.setflags(write=False)  # the blocks take row views without a copy
     bits.setflags(write=False)
     blocks = []
-    for s, l, b in zip((np.flatnonzero(keep) * block_len).tolist(), lv, bits):
+    for s, l, b in zip((np.flatnonzero(keep) * lv.shape[1]).tolist(), lv, bits):
         # rows of read-only C-ordered matrices: what KeyBlock's _freeze would keep as is
         block = object.__new__(KeyBlock)
         block.__dict__.update(start_seq=s, levels=l, bits=b)
         blocks.append(block)
-    return blocks, n_blocks - len(blocks)
+    return blocks, len(keep) - len(blocks)
 
 
-def evaluate(keys_a: list[KeyBlock], keys_b: list[KeyBlock], total_packets: int,
-             thresholds=(5, 15, 20)) -> SessionReport:
-    """Score paired key blocks at each bit-error threshold.
-
-    A block pair is accepted at threshold theta when its Hamming distance
-    is at most theta.  ``kgr`` is accepted key bits per exchanged packet;
-    ``mean_ber`` averages over accepted keys only, while ``overall_ber``
-    covers every paired block regardless of threshold.  Every block of
-    both lists must hold as many bits as the first, and the distances
-    come from one compare of the stacked bits.
-    """
-    if len(keys_a) != len(keys_b):
-        raise LengthMismatchError(f"{len(keys_a)} vs {len(keys_b)} blocks")
-    total_packets = integer(total_packets, "total_packets", 1)
-    thresholds = _error_thresholds(thresholds, "thresholds")
-
-    bits_a = [instance(k, "keys_a block", (KeyBlock,)).bits for k in keys_a]
-    bits_b = [instance(k, "keys_b block", (KeyBlock,)).bits for k in keys_b]
-    key_bits = len(bits_a[0]) if bits_a else 0
-    for i, (a, b) in enumerate(zip(bits_a, bits_b)):
-        if len(a) != key_bits or len(b) != key_bits:
-            raise LengthMismatchError(
-                f"block {i} (start_seq {keys_a[i].start_seq}) pairs {len(a)} and {len(b)} "
-                f"bits; block 0 has {key_bits}")
-    # np.array of no blocks is 1-D, so the shape is given
-    shape = (len(bits_a), key_bits)
-    hams = np.count_nonzero(np.array(bits_a).reshape(shape) != np.array(bits_b).reshape(shape),
-                            axis=1)
-
+def _score(hams: np.ndarray, key_bits: int, total_packets: int, thresholds: tuple[int, ...],
+           **session) -> SessionReport:
+    """The report on paired blocks with Hamming distances ``hams`` of ``key_bits``
+    bits each; ``session`` holds the report's session fields."""
     stats = []
     for theta in thresholds:
         acc = hams[hams <= theta]
@@ -321,7 +314,41 @@ def evaluate(keys_a: list[KeyBlock], keys_b: list[KeyBlock], total_packets: int,
         total_packets=total_packets,
         key_bits=key_bits,
         blocks=len(hams),
+        **session,
     )
+
+
+def evaluate(keys_a: list[KeyBlock], keys_b: list[KeyBlock], total_packets: int,
+             thresholds=(5, 15, 20)) -> SessionReport:
+    """Score paired key blocks at each bit-error threshold.
+
+    A block pair is accepted at threshold theta when its Hamming distance
+    is at most theta.  ``kgr`` is accepted key bits per exchanged packet;
+    ``mean_ber`` averages over accepted keys only, while ``overall_ber``
+    covers every paired block regardless of threshold.  Every block of
+    both lists must hold as many bits as the first, and the distances
+    come from one compare of the stacked bits.  :func:`wskg_session`
+    scores its blocks by the same rule without building block lists.
+    """
+    instance(keys_a, "keys_a", (list, tuple))
+    if len(keys_a) != len(instance(keys_b, "keys_b", (list, tuple))):
+        raise LengthMismatchError(f"{len(keys_a)} vs {len(keys_b)} blocks")
+    total_packets = integer(total_packets, "total_packets", 1)
+    thresholds = _error_thresholds(thresholds, "thresholds")
+
+    bits_a = [instance(k, "keys_a block", (KeyBlock,)).bits for k in keys_a]
+    bits_b = [instance(k, "keys_b block", (KeyBlock,)).bits for k in keys_b]
+    key_bits = len(bits_a[0]) if bits_a else 0
+    for i, (a, b) in enumerate(zip(bits_a, bits_b)):
+        if len(a) != key_bits or len(b) != key_bits:
+            raise LengthMismatchError(
+                f"block {i} (start_seq {keys_a[i].start_seq}) pairs {len(a)} and {len(b)} "
+                f"bits; block 0 has {key_bits}")
+    # np.array of no blocks is 1-D, so the shape is given
+    shape = (len(bits_a), key_bits)
+    hams = np.count_nonzero(np.array(bits_a).reshape(shape) != np.array(bits_b).reshape(shape),
+                            axis=1)
+    return _score(hams, key_bits, total_packets, thresholds)
 
 
 @dataclass(frozen=True)
@@ -432,6 +459,10 @@ def wskg_session(ap, sta, cfg: SessionConfig = SessionConfig()) -> SessionReport
     and evaluation at each error threshold.  A key window that the lag
     trim leaves shorter than one block yields no blocks.
 
+    Step 3 gives what :func:`make_keys` on each window, then :func:`evaluate` on
+    the blocks kept on both sides, would give, with the same checks and errors,
+    from the windows' bit matrices: no :class:`KeyBlock` is built.
+
     ``ap`` and ``sta`` must already be paired (equal length, gap-free),
     e.g. via ``pair_traces(..., gap_policy="interpolate_linear")``.  Plain
     arrays are taken as sampled at 10 Hz; pass ``MagnitudeSeries`` for any
@@ -440,21 +471,15 @@ def wskg_session(ap, sta, cfg: SessionConfig = SessionConfig()) -> SessionReport
     reuse one step-1 agreement.
     """
     pre = preprocess_pair(ap, sta, cfg)
-    short = len(pre.x) < BLOCK_LEN
-    keys_a, skip_a = ([], 0) if short else make_keys(pre.x)
-    keys_b, skip_b = ([], 0) if short else make_keys(pre.y)
-    index_a = {k.start_seq: k for k in keys_a}
-    index_b = {k.start_seq: k for k in keys_b}
-    common = sorted(set(index_a) & set(index_b))
-    report = evaluate([index_a[s] for s in common], [index_b[s] for s in common],
-                      pre.total_packets, cfg.error_thresholds)
-    return replace(
-        report,
-        skipped_blocks=skip_a + skip_b,
-        pipeline=cfg.pipeline,
-        sync=cfg.sync,
-        lag=pre.lag,
-        alpha=float(pre.band.alpha),
-        beta=int(pre.band.beta),
-        band=pre.band.band,
-    )
+    hams, key_bits, skipped = np.zeros(0, dtype=np.intp), 0, 0
+    if len(pre.x) >= BLOCK_LEN:  # else the lag trim left no whole block
+        keep_a, _, bits_a = _key_rows(pre.x, BLOCK_LEN, 4)  # make_keys' defaults
+        keep_b, _, bits_b = _key_rows(pre.y, BLOCK_LEN, 4)
+        # both windows have one length, so block k of each starts at k * BLOCK_LEN
+        both = keep_a & keep_b
+        hams = np.count_nonzero(bits_a[both[keep_a]] != bits_b[both[keep_b]], axis=1)
+        key_bits = bits_a.shape[1] if len(hams) else 0
+        skipped = 2 * len(both) - len(bits_a) - len(bits_b)
+    return _score(hams, key_bits, pre.total_packets, cfg.error_thresholds,
+                  skipped_blocks=skipped, pipeline=cfg.pipeline, sync=cfg.sync, lag=pre.lag,
+                  alpha=float(pre.band.alpha), beta=int(pre.band.beta), band=pre.band.band)

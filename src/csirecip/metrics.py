@@ -17,6 +17,7 @@ from .errors import (
     LengthMismatchError,
     TooShortError,
     finite_series,
+    instance,
     integer,
     real,
 )
@@ -102,6 +103,7 @@ def jeffrey_divergence(x, y, cfg: DivergenceConfig = DivergenceConfig()) -> floa
     range, smoothed with ``cfg.epsilon`` additive mass per bin, and
     renormalized.  Natural logarithm.
     """
+    instance(cfg, "cfg", (DivergenceConfig,))
     x = finite_series(x, "x")
     y = finite_series(y, "y")
     if len(x) < cfg.bins or len(y) < cfg.bins:

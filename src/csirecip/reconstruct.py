@@ -244,6 +244,7 @@ def wt_reconstruct(x, band: tuple[float, float], params: CwtParams) -> np.ndarra
     filter whose response sums the band rows' daughter wavelets, so no
     scalogram is built.
     """
+    instance(params, "params", (CwtParams,))
     spec, n, mean = _prepare(x)
     # as a float pair: one cache key for a list, tuple or numpy floats, and none for a bad band
     resp = _band_response(params, pair(band, "band", zero=True), len(spec))

@@ -49,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (EmptyBandError, InvalidParameterError, TooShortError, _freeze, finite_series,
-                     integer, pair, real)
+                     instance, integer, pair, real)
 
 OMEGA0 = 6.0  # Morlet center-frequency parameter (>= 5 keeps the wavelet admissible)
 FOURIER_FACTOR = 4 * np.pi / (OMEGA0 + np.sqrt(2 + OMEGA0 ** 2))  # Morlet scale * frequency
@@ -256,6 +256,7 @@ def cwt(x, params: CwtParams) -> Scalogram:
     sample mean is removed before transforming (stored on the result) and
     the series is zero padded to the next power of two.
     """
+    instance(params, "params", (CwtParams,))
     spec, n, mean = _prepare(x)
     bank = np.empty((len(params.scales()), len(spec)))  # one energy-normalized row per scale
     _place(bank, _morlet_rows(params, len(spec)), 0, 1)
@@ -305,6 +306,7 @@ def icwt(sg: Scalogram, band: tuple[float, float] | None = None) -> np.ndarray:
     ``band = (f_lo, f_hi)`` (all rows when None), normalized by the
     reconstruction plateau, and restores the stored mean.
     """
+    instance(sg, "sg", (Scalogram,))
     rows = slice(None) if band is None else _band_rows(sg.freqs, band)
     scales = sg.params.scales()[rows]
     r = (sg.coeffs[rows].real / np.sqrt(scales)[:, None]).sum(axis=0)
@@ -431,6 +433,7 @@ def wavelet_coherence(x, y, params: CwtParams) -> CoherenceMap:
     The grid is processed in blocks of rows (see :func:`_coherence_rows`),
     bit-identical to computing each stage over the whole grid at once.
     """
+    instance(params, "params", (CwtParams,))
     spec_x, n, _ = _prepare(x)
     spec_y, n_y, _ = _prepare(y, "y")
     if n_y != n:
@@ -457,7 +460,7 @@ def band_average(cmap: CoherenceMap, band: tuple[float, float]) -> np.ndarray:
     The average skips edge-affected cells; times where the whole band is
     edge-affected fall back to the unmasked average.
     """
-    rows = _band_rows(cmap.freqs, band)
+    rows = _band_rows(instance(cmap, "cmap", (CoherenceMap,)).freqs, band)
     sub = cmap.wc[rows]
     mask = cmap.coi[rows]
     cnt = mask.sum(axis=0)

@@ -510,7 +510,8 @@ def no_bare_value_error():
     """Fail on a ValueError outside the CsiRecipError family that would reach ``main``'s
     data-error catch: the catch stays as a guard, and nothing the fuzzers reach relies on it."""
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_load_config", "cmd_keygen", "cmd_metrics", "cmd_report"):
+        for name in ("_load_config", "cmd_keygen", "cmd_metrics", "cmd_report", "cmd_reconstruct",
+                     "cmd_auth"):
             def guarded(*args, fn=getattr(cli, name)):
                 try:
                     return fn(*args)
@@ -564,6 +565,15 @@ INI_VALUES = {
                                                      ""]), min_size=1, max_size=3).map(",".join),
     ("pipelines", "thresholds"): st.sampled_from(["5,15,20", "15", "", "a", "-1", "15,5", "1.5",
                                                   "0,99"]),
+    ("pipelines", "pipeline"): st.sampled_from(["raw", "wt", " wt", "x", "", "wt,raw"]),
+    # trial counts stay small: each trial simulates a pair and an attacker
+    ("auth", "trials"): st.sampled_from(["0", "-1", "1.5", "x", "", "1", "2", "1e3"]),
+    ("auth", "seed"): st.sampled_from(["-1", "1.5", "x", "", str(2 ** 80), "nan"])
+    | st.integers(0, 9).map(str),
+    ("auth", "min_corr"): st.sampled_from(["nan", "inf", "-1", "0", "1", "1.5", "x", ""])
+    | st.floats(0, 1).map(repr),
+    ("auth", "max_shift"): st.sampled_from(["-1", "0", "1.5", "x", "", "200", str(2 ** 70)])
+    | st.integers(0, 60).map(str),
     ("junk", "key"): st.text(max_size=8),
 }
 
@@ -586,12 +596,15 @@ def ini_files(draw) -> bytes:
 
 
 @settings(max_examples=40, deadline=None)
-@given(command=st.sampled_from(["keygen", "metrics"]), ini=ini_files())
+@given(command=st.sampled_from(["keygen", "metrics", "reconstruct", "auth"]), ini=ini_files())
 # each reached main's ValueError catch: open() refused the NUL path, the file was not UTF-8
 @example(command="keygen", ini=b"[input]\nap = @nul@\nsta = @nul@\n")
 @example(command="metrics", ini=b"[input]\nseed = \xff\n")
 @example(command="keygen", ini=b"[input]\nap = @ap@\nsta = @sta@\n")
 @example(command="metrics", ini=b"[input]\nduration_s = 45.0\nsubcarrier = 3\n")
+@example(command="reconstruct",
+         ini=b"[input]\nap = @ap@\nsta = @sta@\n[pipelines]\npipeline = wt\n")
+@example(command="auth", ini=b"[auth]\ntrials = 2\nseed = 3\nmin_corr = 0.5\nmax_shift = 20\n")
 def test_config_fuzz_exits_0_1_or_2_without_traceback(fuzz_paths, command, ini):
     for name, path in fuzz_paths.items():
         ini = ini.replace(f"@{name}@".encode(), path.encode())

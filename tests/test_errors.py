@@ -3,13 +3,15 @@
 import ast
 import inspect
 import math
+import numbers
 import re
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -17,19 +19,20 @@ import csirecip
 from csirecip import errors, keygen, reconstruct, wavelet
 from csirecip.authsim import (AuthMessage, AuthPolicy, replay_attack, run_handshake, sign_csi,
                               temporal_decorrelation_curve)
-from csirecip.chansim import ChannelConfig, LossEvent, base_signal, gen_attacker, ou_process, preset
+from csirecip.chansim import (ChannelConfig, LossEvent, base_signal, gen_attacker, gen_pair,
+                              ou_process, preset)
 from csirecip.errors import (CsiRecipError, EmptyBandError, InvalidParameterError,
                              MalformedHeaderError)
 from csirecip.keygen import (KeyBlock, QuantizerSpec, SessionConfig, cdf_thresholds, evaluate,
                              gray_encode, make_keys, preprocess_pair, quantize, wskg_session)
-from csirecip.metrics import DivergenceConfig, pearson, xcorr_lag
+from csirecip.metrics import DivergenceConfig, jeffrey_divergence, pearson, xcorr_lag
 from csirecip.reconstruct import (ReciprocalBand, adapt_thresholds, apply_lag, fft_reconstruct,
                                   golay_filter, select_reciprocal_freqs, wpt_denoise,
                                   wt_reconstruct)
 from csirecip.traces import (CsiTrace, MagnitudeSeries, magnitude_series, pair_traces,
                              parse_csi_csv, write_csi_csv)
-from csirecip.wavelet import (CoherenceMap, CwtParams, Scalogram, band_average, coherent_gap_width,
-                              cwt, default_params, icwt, wavelet_coherence)
+from csirecip.wavelet import (CoherenceMap, CwtParams, Scalogram, band_average, coherence_summary,
+                              coherent_gap_width, cwt, default_params, icwt, wavelet_coherence)
 
 SRC = Path(csirecip.__file__).parent
 
@@ -303,9 +306,13 @@ SIGNED_PARAMS = {
     "ChannelConfig.snr_db": lambda v: ChannelConfig(snr_db=v),
     "base_signal.start_s": lambda v: base_signal(SLOW, 4, v),
 }
-# fractions, NaN, +-inf, negatives and bools
+# objects of the wrong type: None, a string, an int, a dataclass of another parameter
+OBJECTS = [None, "x", 3, DivergenceConfig(), SessionConfig(), PARAMS, ChannelConfig(),
+           QuantizerSpec(4, [0.0, 1.0, 2.0])]
+# fractions, NaN, +-inf, negatives, bools and objects that are not numbers
 BAD_NUMBERS = st.one_of(
     st.sampled_from([np.nan, np.inf, -np.inf, True, False, np.True_, np.float64(-2.0)]),
+    st.sampled_from(OBJECTS),
     st.floats(-1e6, 1e6).filter(lambda v: not v.is_integer()),
     st.fractions(min_value=-10 ** 6, max_value=10 ** 6),
     st.integers(-2 ** 70, -1),
@@ -325,10 +332,10 @@ BAD_NUMBERS = st.one_of(
 @example(value=-1)
 @example(value="2")  # a string ended in a bare TypeError at nine parameters
 def test_numeric_parameter_raises_only_the_family(call, kind, value):
-    # a string, a bool, NaN or -inf is always refused; so are +inf, a negative real and a
-    # non-int integer argument, except at a signed parameter; whatever else happens,
-    # only a CsiRecipError comes out
-    if isinstance(value, (str, bool, np.bool_)):
+    # a non-number (None, a string, a dataclass), a bool, NaN or -inf is always refused; so
+    # are +inf, a negative real and a non-int integer argument, except at a signed
+    # parameter; whatever else happens, only a CsiRecipError comes out
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Number):
         refused = True
     elif kind == "signed":
         refused = not value > -math.inf
@@ -340,6 +347,57 @@ def test_numeric_parameter_raises_only_the_family(call, kind, value):
     except CsiRecipError:
         return
     assert not refused, f"{value!r} was accepted"
+
+
+# (public callable, object parameter): a call with that one argument set to v, and the types
+# the parameter takes
+OBJECT_PARAMS = {
+    "cwt.params": (lambda v: cwt(GOOD, v), CwtParams),
+    "wavelet_coherence.params": (lambda v: wavelet_coherence(GOOD, GOOD, v), CwtParams),
+    "wt_reconstruct.params": (lambda v: wt_reconstruct(GOOD, (0.1, 1.0), v), CwtParams),
+    "icwt.sg": (lambda v: icwt(v), Scalogram),
+    "band_average.cmap": (lambda v: band_average(v, (0.1, 1.0)), CoherenceMap),
+    "coherent_gap_width.cmap": (lambda v: coherent_gap_width(v), CoherenceMap),
+    "coherence_summary.cmap": (lambda v: coherence_summary(v), CoherenceMap),
+    "adapt_thresholds.cmap": (lambda v: adapt_thresholds(v), CoherenceMap),
+    "select_reciprocal_freqs.cmap": (lambda v: select_reciprocal_freqs(v, 0.5, 2), CoherenceMap),
+    "quantize.spec": (lambda v: quantize(GOOD, v), QuantizerSpec),
+    "evaluate.keys_a": (lambda v: evaluate(v, [], 10), (list, tuple)),
+    "evaluate.keys_b": (lambda v: evaluate([], v, 10), (list, tuple)),
+    "preprocess_pair.cfg": (lambda v: preprocess_pair(GOOD, GOOD, v), SessionConfig),
+    "wskg_session.cfg": (lambda v: wskg_session(GOOD, GOOD, v), SessionConfig),
+    "gen_pair.cfg": (lambda v: gen_pair(v), ChannelConfig),
+    "gen_attacker.cfg": (lambda v: gen_attacker(v), ChannelConfig),
+    "base_signal.cfg": (lambda v: base_signal(v, 10), ChannelConfig),
+    "ou_process.rng": (lambda v: ou_process(8, 0.1, 1.0, v), np.random.Generator),
+    "jeffrey_divergence.cfg": (lambda v: jeffrey_divergence(GOOD, GOOD[::-1], v),
+                               DivergenceConfig),
+    "temporal_decorrelation_curve.generator": (
+        lambda v: temporal_decorrelation_curve(v, [0, 10]), Callable),
+    "temporal_decorrelation_curve.gaps": (
+        lambda v: temporal_decorrelation_curve(_noise_pair, v), Iterable),
+    "magnitude_series.trace": (lambda v: magnitude_series(v, 0), CsiTrace),
+    "write_csi_csv.trace": (lambda v: write_csi_csv(v), CsiTrace),
+    "pair_traces.sta": (lambda v: pair_traces(_trace(), v, 0), CsiTrace),
+    "parse_csi_csv.stream": (lambda v: parse_csi_csv(v), (bytes, str)),
+    "run_handshake.policy": (lambda v: run_handshake(GOOD, GOOD, v, b"k"), AuthPolicy),
+    "replay_attack.recorded_s3": (lambda v: replay_attack(None, v, GOOD, AuthPolicy(), b"k"),
+                                  AuthMessage),
+    "sign_csi.key": (lambda v: sign_csi(GOOD, v), (bytes, bytearray)),
+}
+
+
+@pytest.mark.parametrize("call, kinds", OBJECT_PARAMS.values(), ids=OBJECT_PARAMS)
+@settings(max_examples=12, deadline=None)
+@given(value=st.sampled_from([*OBJECTS, _cmap(), _scalogram()]) | st.text(max_size=4)
+       | st.integers(-2 ** 70, 2 ** 70))
+def test_object_parameter_raises_naming_value(call, kinds, value):
+    # an object that is not of the parameter's type is refused by name, not by a bare
+    # AttributeError or TypeError from deep inside the call
+    assume(not isinstance(value, kinds))
+    with pytest.raises(InvalidParameterError) as exc:
+        call(value)
+    assert repr(value) in str(exc.value)
 
 
 GOOD = np.sin(np.arange(600.0) / 7.0) + 0.01 * np.arange(600.0)
@@ -369,7 +427,8 @@ SERIES_PARAMS = {
 }
 # the configuration tables: a refused argument must build none
 TABLES = (wavelet._morlet_rows, wavelet._gauss_rows, wavelet._recon_plateau,
-          wavelet._band_response, reconstruct._golay_hat, keygen._quantile_index)
+          wavelet._band_response, reconstruct._golay_hat, keygen._quantile_index,
+          keygen._gray_table)
 LENGTHS = st.integers(1, 700)
 BAD_ARRAYS = st.one_of(
     hnp.arrays(np.float64, st.tuples(st.integers(0, 700), st.integers(1, 3))

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import hashlib
 import json
 
@@ -10,6 +12,7 @@ import csirecip.reconstruct as R
 from csirecip import keygen, wavelet
 from csirecip.chansim import ChannelConfig, gen_pair, preset
 from csirecip.errors import (
+    CsiRecipError,
     DegenerateBlockError,
     GapsPresentError,
     InvalidParameterError,
@@ -649,7 +652,7 @@ def test_session_digest_pinned():
 AGREE = keygen._agree_cached  # step 1, memoized on the exact probe bytes and the rate
 # the configuration-only tables a session reads
 TABLES = (wavelet._morlet_rows, wavelet._gauss_rows, wavelet._recon_plateau,
-          wavelet._band_response, R._golay_hat, keygen._quantile_index)
+          wavelet._band_response, R._golay_hat, keygen._quantile_index, keygen._gray_table)
 
 
 class TestAgreementMemo:
@@ -736,9 +739,10 @@ def test_wt_session_builds_one_response_per_pair():
 
 
 def test_session_call_counts(monkeypatch):
-    """A session makes keys twice, encodes twice and evaluates once; the wpt pipeline's
-    denoiser walks the packet tree once each way per device.  Each public function a
-    session reaches by name stays reached, so a profiler's per-function figures stay live."""
+    """A session Gray-encodes each window once and scores their bit matrices itself, so it
+    calls neither make_keys nor evaluate; the wpt pipeline's denoiser walks the packet tree
+    once each way per device.  Each public function a session reaches by name stays
+    reached, so a profiler's per-function figures stay live."""
     calls = {}
 
     def count(module, name):
@@ -756,8 +760,113 @@ def test_session_call_counts(monkeypatch):
     monkeypatch.setattr(keygen, "wpt_denoise", R.wpt_denoise)
     a, b = session_pair(5)
     wskg_session(a, b, SessionConfig(pipeline="wpt"))
-    assert calls == {"make_keys": 2, "gray_encode": 2, "evaluate": 1,
-                     "wpt_denoise": 2, "wpt_forward": 2, "wpt_inverse": 2}
+    assert calls == {"gray_encode": 2, "wpt_denoise": 2, "wpt_forward": 2, "wpt_inverse": 2}
     calls.clear()
     R.wpt_denoise(a.values)
     assert calls == {"wpt_denoise": 1, "wpt_forward": 1, "wpt_inverse": 1}
+
+
+def composed_session(ap, sta, cfg):
+    """Step 3 as the session once ran it, the reference: make_keys on each window, the
+    blocks of one start_seq on both sides, then evaluate."""
+    pre = preprocess_pair(ap, sta, cfg)
+    short = len(pre.x) < BLOCK_LEN
+    keys_a, skip_a = ([], 0) if short else make_keys(pre.x)
+    keys_b, skip_b = ([], 0) if short else make_keys(pre.y)
+    index_a = {k.start_seq: k for k in keys_a}
+    index_b = {k.start_seq: k for k in keys_b}
+    common = sorted(set(index_a) & set(index_b))
+    report = evaluate([index_a[s] for s in common], [index_b[s] for s in common],
+                      pre.total_packets, cfg.error_thresholds)
+    return dataclasses.replace(report, skipped_blocks=skip_a + skip_b, pipeline=cfg.pipeline,
+                               sync=cfg.sync, lag=pre.lag, alpha=float(pre.band.alpha),
+                               beta=int(pre.band.beta), band=pre.band.band)
+
+
+def session_outcome(session, x, y, cfg):
+    """The report's to_dict() as sorted-key JSON and its skipped_blocks, or the error."""
+    try:
+        rep = session(x, y, cfg)
+    except CsiRecipError as e:
+        return type(e), str(e)
+    return json.dumps(rep.to_dict(), sort_keys=True), rep.skipped_blocks
+
+
+@functools.cache
+def equivalence_base(lag):
+    """A 120 s pair, 7 key blocks, whose probe agrees on ``lag`` (0 or 10)."""
+    a, b = session_pair(0, duration=120.0, snr_db=30.0, lag=lag)
+    return a.values, b.values
+
+
+def _degenerate(v, rng):
+    """``v`` as a constant run, two tied values or values rounded to a coarse grid."""
+    kind = rng.integers(3)
+    if kind == 0:
+        return np.full_like(v, v[0])
+    if kind == 1:
+        return np.where(v > np.median(v), 1.0, -1.0)
+    return np.round(v, 1)
+
+
+@st.composite
+def edited_windows(draw):
+    """A base pair whose key windows have some spans made degenerate, each span on one side
+    only, and which may be cut so that the lag trim leaves less than one block."""
+    x, y = (v.copy() for v in equivalence_base(draw(st.sampled_from([0, 10]))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    for k in range((len(x) - PROBE_LEN) // BLOCK_LEN):
+        if draw(st.booleans()):
+            side = draw(st.sampled_from([x, y]))
+            lo = PROBE_LEN + k * BLOCK_LEN + draw(st.integers(0, 20))
+            hi = min(lo + draw(st.integers(30, BLOCK_LEN + 20)), len(side))
+            side[lo:hi] = _degenerate(side[lo:hi], rng)
+    n = draw(st.none() | st.integers(PROBE_LEN + BLOCK_LEN, PROBE_LEN + BLOCK_LEN + 20))
+    return x[:n], y[:n]
+
+
+@settings(max_examples=60, deadline=None)
+@given(windows=edited_windows(), pipeline=st.sampled_from(PIPELINES), sync=st.booleans())
+def test_session_equals_make_keys_then_evaluate(windows, pipeline, sync):
+    cfg = SessionConfig(pipeline=pipeline, sync=sync)
+    assert session_outcome(wskg_session, *windows, cfg) == \
+        session_outcome(composed_session, *windows, cfg)
+
+
+@pytest.mark.parametrize("n, sync", [(None, False), (PROBE_LEN + BLOCK_LEN + 3, True)])
+def test_session_equals_composition_on_one_sided_and_short_windows(n, sync):
+    # the property's two edge cases made certain: degenerate blocks on different sides,
+    # and a window the lag trim leaves shorter than one block
+    x, y = (v.copy() for v in equivalence_base(10))
+    x[PROBE_LEN:PROBE_LEN + BLOCK_LEN] = 1.0
+    y[PROBE_LEN + 2 * BLOCK_LEN:PROBE_LEN + 3 * BLOCK_LEN] = np.arange(BLOCK_LEN) % 2
+    cfg = SessionConfig(pipeline="raw", sync=sync)
+    got = session_outcome(wskg_session, x[:n], y[:n], cfg)
+    assert got == session_outcome(composed_session, x[:n], y[:n], cfg)
+    blocks = json.loads(got[0])["blocks"]
+    assert (blocks, got[1]) == ((0, 0) if n else (5, 2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(pipeline=st.sampled_from(PIPELINES), sync=st.booleans(), side=st.integers(0, 1),
+       at=st.floats(0, 1, exclude_max=True), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_non_finite_window_raises_as_composition(pipeline, sync, side, at, bad):
+    run = keygen._run_pipeline
+    calls = []
+
+    def poisoned(x, *args):
+        out = run(x, *args).copy()
+        if len(calls) == side:
+            out[int(at * len(out))] = bad
+        calls.append(1)
+        return out
+
+    cfg = SessionConfig(pipeline=pipeline, sync=sync)
+    x, y = equivalence_base(10)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(keygen, "_run_pipeline", poisoned)
+        got = session_outcome(wskg_session, x, y, cfg)
+        calls.clear()
+        want = session_outcome(composed_session, x, y, cfg)
+    assert got == want
+    assert got[0] in (GapsPresentError, NonFiniteError)
