@@ -387,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="aggregate session JSONs into CSV")
     p.add_argument("sessions_dir", help="directory holding session_*.json")
     p.add_argument("--out-dir", help="output directory")
-    p.add_argument("--config", help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_report)
 
     return ap

@@ -165,9 +165,15 @@ def instance(value, name: str, kinds: tuple[type, ...]):
 def _freeze(obj, **dtypes) -> None:
     """Set each named field of the frozen dataclass ``obj`` to a read-only C-ordered
     array of its dtype (None: as given).  An array already read-only is kept; any
-    other is copied, so the caller's own array stays writeable and apart."""
+    other is copied, so the caller's own array stays writeable and apart.  A value
+    that cannot become its array raises :class:`InvalidParameterError` naming it."""
     for name, dtype in dtypes.items():
-        a = np.asarray(getattr(obj, name), dtype=dtype, order="C")
+        value = getattr(obj, name)
+        try:
+            a = np.asarray(value, dtype=dtype, order="C")
+        except (TypeError, ValueError, OverflowError):  # not numbers, ragged, or past int64
+            kind = "" if dtype is None else f" of {np.dtype(dtype)}"
+            raise InvalidParameterError(f"{name} must be an array{kind}, got {value!r}") from None
         if a.flags.writeable:
             a = a.copy()
             a.setflags(write=False)

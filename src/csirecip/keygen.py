@@ -48,9 +48,10 @@ class QuantizerSpec:
         _freeze(self, thresholds=np.float64)
         th = self.thresholds
         object.__setattr__(self, "levels", _check_levels(self.levels))
-        if len(th) != self.levels - 1:
+        if th.shape != (self.levels - 1,):
+            got = len(th) if th.ndim == 1 else f"shape {th.shape}"
             raise InvalidParameterError(
-                f"need levels-1 = {self.levels - 1} thresholds, got {len(th)}: {th.tolist()}")
+                f"need levels-1 = {self.levels - 1} thresholds, got {got}: {th.tolist()}")
         if not np.all(np.isfinite(th)):
             raise InvalidParameterError(f"thresholds must be finite, got {th.tolist()}")
         if not np.all(np.diff(th) > 0):
@@ -237,6 +238,9 @@ def gray_encode(levels_seq, levels_count: int) -> np.ndarray:
     """
     levels_count = _check_levels(levels_count, "levels_count")
     lv = np.asarray(levels_seq)
+    if lv.dtype.kind not in "biufc":  # strings, dates and objects are not levels
+        raise InvalidParameterError(
+            f"levels must be integers, got shape {lv.shape} of dtype {lv.dtype}")
     if lv.dtype.kind not in "iu":  # a cast to int64 would truncate 1.7 to level 1
         # a cast to float64 would drop an imaginary part, so no complex level passes
         fl = np.asarray(lv.real, dtype=np.float64)
@@ -278,18 +282,15 @@ def make_keys(x, block_len: int = BLOCK_LEN, levels: int = 4) -> tuple[list[KeyB
     discarded.  Degenerate blocks (the cases :func:`cdf_thresholds` rejects)
     are skipped and counted (second return value).  Thresholds are
     per-block, tracking channel drift.  All blocks are processed as one
-    (blocks, block_len) matrix, and each kept block's :class:`KeyBlock`
-    holds read-only row views of it.
+    (blocks, block_len) matrix, built into :class:`KeyBlock` objects through
+    their constructor; its ``_freeze`` keeps the matrices' read-only rows as
+    views, not copies.
     """
     keep, lv, bits = _key_rows(x, block_len, levels)
     lv.setflags(write=False)  # the blocks take row views without a copy
     bits.setflags(write=False)
-    blocks = []
-    for s, l, b in zip((np.flatnonzero(keep) * lv.shape[1]).tolist(), lv, bits):
-        # rows of read-only C-ordered matrices: what KeyBlock's _freeze would keep as is
-        block = object.__new__(KeyBlock)
-        block.__dict__.update(start_seq=s, levels=l, bits=b)
-        blocks.append(block)
+    blocks = [KeyBlock(s, l, b)
+              for s, l, b in zip((np.flatnonzero(keep) * lv.shape[1]).tolist(), lv, bits)]
     return blocks, len(keep) - len(blocks)
 
 
@@ -446,7 +447,7 @@ def preprocess_pair(ap, sta, cfg: SessionConfig = SessionConfig()) -> Preprocess
     if cfg.sync and lag != 0:
         pa, pb = apply_lag(pa, pb, lag)
 
-    return PreprocessResult(x=pa, y=pb, band=band, lag=int(lag), total_packets=n)
+    return PreprocessResult(x=pa, y=pb, band=band, lag=lag, total_packets=n)
 
 
 def wskg_session(ap, sta, cfg: SessionConfig = SessionConfig()) -> SessionReport:
@@ -482,4 +483,4 @@ def wskg_session(ap, sta, cfg: SessionConfig = SessionConfig()) -> SessionReport
         skipped = 2 * len(both) - len(bits_a) - len(bits_b)
     return _score(hams, key_bits, pre.total_packets, cfg.error_thresholds,
                   skipped_blocks=skipped, pipeline=cfg.pipeline, sync=cfg.sync, lag=pre.lag,
-                  alpha=float(pre.band.alpha), beta=int(pre.band.beta), band=pre.band.band)
+                  alpha=pre.band.alpha, beta=pre.band.beta, band=pre.band.band)

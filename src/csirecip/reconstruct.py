@@ -45,7 +45,7 @@ class ReciprocalBand:
         _freeze(self, f_rec=np.float64)
         if self.f_rec.size == 0:
             raise InvalidParameterError(f"f_rec must be nonempty, got {self.f_rec.tolist()}")
-        real(self.alpha, "alpha", hi=1)
+        object.__setattr__(self, "alpha", real(self.alpha, "alpha", hi=1))
         object.__setattr__(self, "beta", integer(self.beta, "beta", 1))
 
 

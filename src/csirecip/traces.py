@@ -164,7 +164,7 @@ def parse_csi_csv(stream, rate_hz: float | None = None) -> CsiTrace:
 
     body = lines[1:]
     seqs, ts, iq, device_id, parse_stats = _keep_rows(
-        *(_parse_columns(text, body, n_sub) or _parse_rows(body, n_sub)))
+        body, *(_parse_columns(text, body, n_sub) or _parse_rows(body, n_sub)))
     if not len(seqs):
         raise EmptyTraceError("no rows survived parsing")
     for col in (seqs, ts, iq):  # built here, so the trace takes them without a copy
@@ -192,18 +192,19 @@ def parse_csi_csv(stream, rate_hz: float | None = None) -> CsiTrace:
     )
 
 
-def _keep_rows(seq, t, iq, devs, unread):
-    """The row rule, on the columns a pass converted and the indices of the body rows it
-    could not: a row with a non-finite value is bad, and a finite row is kept only if its
-    seq exceeds every earlier one (equal is a duplicate, lower is out of order).  Returns
-    the kept columns, the device of the last kept row and the parse stats."""
+def _keep_rows(body, seq, t, iq, unread):
+    """The row rule, on the columns a pass converted from ``body`` and the indices of the
+    body rows it could not: a row with a non-finite value is bad, and a finite row is kept
+    only if its seq exceeds every earlier one (equal is a duplicate, lower is out of order).
+    Returns the kept columns, the device read from the last kept row's line, the stats."""
     body_idx = np.delete(np.arange(1, len(t) + len(unread) + 1), np.asarray(unread, np.intp) - 1)
     finite = np.isfinite(t) & np.isfinite(iq).all(axis=1)
     rows = np.flatnonzero(finite)
     prev_max = np.maximum.accumulate(seq[rows])[:-1]
     later = seq[rows[1:]]
     kept = rows[np.r_[True, later > prev_max][:len(rows)]]
-    return (seq[kept], t[kept], iq[kept], devs[kept[-1]] if len(kept) else "",
+    device_id = body[body_idx[kept[-1]] - 1].split(",", 3)[2] if len(kept) else ""
+    return (seq[kept], t[kept], iq[kept], device_id,
             {"bad_rows": sorted(unread + body_idx[~finite].tolist()),
              "duplicates": int(np.count_nonzero(later == prev_max)),
              "out_of_order": int(np.count_nonzero(later < prev_max))})
@@ -227,7 +228,7 @@ def _parse_columns(text: str, body: list[str], n_sub: int):
                           usecols=[0, 1, *range(3, 3 + 2 * n_sub)])
     except ValueError:  # a field neither int64 nor float, or a \r inside a row
         return None
-    return cols["seq"], cols["t"], cols["iq"], [ln.split(",", 3)[2] for ln in body], []
+    return cols["seq"], cols["t"], cols["iq"], []
 
 
 def _parse_rows(body: list[str], n_sub: int):
@@ -235,7 +236,6 @@ def _parse_rows(body: list[str], n_sub: int):
     fields, an int64 seq and no \\r in its device; any other row recorded by its index."""
     seqs: list[int] = []
     rows: list[list[float]] = []  # t, then the i/q values
-    devs: list[str] = []
     unread: list[int] = []
     for idx, line in enumerate(body, start=1):
         parts = line.split(",")
@@ -248,18 +248,21 @@ def _parse_rows(body: list[str], n_sub: int):
             unread.append(idx)
             continue
         seqs.append(seq)
-        devs.append(parts[2])
     cols = np.array(rows, dtype=np.float64).reshape(len(rows), 1 + 2 * n_sub)
-    return np.array(seqs, dtype=np.int64), cols[:, 0], cols[:, 1:], devs, unread
+    return np.array(seqs, dtype=np.int64), cols[:, 0], cols[:, 1:], unread
 
 
 def write_csi_csv(trace: CsiTrace, stream=None) -> str | None:
     """Serialize a trace back to the documented CSV format.
 
     Floats are written with repr precision, so parse -> write round-trips
-    accepted rows bit-exactly.
+    accepted rows bit-exactly.  The text goes to ``stream``'s ``write`` and
+    ``writelines``, or is returned when ``stream`` is None.
     """
     instance(trace, "trace", (CsiTrace,))
+    if stream is not None and not all(callable(getattr(stream, m, None))
+                                      for m in ("write", "writelines")):
+        raise InvalidParameterError(f"stream must have write and writelines, got {stream!r}")
     out = io.StringIO() if stream is None else stream
     cols = ",".join(f"i{k},q{k}" for k in range(trace.subcarriers))
     out.write(f"seq,t,dev,{cols}\n")

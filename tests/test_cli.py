@@ -300,6 +300,7 @@ class TestFlagGroups:
         ["auth", "--duration", "5"],
         ["simulate", "--ap", "x.csv"],
         ["simulate", "--subcarrier", "3"],
+        ["report", "sessions", "--config", "x.ini"],  # was hidden, and read x.ini
     ])
     def test_unread_flag_is_usage_error(self, argv, tmp_path):
         assert run(argv + ["--out-dir", str(tmp_path)]) == EXIT_USAGE

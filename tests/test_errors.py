@@ -226,6 +226,15 @@ def _pairs_of(series):
     (lambda: evaluate([1], [2], 10), "keys_a block must be of type KeyBlock, got 1"),
     (lambda: select_reciprocal_freqs("x", 0.5, 1), "cmap must be of type CoherenceMap, got 'x'"),
     (lambda: adapt_thresholds("x"), "cmap must be of type CoherenceMap, got 'x'"),
+    # each ended in a bare TypeError, ValueError or AttributeError
+    (lambda: _trace(seqs=None), "seqs must be an array of int64, got None"),
+    (lambda: MagnitudeSeries(0, "x", [1], 10.0), "values must be an array of float64, got 'x'"),
+    (lambda: _trace(seqs=[2 ** 70, 1]),
+     "seqs must be an array of int64, got [1180591620717411303424, 1]"),
+    (lambda: QuantizerSpec(4, None), "need levels-1 = 3 thresholds, got shape (): nan"),
+    (lambda: QuantizerSpec(2, [[0.0]]), "need levels-1 = 1 thresholds, got shape (1, 1): [[0.0]]"),
+    (lambda: gray_encode("x", 4), "levels must be integers, got shape () of dtype <U1"),
+    (lambda: write_csi_csv(_trace(), stream=5), "stream must have write and writelines, got 5"),
     # a band is one run of rows only on a descending grid: an ascending one averaged other rows
     (lambda: band_average(_cmap(freqs=PARAMS.freq_grid()[::-1]), (0.1, 0.2)),
      f"freqs must be strictly descending, got {PARAMS.freq_grid()[-2]} after "
@@ -238,6 +247,19 @@ def test_bad_parameter_names_value(call, message):
         call()
     assert str(exc.value) == message
     assert isinstance(exc.value, ValueError)
+
+
+def test_stream_without_writelines_refused_before_writing():
+    # the header went to write(), then writelines ended in a bare AttributeError
+    written = []
+
+    class WriteOnly:
+        def write(self, text):
+            written.append(text)
+
+    with pytest.raises(InvalidParameterError, match="stream must have write and writelines"):
+        write_csi_csv(_trace(), WriteOnly())
+    assert written == []
 
 
 def test_non_utf8_csv_names_line_and_offset():
@@ -384,6 +406,7 @@ OBJECT_PARAMS = {
     "replay_attack.recorded_s3": (lambda v: replay_attack(None, v, GOOD, AuthPolicy(), b"k"),
                                   AuthMessage),
     "sign_csi.key": (lambda v: sign_csi(GOOD, v), (bytes, bytearray)),
+    "write_csi_csv.stream": (lambda v: write_csi_csv(_trace(), v), type(None)),
 }
 
 
@@ -398,6 +421,45 @@ def test_object_parameter_raises_naming_value(call, kinds, value):
     with pytest.raises(InvalidParameterError) as exc:
         call(value)
     assert repr(value) in str(exc.value)
+
+
+# (frozen dataclass, array field): a construction with that one field set to v
+FIELD_PARAMS = {
+    "CsiTrace.seqs": lambda v: _trace(seqs=v),
+    "CsiTrace.t": lambda v: _trace(t=v),
+    "CsiTrace.iq": lambda v: _trace(iq=v),
+    "MagnitudeSeries.values": lambda v: MagnitudeSeries(0, v, [1], 10.0),
+    "MagnitudeSeries.seqs": lambda v: MagnitudeSeries(0, [1.0], v, 10.0),
+    "QuantizerSpec.thresholds": lambda v: QuantizerSpec(4, v),
+}
+
+
+@pytest.mark.parametrize("name", FIELD_PARAMS)
+@settings(max_examples=15, deadline=None)
+@given(value=st.sampled_from([*OBJECTS, [[1.0], [1.0, 2.0]], [1j, 2j]]) | st.text(max_size=4)
+       | st.integers(-2 ** 70, 2 ** 70))
+def test_array_field_raises_naming_value(name, value):
+    # a value that is not an array of the field's shape is refused by the field's name;
+    # one that cannot become its array at all is named in the message too
+    with pytest.raises(InvalidParameterError) as exc:
+        FIELD_PARAMS[name](value)
+    field = name.split(".")[1]
+    assert field in str(exc.value)
+    if "must be an array" in str(exc.value):
+        assert str(exc.value).startswith(field) and repr(value) in str(exc.value)
+
+
+@settings(max_examples=30, deadline=None)
+@given(value=hnp.arrays(hnp.unicode_string_dtypes(max_len=3) | hnp.byte_string_dtypes(max_len=3)
+                        | hnp.datetime64_dtypes() | hnp.timedelta64_dtypes()
+                        | st.just(np.dtype(object)),
+                        hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4)))
+def test_levels_neither_numeric_nor_bool_refused(value):
+    # a string array ended in a bare ValueError from its float cast
+    with pytest.raises(InvalidParameterError) as exc:
+        gray_encode(value, 4)
+    assert str(exc.value) == (f"levels must be integers, got shape {value.shape} "
+                              f"of dtype {value.dtype}")
 
 
 GOOD = np.sin(np.arange(600.0) / 7.0) + 0.01 * np.arange(600.0)

@@ -213,6 +213,22 @@ class TestMakeKeys:
         got, _ = make_keys(x, np.int64(100), np.int32(4))
         assert [k.bits.tobytes() for k in got] == [k.bits.tobytes() for k in want]
 
+    def test_blocks_built_through_their_constructor(self, monkeypatch):
+        # make_keys once skipped KeyBlock.__post_init__ by building each block's __dict__
+        built = []
+        post_init = KeyBlock.__post_init__
+        monkeypatch.setattr(KeyBlock, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        x = np.concatenate([np.random.default_rng(6).normal(size=300), np.full(100, 5.0)])
+        blocks, skipped = make_keys(x, 100, 4)
+        assert (len(blocks), skipped) == (3, 1)
+        assert [id(b) for b in built] == [id(b) for b in blocks]
+        for b in blocks:
+            assert not (b.levels.flags.writeable or b.bits.flags.writeable)
+            # rows of the one level and bit matrices, not copies
+            assert b.levels.base is blocks[0].levels.base is not None
+            assert b.bits.base is blocks[0].bits.base is not None
+
 
 # linear interpolation between order statistics more than ~1.8e308 apart overflows
 OVERFLOWING_BLOCKS = [

@@ -356,6 +356,7 @@ def parse_both_ways(text):
         real = getattr(traces, name)
 
         def call(*args):
+            seen["body"] = args[-2]  # both passes take the body lines, then n_sub
             seen[name] = real(*args)
             return seen[name]
         return call
@@ -365,12 +366,12 @@ def parse_both_ways(text):
     with mock.patch.object(traces, "_parse_columns", lambda *args: None), \
             mock.patch.object(traces, "_parse_rows", spy("_parse_rows")):
         want = outcome(text)
-    return got, want, seen.get("_parse_columns"), seen.get("_parse_rows")
+    return got, want, seen.get("body"), seen.get("_parse_columns"), seen.get("_parse_rows")
 
 
-def _columns_key(parsed):
-    """The row rule applied to one pass's raw columns."""
-    seqs, t, iq, device_id, stats = traces._keep_rows(*parsed)
+def _columns_key(body, parsed):
+    """The row rule applied to one pass's raw columns of the lines ``body``."""
+    seqs, t, iq, device_id, stats = traces._keep_rows(body, *parsed)
     return ([(a.dtype, a.shape, a.tobytes()) for a in (seqs, t, iq)], device_id, stats)
 
 
@@ -399,11 +400,24 @@ def _columns_key(parsed):
 @example(csv_text(1, ["1,0.1,a\rb,1.0,2.0", "2,0.2,a\rb,1.0,2.0"]))  # \r in the device id
 @example(csv_text(1, ["3,0.1,ap,1.0,2.0", "3,0.2,ap,1.0,2.0", "1,0.3,ap,1.0,2.0",
                       "4,0.4,ap,1.0,2.0"]))  # a duplicate and an out-of-order row
+# the last kept row's device differs from an earlier kept row's, and the rows after it
+# (a duplicate, an out-of-order and a non-finite row) carry a third
+@example(csv_text(1, ["1,0.1,ap,1.0,2.0", "2,0.2,sta,1.0,2.0", "2,0.3,x,1.0,2.0",
+                      "1,0.4,x,1.0,2.0", "3,nan,x,1.0,2.0"]))
 def test_columnar_pass_equals_row_loop(text):
-    got, want, columns, rows = parse_both_ways(text)
+    got, want, body, columns, rows = parse_both_ways(text)
     assert got == want
     if columns is not None:
-        assert _columns_key(columns) == _columns_key(rows)
+        assert _columns_key(body, columns) == _columns_key(body, rows)
+
+
+def test_device_read_from_last_kept_row_past_unread_rows():
+    # the row loop's unread rows shift a kept row's index in the body
+    text = csv_text(1, ["1,0.1,ap,1.0,2.0", "x,0.2,y,1.0,2.0", "", "2,0.3,sta,1.0,2.0",
+                        "3,0.4,z,1.0", "2,0.5,w,1.0,2.0", "4,inf,v,1.0,2.0"])
+    tr = parse_csi_csv(text, rate_hz=10.0)
+    assert (tr.device_id, tr.seqs.tolist()) == ("sta", [1, 2])
+    assert tr.parse_stats == {"bad_rows": [2, 4, 6], "duplicates": 1, "out_of_order": 0}
 
 
 @pytest.fixture(scope="module")
