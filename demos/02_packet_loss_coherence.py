@@ -14,7 +14,6 @@ from csirecip import (
     LossEvent,
     coherent_gap_width,
     default_params,
-    estimate_lost_packets,
     gen_pair,
     pair_traces,
     wavelet_coherence,
@@ -33,7 +32,7 @@ for dropped in (0, 300, 900, 1500):
     cmap = wavelet_coherence(a.values, b.values,
                              default_params(len(a.values), RATE))
     gaps = [g for g in coherent_gap_width(cmap, BAND, wc_floor=0.3) if g[1] > 10]
-    est = estimate_lost_packets(gaps, RATE)
+    est = sum(w for _, w in gaps) * RATE
     spans = ", ".join(f"{s:6.0f}s +{w:5.0f}s" for s, w in gaps) or "none"
     print(f"dropped {dropped:5d} packets -> detected gaps: {spans:<24} "
           f"estimated loss {est:6.0f}")

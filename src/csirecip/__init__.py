@@ -69,7 +69,6 @@ from .wavelet import (
     coherence_summary,
     cwt,
     default_params,
-    estimate_lost_packets,
     icwt,
     wavelet_coherence,
 )

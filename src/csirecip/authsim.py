@@ -171,7 +171,13 @@ def temporal_decorrelation_curve(generator, gaps, seed: int = 0
     min_len = 3 * (AuthPolicy.max_shift + 1)
     out = []
     for gap in gaps:
-        x, y = (real_series(s, f"gap {gap}: each series") for s in generator(float(gap), rng))
+        series = generator(float(gap), rng)
+        try:
+            x, y = series
+        except (TypeError, ValueError):  # not iterable, or not two items
+            raise InvalidParameterError(
+                f"gap {gap}: the generator must return two series, got {series!r}") from None
+        x, y = (real_series(s, f"gap {gap}: each series") for s in (x, y))
         n = min(len(x), len(y))
         if n < min_len:
             raise TooShortError(f"gap {gap}: series of {n} samples, need at least {min_len}")

@@ -43,8 +43,14 @@ class ReciprocalBand:
 
     def __post_init__(self):
         _freeze(self, f_rec=np.float64)
-        if self.f_rec.size == 0:
-            raise InvalidParameterError(f"f_rec must be nonempty, got {self.f_rec.tolist()}")
+        if self.f_rec.ndim != 1 or self.f_rec.size == 0:
+            raise InvalidParameterError(
+                f"f_rec must be nonempty and 1-D, got {self.f_rec.tolist()}")
+        closure = (float(self.f_rec.min()), float(self.f_rec.max()))
+        if pair(self.band, "band", zero=True) != closure:
+            raise InvalidParameterError(
+                f"band must be (min(f_rec), max(f_rec)) = {closure}, got {self.band!r}")
+        object.__setattr__(self, "band", closure)
         object.__setattr__(self, "alpha", real(self.alpha, "alpha", hi=1))
         object.__setattr__(self, "beta", integer(self.beta, "beta", 1))
 

@@ -109,6 +109,10 @@ class MagnitudeSeries:
         if self.values.shape != self.seqs.shape:
             raise InvalidParameterError(f"values and seqs must have equal length, got shapes "
                                         f"{self.values.shape} and {self.seqs.shape}")
+        if not np.isfinite(self.values).all():
+            i = int(np.argmin(np.isfinite(self.values)))
+            raise InvalidParameterError(f"non-finite magnitude at seq {self.seqs.flat[i]}: "
+                                        f"{self.values.flat[i].item()!r}")
         if np.any(self.values < 0):
             i = int(np.argmax(self.values < 0))
             raise InvalidParameterError(

@@ -476,31 +476,20 @@ def coherent_gap_width(
 ) -> list[tuple[float, float]]:
     """Detect low-coherence time intervals in a frequency band.
 
-    Returns (start_time_s, width_s) for every interval where the
-    band-averaged coherence stays below ``wc_floor``; the detector exits
-    an interval only once the average rises above ``wc_floor + HYSTERESIS``,
-    which keeps one physical gap from fragmenting.  Width times packet
-    rate estimates the number of lost packets.
+    Returns (start_time_s, width_s) for every run of times inside a gap: a
+    time is inside when the last time at or before it whose band-averaged
+    coherence crossed a threshold fell below ``wc_floor`` (in [0, 1]), not
+    rose above ``wc_floor + HYSTERESIS``, which keeps one physical gap from
+    fragmenting.  Width times packet rate estimates the lost packets.
     """
+    wc_floor = real(wc_floor, "wc_floor", hi=1, zero=True)
     avg = band_average(cmap, band)
     dt = float(cmap.times[1] - cmap.times[0]) if len(cmap.times) > 1 else 1.0
-    out: list[tuple[float, float]] = []
-    inside = False
-    start = 0
-    for i, v in enumerate(avg):
-        if not inside and v < wc_floor:
-            inside, start = True, i
-        elif inside and v > wc_floor + HYSTERESIS:
-            out.append((start * dt, (i - start) * dt))
-            inside = False
-    if inside:
-        out.append((start * dt, (len(avg) - start) * dt))
-    return out
-
-
-def estimate_lost_packets(gaps: list[tuple[float, float]], rate_hz: float) -> float:
-    """Total lost-packet estimate implied by detected gap widths."""
-    return sum(w for _, w in gaps) * rate_hz
+    idx = np.arange(len(avg))
+    fell, rose = (np.maximum.accumulate(np.where(crossed, idx, -1))
+                  for crossed in (avg < wc_floor, avg > wc_floor + HYSTERESIS))
+    edges = np.flatnonzero(np.diff(fell > rose, prepend=False, append=False)).tolist()
+    return [(s * dt, (e - s) * dt) for s, e in zip(edges[::2], edges[1::2])]
 
 
 def coherence_summary(cmap: CoherenceMap) -> dict:

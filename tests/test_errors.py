@@ -235,6 +235,23 @@ def _pairs_of(series):
     (lambda: QuantizerSpec(2, [[0.0]]), "need levels-1 = 1 thresholds, got shape (1, 1): [[0.0]]"),
     (lambda: gray_encode("x", 4), "levels must be integers, got shape () of dtype <U1"),
     (lambda: write_csi_csv(_trace(), stream=5), "stream must have write and writelines, got 5"),
+    # each ended in a bare TypeError or ValueError
+    (lambda: coherent_gap_width(_cmap(), (0.1, 1.0), None), "wc_floor must be in [0, 1], got None"),
+    (lambda: temporal_decorrelation_curve(lambda gap_s, rng: None, [0, 10]),
+     "gap 0: the generator must return two series, got None"),
+    (lambda: temporal_decorrelation_curve(lambda gap_s, rng: ([1.0], [1.0], [1.0]), [0, 10]),
+     "gap 0: the generator must return two series, got ([1.0], [1.0], [1.0])"),
+    # each was accepted, or named only as a negative magnitude
+    (lambda: MagnitudeSeries(0, [None, 1.0], [4, 5], 10.0), "non-finite magnitude at seq 4: nan"),
+    (lambda: MagnitudeSeries(0, [1.0, np.inf], [4, 5], 10.0), "non-finite magnitude at seq 5: inf"),
+    (lambda: MagnitudeSeries(0, [1.0, -np.inf], [4, 5], 10.0),
+     "non-finite magnitude at seq 5: -inf"),
+    (lambda: ReciprocalBand(3, (0.5, 1.0), 0.5, 3), "f_rec must be nonempty and 1-D, got 3.0"),
+    (lambda: ReciprocalBand([[0.5, 1.0]], (0.5, 1.0), 0.5, 3),
+     "f_rec must be nonempty and 1-D, got [[0.5, 1.0]]"),
+    (lambda: ReciprocalBand([0.5, 1.0], (0.5, 2.0), 0.5, 3),
+     "band must be (min(f_rec), max(f_rec)) = (0.5, 1.0), got (0.5, 2.0)"),
+    (lambda: ReciprocalBand([0.5], None, 0.5, 3), "band must be a pair (f_lo, f_hi), got None"),
     # a band is one run of rows only on a descending grid: an ascending one averaged other rows
     (lambda: band_average(_cmap(freqs=PARAMS.freq_grid()[::-1]), (0.1, 0.2)),
      f"freqs must be strictly descending, got {PARAMS.freq_grid()[-2]} after "
@@ -321,6 +338,7 @@ REAL_PARAMS = {
     "CwtParams.min_freq": lambda v: CwtParams(v, 5.0, 10.0),
     "CwtParams.max_freq": lambda v: CwtParams(0.1, v, 10.0),
     "CwtParams.sample_rate": lambda v: CwtParams(0.1, 5.0, v),
+    "coherent_gap_width.wc_floor": lambda v: coherent_gap_width(_cmap(), (0.1, 1.0), v),
 }
 # some negative values are valid: a negative SNR is noisier than the signal, and a start
 # less than half a sample before 0 rounds to sample 0
@@ -407,6 +425,10 @@ OBJECT_PARAMS = {
                                   AuthMessage),
     "sign_csi.key": (lambda v: sign_csi(GOOD, v), (bytes, bytearray)),
     "write_csi_csv.stream": (lambda v: write_csi_csv(_trace(), v), type(None)),
+    # what the generator returns: a two-character string unpacks into two series, which the
+    # series rule refuses by the character
+    "temporal_decorrelation_curve.generator()": (
+        lambda v: temporal_decorrelation_curve(lambda gap_s, rng: v, [0, 10]), str),
 }
 
 
@@ -431,6 +453,7 @@ FIELD_PARAMS = {
     "MagnitudeSeries.values": lambda v: MagnitudeSeries(0, v, [1], 10.0),
     "MagnitudeSeries.seqs": lambda v: MagnitudeSeries(0, [1.0], v, 10.0),
     "QuantizerSpec.thresholds": lambda v: QuantizerSpec(4, v),
+    "ReciprocalBand.f_rec": lambda v: ReciprocalBand(v, (0.5, 0.5), 0.5, 3),
 }
 
 
@@ -447,6 +470,20 @@ def test_array_field_raises_naming_value(name, value):
     assert field in str(exc.value)
     if "must be an array" in str(exc.value):
         assert str(exc.value).startswith(field) and repr(value) in str(exc.value)
+
+
+@settings(max_examples=30, deadline=None)
+@given(values=st.lists(st.floats(min_value=0.0) | st.sampled_from([None, np.nan, -np.inf]),
+                       min_size=1, max_size=6), first=st.integers(-2 ** 62, 2 ** 62))
+def test_non_finite_magnitude_names_seq(values, first):
+    # NaN, None (read as NaN) and +inf were accepted, -inf named only as negative
+    bad = [i for i, v in enumerate(values) if v is None or not math.isfinite(v)]
+    assume(bad)
+    i = bad[0]
+    with pytest.raises(InvalidParameterError) as exc:
+        MagnitudeSeries(0, values, np.arange(len(values)) + first, 10.0)
+    want = np.float64(np.nan if values[i] is None else values[i]).item()
+    assert str(exc.value) == f"non-finite magnitude at seq {first + i}: {want!r}"
 
 
 @settings(max_examples=30, deadline=None)

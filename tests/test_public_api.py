@@ -22,7 +22,6 @@ FUNCTIONS = {
     "coherent_gap_width": ("cmap", "band", "wc_floor"),
     "cwt": ("x", "params"),
     "default_params": ("n_samples", "sample_rate", "periods"),
-    "estimate_lost_packets": ("gaps", "rate_hz"),
     "evaluate": ("keys_a", "keys_b", "total_packets", "thresholds"),
     "fft_reconstruct": ("x",),
     "gen_attacker": ("cfg", "mode", "gap_s"),

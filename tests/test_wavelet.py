@@ -19,7 +19,6 @@ from csirecip.wavelet import (
     coherent_gap_width,
     cwt,
     default_params,
-    estimate_lost_packets,
     icwt,
     wavelet_coherence,
 )
@@ -581,11 +580,8 @@ class TestGapWidth:
         y = drop_and_fill(y, 14 * 60.0, dropped, self.FS5)
         cm = wavelet_coherence(x, y, self._params(n))
         gaps = [g for g in coherent_gap_width(cm, (0.06, 1.5), 0.3) if g[1] > 10]
-        want = dropped / self.FS5
-        total = sum(w for _, w in gaps)
-        assert 0.8 * want <= total <= 1.2 * want
-        assert estimate_lost_packets(gaps, self.FS5) == pytest.approx(
-            total * self.FS5)
+        lost = sum(w for _, w in gaps) * self.FS5
+        assert 0.8 * dropped <= lost <= 1.2 * dropped
 
     def test_no_loss_no_wide_gap(self):
         n = int(25 * 60 * self.FS5)
@@ -613,6 +609,51 @@ class TestGapWidth:
         cm = wavelet_coherence(x, y, self._params(2048))
         with pytest.raises(EmptyBandError):
             band_average(cm, (3.0, 4.0))  # above grid top (2.5 Hz)
+
+
+def _gap_loop(cmap, band, wc_floor):
+    """Reference for coherent_gap_width: the per-sample hysteresis state machine."""
+    avg = band_average(cmap, band)
+    dt = float(cmap.times[1] - cmap.times[0]) if len(cmap.times) > 1 else 1.0
+    out = []
+    inside = False
+    start = 0
+    for i, v in enumerate(avg):
+        if not inside and v < wc_floor:
+            inside, start = True, i
+        elif inside and v > wc_floor + wavelet.HYSTERESIS:
+            out.append((start * dt, (i - start) * dt))
+            inside = False
+    if inside:
+        out.append((start * dt, (len(avg) - start) * dt))
+    return out
+
+
+FLOOR = wavelet.GAP_WC_FLOOR
+EXIT = FLOOR + wavelet.HYSTERESIS
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.sampled_from([0.0, FLOOR, EXIT, 1.0, np.nan])
+                       | st.floats(0.0, 1.0), max_size=40),
+       rows=st.integers(1, 3), dt=st.sampled_from([0.1, 0.2, 1 / 3, 1.0]),
+       wc_floor=st.sampled_from([FLOOR, 0.0, 1.0]) | st.floats(0.0, 1.0))
+@example(values=[], rows=1, dt=0.1, wc_floor=FLOOR)  # an empty time axis
+@example(values=[0.1, 0.2, 0.0], rows=1, dt=0.1, wc_floor=FLOOR)  # all below the floor
+# values exactly at the floor neither open a gap nor end one, nor do values exactly at the exit
+@example(values=[0.5, FLOOR, FLOOR, 0.5, 0.1, FLOOR, 0.5], rows=1, dt=0.1, wc_floor=FLOOR)
+@example(values=[0.1, EXIT, EXIT, 0.2, 0.5, EXIT], rows=1, dt=0.1, wc_floor=FLOOR)
+@example(values=[0.5, 0.1, 0.35, 0.2], rows=1, dt=0.1, wc_floor=FLOOR)  # a gap to the end
+@example(values=[0.1, 0.5, 0.1, 0.5, 0.2], rows=1, dt=0.1, wc_floor=FLOOR)  # re-entry at once
+def test_gap_runs_equal_per_sample_loop(values, rows, dt, wc_floor):
+    # one row keeps each band average bit-exact, so values at FLOOR and EXIT reach the rule
+    wc = np.tile(values, (rows, 1))
+    cmap = wavelet.CoherenceMap(wc=wc, phase=np.zeros_like(wc), freqs=np.arange(rows, 0, -1.0),
+                                times=np.arange(len(values)) * dt, coi=np.ones(wc.shape, bool),
+                                params=CwtParams(0.1, 5.0, 10.0))
+    gaps = coherent_gap_width(cmap, (0.5, 3.5), wc_floor)
+    assert gaps == _gap_loop(cmap, (0.5, 3.5), wc_floor)
+    assert all(type(v) is float for gap in gaps for v in gap)
 
 
 def test_band_average_equals_zero_filled_sum():
