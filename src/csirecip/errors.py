@@ -1,7 +1,7 @@
 """Exception hierarchy for csirecip, the one series rule (with its finite-input
-check), the scalar-argument rules (integer, real, the band rule pair built on
-real, and choice for a named option), the type rule instance and the one
-frozen-array rule.
+check), the one order rule (monotone), the scalar-argument rules (integer, real,
+the band rule pair built on real, and choice for a named option), the type rule
+instance and the one frozen-array rule.
 
 Every data-dependent failure raises a subclass of :class:`CsiRecipError`,
 so callers (and the CLI) can distinguish data errors from programming
@@ -99,6 +99,22 @@ def finite_series(x, name: str, empty: bool = False) -> np.ndarray:
         raise (GapsPresentError if nan[i] else NonFiniteError)(
             f"{name} sample {i} is {a[i]}; need finite values, gaps interpolated")
     return a
+
+
+def monotone(a: np.ndarray, name: str, descending: bool = False) -> None:
+    """Pass if the array ``a`` is 1-D and each item lies above the one before (below, if
+    ``descending``): else :class:`InvalidParameterError`, ``{name} must be 1-D, got shape …``
+    or ``{name} must be strictly increasing`` (``descending``) ``, got {a[i]} after {a[i - 1]}
+    at row {i}``."""
+    if a.ndim != 1:
+        raise InvalidParameterError(f"{name} must be 1-D, got shape {a.shape}")
+    # compared, not differenced: np.diff would wrap past int64, and a NaN fails either order
+    bad = ~(a[1:] < a[:-1] if descending else a[1:] > a[:-1])
+    if bad.any():
+        i = int(np.argmax(bad)) + 1
+        raise InvalidParameterError(
+            f"{name} must be strictly {'descending' if descending else 'increasing'}, "
+            f"got {a[i]} after {a[i - 1]} at row {i}")
 
 
 def integer(value, name: str, lo: int | None = None, hi: int | None = None) -> int:

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     DegenerateSeriesError,
+    InvalidParameterError,
     LengthMismatchError,
     TooShortError,
     finite_series,
@@ -195,12 +196,30 @@ def xcorr_lag(x, y, max_lag: int) -> LagEstimate:
     return LagEstimate(lag=best, peak_corr=float(peak), lags=lags, curve=curve)
 
 
+def _bits(x, name: str) -> np.ndarray:
+    """``x`` as a bool array, if it is 1-D and each value is a bool or a real number exactly 0
+    or 1: else :class:`InvalidParameterError` naming its shape and dtype, or the first bad value
+    and its index."""
+    try:
+        a = np.asarray(x)
+    except ValueError:  # a ragged nested sequence
+        a = np.asarray(x, dtype=object)
+    if a.ndim != 1 or a.dtype.kind not in "biufO":  # O: numbers mixed with None or the like
+        raise InvalidParameterError(
+            f"{name} must be a 1-D series of bits, got shape {a.shape} of dtype {a.dtype}")
+    ok = (a == 0) | (a == 1)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise InvalidParameterError(
+            f"{name} must hold only bits 0 and 1, got {a.tolist()[i]!r} at index {i}")
+    return a.astype(bool)
+
+
 def ber(bits_a, bits_b) -> float:
-    """Fraction of mismatched bits between two equal-length bit sequences."""
-    a = np.asarray(bits_a).ravel()
-    b = np.asarray(bits_b).ravel()
+    """Fraction of mismatched bits between two equal-length, nonempty 1-D bit sequences."""
+    a, b = _bits(bits_a, "bits_a"), _bits(bits_b, "bits_b")
     if len(a) != len(b):
         raise LengthMismatchError(f"lengths differ: {len(a)} vs {len(b)}")
     if len(a) == 0:
         raise LengthMismatchError("empty bit sequences")
-    return float(np.mean(a.astype(np.uint8) != b.astype(np.uint8)))
+    return float(np.mean(a != b))

@@ -263,14 +263,14 @@ def apply_lag(x, y, lag: int) -> tuple[np.ndarray, np.ndarray]:
 
     Positive lag means y lags x: y is advanced and both sides truncated to
     the overlap, discarding |lag| samples.  The two series must be paired
-    (equal length).
+    (equal length n), and the lag in [-n, n].
     """
     x = finite_series(x, "x")
     y = finite_series(y, "y")
     n = len(x)
     if len(y) != n:
         raise LengthMismatchError(f"lengths differ: {n} vs {len(y)}")
-    lag = integer(lag, "lag")
+    lag = integer(lag, "lag", -n, n + 1)
     if lag > 0:
         return x[: n - lag], y[lag:]
     if lag < 0:

@@ -33,6 +33,7 @@ from .errors import (
     choice,
     instance,
     integer,
+    monotone,
     real,
 )
 
@@ -64,10 +65,7 @@ class CsiTrace:
                 f"need seqs and t of one length and iq of (len(seqs), {self.subcarriers}); "
                 f"got seqs {seqs.shape}, t {t.shape}, iq {iq.shape}"
             )
-        if np.any(seqs[1:] <= seqs[:-1]):  # np.diff would wrap past int64
-            i = int(np.argmax(seqs[1:] <= seqs[:-1])) + 1
-            raise InvalidParameterError(
-                f"seqs must be strictly increasing, got {seqs[i]} after {seqs[i - 1]} at row {i}")
+        monotone(seqs, "seqs")
         for what, vals in (("capture time", t[:, None]), ("i/q value", iq)):
             if not np.isfinite(vals).all():
                 row, col = np.argwhere(~np.isfinite(vals))[0]
@@ -109,6 +107,7 @@ class MagnitudeSeries:
         if self.values.shape != self.seqs.shape:
             raise InvalidParameterError(f"values and seqs must have equal length, got shapes "
                                         f"{self.values.shape} and {self.seqs.shape}")
+        monotone(self.seqs, "seqs")
         if not np.isfinite(self.values).all():
             i = int(np.argmin(np.isfinite(self.values)))
             raise InvalidParameterError(f"non-finite magnitude at seq {self.seqs.flat[i]}: "

@@ -49,11 +49,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (EmptyBandError, InvalidParameterError, TooShortError, _freeze, finite_series,
-                     instance, integer, pair, real)
+                     instance, integer, monotone, pair, real)
 
 OMEGA0 = 6.0  # Morlet center-frequency parameter (>= 5 keeps the wavelet admissible)
 FOURIER_FACTOR = 4 * np.pi / (OMEGA0 + np.sqrt(2 + OMEGA0 ** 2))  # Morlet scale * frequency
 VOICES_PER_OCTAVE = 12  # rows per octave of every grid
+# the widest grid a CwtParams may span, so rows (and a cwt's memory) stay bounded: the CLI's
+# default grid spans log2(n / 8) octaves for n samples, so 32 covers a 2**35-sample trace
+MAX_OCTAVES = 32
 # the coherence's scale boxcar spans 0.6 decorrelation lengths of scale, _WIN = 7 rows; the
 # grid is zero padded with _TOP rows above it and _WIN - 1 - _TOP below
 _WIN = round(0.6 * VOICES_PER_OCTAVE)
@@ -94,6 +97,10 @@ class CwtParams:
                 "need 0 < min_freq < max_freq <= sample_rate/2, got "
                 f"[{self.min_freq}, {self.max_freq}] at rate {self.sample_rate}"
             )
+        if math.log2(self.max_freq) - math.log2(self.min_freq) > MAX_OCTAVES:
+            raise InvalidParameterError(
+                f"min_freq must be >= max_freq / 2**{MAX_OCTAVES} = "
+                f"{self.max_freq / 2 ** MAX_OCTAVES}, got {self.min_freq}")
 
     def freq_grid(self) -> np.ndarray:
         """Descending log-spaced frequencies covering [min_freq, max_freq]."""
@@ -286,11 +293,7 @@ def _band_rows(freqs: np.ndarray, band) -> slice:
     """The grid rows inside ``band`` = (f_lo, f_hi), edges finite and >= 0 Hz: one run of
     rows, since the grid descends."""
     f_lo, f_hi = pair(band, "band", zero=True)
-    rise = np.flatnonzero(~(np.diff(freqs) < 0))  # a hand-built map's grid may not descend
-    if rise.size:
-        i = rise[0] + 1
-        raise InvalidParameterError(
-            f"freqs must be strictly descending, got {freqs[i]} after {freqs[i - 1]} at row {i}")
+    monotone(freqs, "freqs", descending=True)  # a hand-built map's grid may not descend
     if f_lo > f_hi:
         raise EmptyBandError(f"inverted band [{f_lo}, {f_hi}]")
     lo, hi = np.count_nonzero(freqs > f_hi), np.count_nonzero(freqs >= f_lo)

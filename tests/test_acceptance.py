@@ -6,11 +6,12 @@ its measured numbers.
 """
 
 import time
+from functools import cache
 
 import numpy as np
 
 from csirecip.authsim import AuthPolicy, replay_attack, run_handshake, sign_csi
-from csirecip.chansim import ChannelConfig, LossEvent, gen_attacker, gen_pair, ou_process, preset
+from csirecip.chansim import ChannelConfig, LossEvent, gen_pair, ou_process, preset
 from csirecip.cli import main as cli_main
 from csirecip.keygen import (
     KeyBlock,
@@ -25,8 +26,9 @@ from csirecip.keygen import (
 )
 from csirecip.metrics import ber, jeffrey_divergence, pearson, wasserstein_1d, xcorr_lag
 from csirecip.metrics import DivergenceConfig
-from csirecip.traces import magnitude_series, pair_traces, parse_csi_csv, write_csi_csv
+from csirecip.traces import pair_traces, parse_csi_csv, write_csi_csv
 from csirecip.wavelet import coherent_gap_width, cwt, default_params, icwt, wavelet_coherence
+from simcache import auth_trial
 
 RESULTS: list[str] = []
 
@@ -198,14 +200,20 @@ def test_criterion_4_packet_loss_quantification():
     record(4, ok, "; ".join(details))
 
 
+@cache
+def _acceptance_pair(name, seed, duration):
+    """The preset's subcarrier-6 pair, losses interpolated: read-only series, built once per
+    exact (name, seed, duration), since criteria 6 and 8 read the same 40 pairs."""
+    ap, sta, _ = gen_pair(preset(name, duration_s=duration, seed=seed))
+    return pair_traces(ap, sta, 6, gap_policy="interpolate_linear")
+
+
 def test_criterion_5_reciprocity_enhancement():
     """wt+sync beats raw (>=95%) and golay/fft (>=80%) in pearson, 100 seeds."""
     wins_raw = wins_golay = wins_fft = 0
     trials = 100
     for seed in range(trials):
-        cfg = preset("reciprocal", duration_s=300.0, seed=seed)
-        ap, sta, _ = gen_pair(cfg)
-        a, b = pair_traces(ap, sta, 6, gap_policy="interpolate_linear")
+        a, b = _acceptance_pair("reciprocal", seed, 300.0)
 
         def rho(pipeline, sync):
             pre = preprocess_pair(a, b, SessionConfig(pipeline=pipeline, sync=sync))
@@ -235,9 +243,7 @@ def test_criterion_6_key_generation_ordering():
         ok_kgr = ok_ber = 0
         trials = 50
         for seed in range(trials):
-            cfg = preset(name, duration_s=600.0, seed=seed)
-            ap, sta, _ = gen_pair(cfg)
-            a, b = pair_traces(ap, sta, 6, gap_policy="interpolate_linear")
+            a, b = _acceptance_pair(name, seed, 600.0)
             r_wt = wskg_session(a, b, SessionConfig(pipeline="wt", sync=True))
             r_g = wskg_session(a, b, SessionConfig(pipeline="golay", sync=True))
             r_r = wskg_session(a, b, SessionConfig(pipeline="raw", sync=False))
@@ -316,21 +322,21 @@ def test_criterion_8_sync_benefit():
     """kgr(sync on) >= kgr(sync off) for every pipeline on lagged presets."""
     ok = True
     details = []
+    pipes = ("raw", "golay", "fft", "wpt", "wt")
+    trials = 20
     for name in ("nlos-short", "nlos-long"):
-        for pipe in ("raw", "golay", "fft", "wpt", "wt"):
-            wins = 0
-            trials = 20
-            for seed in range(trials):
-                cfg = preset(name, duration_s=600.0, seed=seed)
-                ap, sta, _ = gen_pair(cfg)
-                a, b = pair_traces(ap, sta, 6, gap_policy="interpolate_linear")
+        wins = dict.fromkeys(pipes, 0)
+        for seed in range(trials):
+            a, b = _acceptance_pair(name, seed, 600.0)
+            for pipe in pipes:
                 k_on = wskg_session(a, b, SessionConfig(pipeline=pipe, sync=True)
                                     ).stats_at(15).kgr
                 k_off = wskg_session(a, b, SessionConfig(pipeline=pipe, sync=False)
                                      ).stats_at(15).kgr
-                wins += k_on >= k_off
-            ok &= wins >= 0.9 * trials
-            details.append(f"{name}/{pipe} {wins}/{trials}")
+                wins[pipe] += k_on >= k_off
+        for pipe in pipes:
+            ok &= wins[pipe] >= 0.9 * trials
+            details.append(f"{name}/{pipe} {wins[pipe]}/{trials}")
     record(8, ok, "; ".join(details))
 
 
@@ -342,15 +348,10 @@ def test_criterion_9_replay_detection():
     false_accepts = false_rejects = 0
     legit_corrs, replay_corrs = [], []
     for seed in range(200):
-        cfg = ChannelConfig(duration_s=60.0, snr_db=15.0, lag_samples=1,
-                            seed=seed)
-        ap, sta, _ = gen_pair(cfg)
-        x = magnitude_series(ap, 6).values
-        y = magnitude_series(sta, 6).values
+        x, y, fresh = auth_trial(seed)
         d = run_handshake(x, y, policy, key)
         legit_corrs.append(d.corr)
         false_rejects += not d.accepted
-        fresh = magnitude_series(gen_attacker(cfg, "independent"), 6).values
         d = replay_attack(x, sign_csi(y, key), fresh, policy, key)
         replay_corrs.append(abs(d.corr))
         false_accepts += d.accepted

@@ -14,6 +14,7 @@ from csirecip.authsim import (
 from csirecip.chansim import ChannelConfig, gen_attacker, gen_pair
 from csirecip.errors import InvalidParameterError, TooShortError
 from csirecip.traces import magnitude_series
+from simcache import auth_trial
 
 KEY = b"test-identity-key"
 
@@ -154,10 +155,9 @@ class TestSeparation:
         false_accepts = 0
         false_rejects = 0
         for seed in range(200):
-            x, y, cfg = legit_pair(seed)
+            x, y, fresh = auth_trial(seed)
             if not run_handshake(x, y, policy, KEY).accepted:
                 false_rejects += 1
-            fresh = magnitude_series(gen_attacker(cfg, "independent"), 6).values
             if replay_attack(x, sign_csi(y, KEY), fresh, policy, KEY).accepted:
                 false_accepts += 1
         assert false_accepts == 0

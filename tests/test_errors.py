@@ -25,7 +25,7 @@ from csirecip.errors import (CsiRecipError, EmptyBandError, InvalidParameterErro
                              MalformedHeaderError)
 from csirecip.keygen import (KeyBlock, QuantizerSpec, SessionConfig, cdf_thresholds, evaluate,
                              gray_encode, make_keys, preprocess_pair, quantize, wskg_session)
-from csirecip.metrics import DivergenceConfig, jeffrey_divergence, pearson, xcorr_lag
+from csirecip.metrics import DivergenceConfig, ber, jeffrey_divergence, pearson, xcorr_lag
 from csirecip.reconstruct import (ReciprocalBand, adapt_thresholds, apply_lag, fft_reconstruct,
                                   golay_filter, select_reciprocal_freqs, wpt_denoise,
                                   wt_reconstruct)
@@ -258,6 +258,31 @@ def _pairs_of(series):
      f"{PARAMS.freq_grid()[-1]} at row 1"),
     (lambda: icwt(_scalogram(freqs=np.r_[PARAMS.freq_grid()[:-1], np.nan]), (0.1, 0.2)),
      f"freqs must be strictly descending, got nan after {PARAMS.freq_grid()[-2]} at row {NB - 1}"),
+    # each was cast to uint8 and compared (256 wrapped to 0, 1.7 and -255 to 1), ended in a
+    # bare ValueError or TypeError, or was raveled
+    (lambda: ber([256], [0]), "bits_a must hold only bits 0 and 1, got 256 at index 0"),
+    (lambda: ber([1.7], [1]), "bits_a must hold only bits 0 and 1, got 1.7 at index 0"),
+    (lambda: ber([-255], [1]), "bits_a must hold only bits 0 and 1, got -255 at index 0"),
+    (lambda: ber([0, 1], [1, 2]), "bits_b must hold only bits 0 and 1, got 2 at index 1"),
+    (lambda: ber([None], [1]), "bits_a must hold only bits 0 and 1, got None at index 0"),
+    (lambda: ber("ab", "cd"), "bits_a must be a 1-D series of bits, got shape () of dtype <U2"),
+    (lambda: ber([[1, 0]], [[1, 0]]),
+     "bits_a must be a 1-D series of bits, got shape (1, 2) of dtype int64"),
+    # past the length the halves came back unequal: 5 and 0 samples, or 0 and 5
+    (lambda: apply_lag(np.arange(10.0), np.arange(10.0), 15), "lag must be in [-10, 11), got 15"),
+    (lambda: apply_lag(np.arange(10.0), np.arange(10.0), -15),
+     "lag must be in [-10, 11), got -15"),
+    # each was accepted, though CsiTrace refuses both
+    (lambda: MagnitudeSeries(0, [1.0, 2.0, 3.0], [5, 5, 2], 10.0),
+     "seqs must be strictly increasing, got 5 after 5 at row 1"),
+    (lambda: MagnitudeSeries(0, [[1.0, 2.0]], [[1, 2]], 10.0), "seqs must be 1-D, got shape (1, 2)"),
+    # 1e-300 Hz built 11987 rows; 5e-324 Hz ended in a bare OverflowError from freq_grid()
+    (lambda: CwtParams(1e-300, 5.0, 10.0),
+     "min_freq must be >= max_freq / 2**32 = 1.1641532182693481e-09, got 1e-300"),
+    (lambda: CwtParams(5e-324, 5.0, 10.0),
+     "min_freq must be >= max_freq / 2**32 = 1.1641532182693481e-09, got 5e-324"),
+    (lambda: default_params(4096, 10.0, periods=1e-300),
+     "min_freq must be >= max_freq / 2**32 = 1.1641532182693481e-09, got 2.44140625e-303"),
 ])
 def test_bad_parameter_names_value(call, message):
     with pytest.raises(InvalidParameterError) as exc:
@@ -484,6 +509,71 @@ def test_non_finite_magnitude_names_seq(values, first):
         MagnitudeSeries(0, values, np.arange(len(values)) + first, 10.0)
     want = np.float64(np.nan if values[i] is None else values[i]).item()
     assert str(exc.value) == f"non-finite magnitude at seq {first + i}: {want!r}"
+
+
+@settings(max_examples=30, deadline=None)
+@given(bits=st.lists(st.sampled_from([0, 1, True, False, 0.0, 1.0]), max_size=6),
+       bad=st.sampled_from([2, 256, -1, -255, 0.5, 1.7, -np.inf, np.nan, None]),
+       at=st.integers(0, 6))
+@example(bits=[1], bad=256, at=0)  # wrapped to 0 by the uint8 cast, so it matched a 0
+def test_bit_other_than_0_or_1_named(bits, bad, at):
+    # each was cast to uint8: a value past 255 wrapped, a fraction truncated, NaN read as 0
+    at = min(at, len(bits))
+    a = [*bits[:at], bad, *bits[at:]]
+    with pytest.raises(InvalidParameterError) as exc:
+        ber(a, [0] * len(a))
+    assert str(exc.value) == (f"bits_a must hold only bits 0 and 1, "
+                              f"got {np.asarray(a).tolist()[at]!r} at index {at}")
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 30), lag=st.integers(-70, 70))
+@example(n=10, lag=15)
+@example(n=10, lag=-10)
+def test_lag_past_the_series_refused(n, lag):
+    # past the length the two halves came back unequal; up to it they are equal, and empty
+    # at |lag| = n
+    x = np.arange(float(n))
+    if abs(lag) > n:
+        with pytest.raises(InvalidParameterError) as exc:
+            apply_lag(x, x, lag)
+        assert str(exc.value) == f"lag must be in [{-n}, {n + 1}), got {lag}"
+    else:
+        xa, ya = apply_lag(x, x, lag)
+        assert len(xa) == len(ya) == n - abs(lag)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seqs=st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=2, max_size=6))
+@example(seqs=[5, 5, 2])
+@example(seqs=[-2 ** 63, 2 ** 63 - 1, -2 ** 63])  # np.diff would wrap to 1
+def test_magnitude_seqs_out_of_order_named(seqs):
+    # a repeated or descending seq was accepted, though an absent seq reads as a lost packet;
+    # CsiTrace's rule and message, through one check
+    bad = [i for i in range(1, len(seqs)) if seqs[i] <= seqs[i - 1]]
+    assume(bad)
+    i = bad[0]
+    with pytest.raises(InvalidParameterError) as exc:
+        MagnitudeSeries(0, np.ones(len(seqs)), seqs, 10.0)
+    assert str(exc.value) == (f"seqs must be strictly increasing, got {seqs[i]} after "
+                              f"{seqs[i - 1]} at row {i}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(min_freq=st.floats(min_value=5e-324, max_value=4.0))
+@example(min_freq=5e-324)  # ended in a bare OverflowError from freq_grid()
+@example(min_freq=5.0 / 2 ** 32)  # exactly MAX_OCTAVES: the widest grid allowed
+@example(min_freq=np.nextafter(5.0 / 2 ** 32, 0.0))
+def test_octave_span_bounded(min_freq):
+    # the rows grew with log2(max_freq / min_freq), 11987 of them at 1e-300 Hz
+    if math.log2(5.0) - math.log2(min_freq) > wavelet.MAX_OCTAVES:
+        with pytest.raises(InvalidParameterError) as exc:
+            CwtParams(min_freq, 5.0, 10.0)
+        assert str(exc.value).startswith("min_freq must be >= max_freq / 2**32")
+        assert str(exc.value).endswith(f"got {min_freq}")
+    else:
+        rows = len(CwtParams(min_freq, 5.0, 10.0).freq_grid())
+        assert rows <= wavelet.MAX_OCTAVES * wavelet.VOICES_PER_OCTAVE + 1
 
 
 @settings(max_examples=30, deadline=None)

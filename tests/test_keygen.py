@@ -545,6 +545,7 @@ def test_bad_parameter_names_value(call, message):
     assert str(exc.value) == message
 
 
+@functools.cache  # read-only series: tests that share a call share one simulation
 def session_pair(seed, duration=420.0, snr_db=10.0, lag=5, loss=()):
     cfg = ChannelConfig(duration_s=duration, snr_db=snr_db, lag_samples=lag,
                         loss=loss, seed=seed)
