@@ -60,6 +60,11 @@ def _load_config(path: str | None) -> configparser.ConfigParser:
             # no section header, a repeated key or section, or bytes that are not text
             except (configparser.Error, UnicodeDecodeError) as e:
                 raise _UsageError(f"config file {path}: {e}") from None
+    # [DEFAULT] first: its keys show up in every section, and each is refused as its own
+    for section in (cp.default_section, *cp.sections()):
+        for key in cp[section]:
+            if (section, key) not in _OPTIONS:
+                raise _UsageError(f"config file {path}: [{section}] {key} is read by no command")
     return cp
 
 

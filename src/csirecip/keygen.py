@@ -261,13 +261,18 @@ def gray_encode(levels_seq, levels_count: int) -> np.ndarray:
 
 def _key_rows(x, block_len: int, levels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``make_keys``' checks, then every whole block of the window at once: which blocks
-    are kept (the mask), and the kept blocks' levels and Gray-coded bits, one row each."""
+    are kept (the mask), and the kept blocks' levels and Gray-coded bits, one row each.
+    No block of fewer samples than ``levels`` holds ``levels`` distinct values, so then
+    none is kept and no quantile table is built."""
     x = finite_series(x, "x")
     block_len = integer(block_len, "block_len", 1)
     levels = _check_levels(levels)
     if len(x) < block_len:
         raise TooShortError(f"{len(x)} samples < block_len {block_len}")
     n_blocks = len(x) // block_len
+    if levels > block_len:
+        return (np.zeros(n_blocks, bool), np.empty((0, block_len), np.int64),
+                np.empty((0, block_len * (levels.bit_length() - 1)), np.uint8))
     chunks = x[:n_blocks * block_len].reshape(n_blocks, block_len)
     th, keep = _cdf_rows(chunks, levels)
     lv = _level_rows(chunks[keep], th[keep])

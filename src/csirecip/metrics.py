@@ -131,8 +131,6 @@ def wasserstein_1d(x, y) -> float:
     """
     x = np.sort(finite_series(x, "x"))
     y = np.sort(finite_series(y, "y"))
-    if len(x) == 0 or len(y) == 0:
-        raise LengthMismatchError("empty input")
     if len(x) == len(y):
         return float(np.mean(np.abs(x - y)))
     # piecewise-constant quantile functions on the union of jump points

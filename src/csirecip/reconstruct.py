@@ -9,7 +9,7 @@ alignment of a pair at a known lag.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +37,6 @@ class ReciprocalBand:
     """
 
     f_rec: np.ndarray       # selected frequencies, Hz
-    band: tuple[float, float]
     alpha: float
     beta: int
 
@@ -46,13 +45,14 @@ class ReciprocalBand:
         if self.f_rec.ndim != 1 or self.f_rec.size == 0:
             raise InvalidParameterError(
                 f"f_rec must be nonempty and 1-D, got {self.f_rec.tolist()}")
-        closure = (float(self.f_rec.min()), float(self.f_rec.max()))
-        if pair(self.band, "band", zero=True) != closure:
-            raise InvalidParameterError(
-                f"band must be (min(f_rec), max(f_rec)) = {closure}, got {self.band!r}")
-        object.__setattr__(self, "band", closure)
+        for edge in self.band:  # the closure's edges bound every frequency: finite, >= 0 Hz
+            real(edge, "f_rec", zero=True)
         object.__setattr__(self, "alpha", real(self.alpha, "alpha", hi=1))
         object.__setattr__(self, "beta", integer(self.beta, "beta", 1))
+
+    @cached_property
+    def band(self) -> tuple[float, float]:
+        return float(self.f_rec.min()), float(self.f_rec.max())
 
 
 # --- baseline pipelines ---
@@ -62,15 +62,16 @@ GOLAY_ORDER = 3  # and the degree of the fitted polynomial
 FFT_POWER_KEEP = 0.98  # FFT baseline: share of the non-DC power kept
 WPT_DEPTH = 4  # wavelet-packet baseline: levels of the tree
 
-
-@cache
-def _golay_hat() -> np.ndarray:
-    """Row j: the weights giving the window's least-squares fit at position j; read-only."""
-    half = GOLAY_WINDOW // 2
-    vander = np.vander(np.arange(-half, half + 1.0), GOLAY_ORDER + 1, increasing=True)
-    hat = vander @ np.linalg.pinv(vander)
-    hat.setflags(write=False)
-    return hat
+_GOLAY_VANDER = np.vander(np.arange(-(GOLAY_WINDOW // 2), GOLAY_WINDOW // 2 + 1.0),
+                          GOLAY_ORDER + 1, increasing=True)
+# row j: the weights giving the window's least-squares fit at position j
+_GOLAY_HAT = _GOLAY_VANDER @ np.linalg.pinv(_GOLAY_VANDER)
+_GOLAY_HAT.setflags(write=False)
+# 4-tap Daubechies analysis pair (orthogonal, so synthesis reuses it)
+_DB4_LO = np.array([
+    1 + np.sqrt(3), 3 + np.sqrt(3), 3 - np.sqrt(3), 1 - np.sqrt(3)
+]) / (4 * np.sqrt(2))
+_DB4_HI = np.array([_DB4_LO[3], -_DB4_LO[2], _DB4_LO[1], -_DB4_LO[0]])
 
 
 def golay_filter(x) -> np.ndarray:
@@ -83,11 +84,10 @@ def golay_filter(x) -> np.ndarray:
     if len(x) < GOLAY_WINDOW:
         raise TooShortError(f"need at least {GOLAY_WINDOW} samples, got {len(x)}")
     half = GOLAY_WINDOW // 2
-    hat = _golay_hat()
     y = np.empty_like(x)
-    y[half:len(x) - half] = np.correlate(x, hat[half], "valid")
-    y[:half] = hat[:half] @ x[:GOLAY_WINDOW]
-    y[len(x) - half:] = hat[half + 1:] @ x[-GOLAY_WINDOW:]
+    y[half:len(x) - half] = np.correlate(x, _GOLAY_HAT[half], "valid")
+    y[:half] = _GOLAY_HAT[:half] @ x[:GOLAY_WINDOW]
+    y[len(x) - half:] = _GOLAY_HAT[half + 1:] @ x[-GOLAY_WINDOW:]
     return y
 
 
@@ -110,13 +110,6 @@ def fft_reconstruct(x) -> np.ndarray:
     keep = int(np.searchsorted(cum, FFT_POWER_KEEP * total) + 1)
     spec[keep + 1:] = 0.0
     return np.fft.irfft(spec, n=len(x)) + mean
-
-
-# 4-tap Daubechies analysis pair (orthogonal, so synthesis reuses it)
-_DB4_LO = np.array([
-    1 + np.sqrt(3), 3 + np.sqrt(3), 3 - np.sqrt(3), 1 - np.sqrt(3)
-]) / (4 * np.sqrt(2))
-_DB4_HI = np.array([_DB4_LO[3], -_DB4_LO[2], _DB4_LO[1], -_DB4_LO[0]])
 
 
 def _wp_analyze(x: np.ndarray) -> np.ndarray:
@@ -199,12 +192,7 @@ def select_reciprocal_freqs(cmap: CoherenceMap, alpha: float, beta: int) -> Reci
             f"no bin stays >= {alpha:.3f} for {beta} samples"
         )
     f_sel = cmap.freqs[sel]
-    return ReciprocalBand(
-        f_rec=f_sel,
-        band=(float(f_sel.min()), float(f_sel.max())),
-        alpha=alpha,
-        beta=beta,
-    )
+    return ReciprocalBand(f_rec=f_sel, alpha=alpha, beta=beta)
 
 
 ALPHA_DECAY = 0.95

@@ -38,6 +38,7 @@ from .errors import (
 )
 
 RATE_TOLERANCE = 0.01  # relative packet-rate difference pair_traces accepts
+_MISSING_PER_ROW = 1000  # missing_seqs lists at most this many absent seqs per row
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,15 @@ class CsiTrace:
         return len(self.seqs)
 
     def missing_seqs(self) -> np.ndarray:
-        """Sequence numbers absent between the first and last sample."""
+        """Sequence numbers absent between the first and last sample.  More than
+        ``_MISSING_PER_ROW`` per row raise :class:`InvalidParameterError`, so memory
+        follows the rows and not the seq values."""
+        n = len(self.seqs)
+        missing = int(self.seqs[-1]) - int(self.seqs[0]) + 1 - n if n else 0  # no int64 wrap
+        if missing > _MISSING_PER_ROW * n:
+            raise InvalidParameterError(
+                f"{n} rows with seqs {self.seqs[0]}..{self.seqs[-1]} miss more than "
+                f"{_MISSING_PER_ROW} seqs per row")
         step = np.diff(self.seqs)
         gap = step > 1
         counts = step[gap] - 1

@@ -179,11 +179,6 @@ def _next_pow2(n: int) -> int:
     return int(2 ** np.ceil(np.log2(n)))
 
 
-def _omegas(npad: int, sample_rate: float) -> np.ndarray:
-    """Angular frequency of each FFT bin of a ``npad``-point transform."""
-    return 2 * np.pi * np.fft.fftfreq(npad, d=1.0 / sample_rate)
-
-
 def _prepare(x, name: str = "x") -> tuple[np.ndarray, int, float]:
     """Checked, mean-removed, zero-padded series: (spectrum, n, mean)."""
     x = finite_series(x, name)
@@ -215,23 +210,20 @@ def _live_gaussians(scales: np.ndarray, bins: np.ndarray, live: np.ndarray,
     return tuple(rows)
 
 
-def _morlet_entries(scales: np.ndarray, k: np.ndarray, params: CwtParams) -> tuple[np.ndarray, ...]:
-    """The Morlet bank's live entries, one row per scale from bin 1 on.
-
-    Row j can be nonzero only where ``k > 0`` and ``|s_j*k - OMEGA0| <=
-    _LIVE_Z``.  Since OMEGA0 < _LIVE_Z, that is a prefix ``k[1:1 + live_j]``
-    of the positive bins, which come first and ascending in FFT order.
-    """
-    dt = 1.0 / params.sample_rate
-    live = np.searchsorted(k[1:(len(k) + 1) // 2], (OMEGA0 + _LIVE_Z) / scales, side="right")
-    amp = np.sqrt(2 * np.pi * scales / dt) * np.pi ** -0.25
-    return _live_gaussians(scales, k[1:], live, OMEGA0, amp)
-
-
 @lru_cache(maxsize=_GRIDS)
 def _morlet_rows(params: CwtParams, npad: int) -> tuple[np.ndarray, ...]:
-    """The grid's Morlet rows at ``npad`` FFT points, each from bin 1 on."""
-    return _morlet_entries(params.scales(), _omegas(npad, params.sample_rate), params)
+    """The grid's Morlet rows at ``npad`` FFT points, one per scale from bin 1 on.
+
+    With ``k`` each bin's angular frequency, row j can be nonzero only where ``k > 0``
+    and ``|s_j*k - OMEGA0| <= _LIVE_Z``.  Since OMEGA0 < _LIVE_Z, that is a prefix
+    ``k[1:1 + live_j]`` of the positive bins, which come first and ascending in FFT order.
+    """
+    scales = params.scales()
+    dt = 1.0 / params.sample_rate
+    k = 2 * np.pi * np.fft.fftfreq(npad, d=dt)
+    live = np.searchsorted(k[1:(npad + 1) // 2], (OMEGA0 + _LIVE_Z) / scales, side="right")
+    amp = np.sqrt(2 * np.pi * scales / dt) * np.pi ** -0.25
+    return _live_gaussians(scales, k[1:], live, OMEGA0, amp)
 
 
 @lru_cache(maxsize=_GRIDS)
@@ -393,12 +385,9 @@ def _coherence_rows(spec_x: np.ndarray, spec_y: np.ndarray, n: int,
             np.multiply(f, gauss[:grid], out=f)
             np.fft.irfft(f, npad, axis=-1, out=maps[:grid])
 
-        first = g0 + _TOP
+        first = g0 + _TOP  # >= _TOP: zero rows above make row _TOP 0.0 + m[0], as in np.cumsum
         for j in range(r):
-            if first + j == 0:  # np.cumsum copies its first row
-                np.copyto(cs[_WIN], m[0])
-            else:
-                np.add(cs[_WIN + j - 1], m[j] if j < grid else 0.0, out=cs[_WIN + j])
+            np.add(cs[_WIN + j - 1], m[j] if j < grid else 0.0, out=cs[_WIN + j])
 
         lo, hi = max(0, first - _WIN + 1), first + r - _WIN + 1  # rows whose boxcars closed
         if lo < hi:

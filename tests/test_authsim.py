@@ -11,7 +11,7 @@ from csirecip.authsim import (
     temporal_decorrelation_curve,
     verify_tag,
 )
-from csirecip.chansim import ChannelConfig, gen_attacker, gen_pair
+from csirecip.chansim import MAGNITUDE_OFFSET, ChannelConfig, base_signal, gen_attacker, gen_pair
 from csirecip.errors import InvalidParameterError, TooShortError
 from csirecip.traces import magnitude_series
 from simcache import auth_trial
@@ -166,26 +166,27 @@ class TestSeparation:
 
 class TestDecorrelationCurve:
     @staticmethod
-    def _generator(cfg):
-        base_rate = cfg.rate_hz
+    def _curve(cfg, gaps, seed):
+        """``cfg``'s decorrelation curve over ``gaps``: at each gap, a noisy window of the
+        channel from 0 s and one from ``gap_s``.  The channel is simulated once, out to the
+        longest gap, and both windows sliced from it; by ``base_signal``'s offset contract
+        each slice equals its own call bit for bit."""
+        n, dt = cfg.n_samples, 1.0 / cfg.rate_hz
+        sigma = 10 ** (-cfg.snr_db / 20)
+        channel = base_signal(cfg, n + round(max(gaps) / dt))
 
         def gen(gap_s, rng):
-            from csirecip.chansim import base_signal, MAGNITUDE_OFFSET
-            n = cfg.n_samples
-            sigma = 10 ** (-cfg.snr_db / 20)
-            ref = MAGNITUDE_OFFSET + base_signal(cfg, n) \
-                + sigma * rng.standard_normal(n)
-            delayed = MAGNITUDE_OFFSET + base_signal(cfg, n, start_s=gap_s) \
-                + sigma * rng.standard_normal(n)
+            start = round(gap_s / dt)  # base_signal's first sample at start_s = gap_s
+            ref = MAGNITUDE_OFFSET + channel[:n] + sigma * rng.standard_normal(n)
+            delayed = MAGNITUDE_OFFSET + channel[start:start + n] + sigma * rng.standard_normal(n)
             return ref, delayed
 
-        return gen
+        return temporal_decorrelation_curve(gen, gaps, seed=seed)
 
     def test_gap_zero_is_peak(self):
         cfg = ChannelConfig(duration_s=60.0, snr_db=15.0, coherence_time_s=30.0,
                             seed=0)
-        curve = temporal_decorrelation_curve(
-            self._generator(cfg), [0, 30, 60, 120, 600], seed=1)
+        curve = self._curve(cfg, [0, 30, 60, 120, 600], seed=1)
         corrs = [c for _, c, _ in curve]
         assert corrs[0] == max(corrs)
         assert corrs[0] >= 0.9
@@ -195,8 +196,7 @@ class TestDecorrelationCurve:
         # the +/-0.1 sampling-noise band around zero
         cfg = ChannelConfig(duration_s=240.0, snr_db=15.0,
                             coherence_time_s=30.0, seed=2)
-        curve = temporal_decorrelation_curve(
-            self._generator(cfg), [0, 300], seed=3)
+        curve = self._curve(cfg, [0, 300], seed=3)
         assert abs(curve[-1][1]) <= 0.1
 
     def test_monotone_trend_across_seeds(self):
@@ -205,8 +205,7 @@ class TestDecorrelationCurve:
         for seed in range(trials):
             cfg = ChannelConfig(duration_s=60.0, snr_db=15.0,
                                 coherence_time_s=60.0, seed=seed)
-            curve = temporal_decorrelation_curve(
-                self._generator(cfg), [0, 600, 1200], seed=seed)
+            curve = self._curve(cfg, [0, 600, 1200], seed=seed)
             ok += curve[0][1] > max(c for _, c, _ in curve[1:])
         assert ok >= 0.95 * trials
 
@@ -222,6 +221,6 @@ class TestDecorrelationCurve:
     def test_rejects_bad_gaps(self):
         cfg = ChannelConfig(duration_s=30.0, seed=0)
         with pytest.raises(ValueError):
-            temporal_decorrelation_curve(self._generator(cfg), [10, 20], seed=0)
+            self._curve(cfg, [10, 20], seed=0)
         with pytest.raises(ValueError):
-            temporal_decorrelation_curve(self._generator(cfg), [0, 20, 10], seed=0)
+            self._curve(cfg, [0, 20, 10], seed=0)

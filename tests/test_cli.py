@@ -309,6 +309,10 @@ class TestFlagGroups:
         assert run(["auth", "--min-corr", "-1e-1", "--out-dir", str(tmp_path)]) == EXIT_DATA
         assert "min_corr" in capsys.readouterr().err
 
+    def test_non_float_value_is_usage_error(self, tmp_path, capsys):
+        assert run(["simulate", "--duration", "abc", "--out-dir", str(tmp_path)]) == EXIT_USAGE
+        assert "--duration: invalid float value: 'abc'" in capsys.readouterr().err
+
 
 class TestReport:
     def test_aggregates_sessions(self, tmp_path):
@@ -450,6 +454,30 @@ class TestConfigFile:
         assert err.startswith("error: input.duration_s ")
         assert repr(value) in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, setting", [
+        # each was ignored: simulate ran at 11.0 dB and lag 2, exit 0
+        ("[input]\nseed = 3\nsnr_db = -30\nlag = 7\n", "[input] snr_db"),
+        ("[input]\nseed = 3\n[nosuch]\nkey = 1\n", "[nosuch] key"),
+        ("[DEFAULT]\npreset = nlos-short\n", "[DEFAULT] preset"),  # reaches every section
+    ])
+    def test_unread_setting_is_usage_error(self, tmp_path, capsys, text, setting):
+        ini = tmp_path / "sim.ini"
+        ini.write_text(text)
+        rc = run(["simulate", "--config", str(ini), "--duration", "5",
+                  "--out-dir", str(tmp_path / "out")])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: config file {ini}: {setting} is read by no command\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_setting_another_command_reads_is_allowed(self, tmp_path):
+        # one experiment.ini serves every command
+        ini = tmp_path / "experiment.ini"
+        ini.write_text("[input]\nduration_s = 5\nsubcarrier = 3\n[pipelines]\nlist = raw\n"
+                       "[auth]\ntrials = 1\n[nosuch]\n")  # a section without keys sets nothing
+        rc = run(["simulate", "--config", str(ini), "--out-dir", str(tmp_path / "out")])
+        assert rc == EXIT_OK
 
     def test_missing_config_exits_2(self, tmp_path):
         rc = run(["keygen", "--config", str(tmp_path / "nope.ini"),

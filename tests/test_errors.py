@@ -21,11 +21,12 @@ from csirecip.authsim import (AuthMessage, AuthPolicy, replay_attack, run_handsh
                               temporal_decorrelation_curve)
 from csirecip.chansim import (ChannelConfig, LossEvent, base_signal, gen_attacker, gen_pair,
                               ou_process, preset)
-from csirecip.errors import (CsiRecipError, EmptyBandError, InvalidParameterError,
-                             MalformedHeaderError)
+from csirecip.errors import (CsiRecipError, EmptyBandError, EmptyTraceError, InvalidParameterError,
+                             LengthMismatchError, MalformedHeaderError)
 from csirecip.keygen import (KeyBlock, QuantizerSpec, SessionConfig, cdf_thresholds, evaluate,
                              gray_encode, make_keys, preprocess_pair, quantize, wskg_session)
-from csirecip.metrics import DivergenceConfig, ber, jeffrey_divergence, pearson, xcorr_lag
+from csirecip.metrics import (DivergenceConfig, ber, jeffrey_divergence, pearson, wasserstein_1d,
+                              xcorr_lag)
 from csirecip.reconstruct import (ReciprocalBand, adapt_thresholds, apply_lag, fft_reconstruct,
                                   golay_filter, select_reciprocal_freqs, wpt_denoise,
                                   wt_reconstruct)
@@ -145,7 +146,7 @@ def _pairs_of(series):
     (lambda: default_params(0, 10.0), "n_samples must be >= 1, got 0"),
     (lambda: DivergenceConfig(bins=2.5), "bins must be an integer, got 2.5"),
     (lambda: select_reciprocal_freqs(_cmap(), 0.5, 2.5), "beta must be an integer, got 2.5"),
-    (lambda: ReciprocalBand([0.5], (0.5, 0.5), 0.5, 3.5), "beta must be an integer, got 3.5"),
+    (lambda: ReciprocalBand([0.5], 0.5, 3.5), "beta must be an integer, got 3.5"),
     (lambda: evaluate([], [], 2.5), "total_packets must be an integer, got 2.5"),
     (lambda: evaluate([], [], np.nan), "total_packets must be an integer, got nan"),
     (lambda: MagnitudeSeries(0, [1.0], [1], np.nan),
@@ -246,12 +247,12 @@ def _pairs_of(series):
     (lambda: MagnitudeSeries(0, [1.0, np.inf], [4, 5], 10.0), "non-finite magnitude at seq 5: inf"),
     (lambda: MagnitudeSeries(0, [1.0, -np.inf], [4, 5], 10.0),
      "non-finite magnitude at seq 5: -inf"),
-    (lambda: ReciprocalBand(3, (0.5, 1.0), 0.5, 3), "f_rec must be nonempty and 1-D, got 3.0"),
-    (lambda: ReciprocalBand([[0.5, 1.0]], (0.5, 1.0), 0.5, 3),
+    (lambda: ReciprocalBand(3, 0.5, 3), "f_rec must be nonempty and 1-D, got 3.0"),
+    (lambda: ReciprocalBand([[0.5, 1.0]], 0.5, 3),
      "f_rec must be nonempty and 1-D, got [[0.5, 1.0]]"),
-    (lambda: ReciprocalBand([0.5, 1.0], (0.5, 2.0), 0.5, 3),
-     "band must be (min(f_rec), max(f_rec)) = (0.5, 1.0), got (0.5, 2.0)"),
-    (lambda: ReciprocalBand([0.5], None, 0.5, 3), "band must be a pair (f_lo, f_hi), got None"),
+    # the band is f_rec's closure, so its edges follow the band rule
+    (lambda: ReciprocalBand([0.5, np.nan], 0.5, 3), "f_rec must be finite and >= 0, got nan"),
+    (lambda: ReciprocalBand([-0.5, 1.0], 0.5, 3), "f_rec must be finite and >= 0, got -0.5"),
     # a band is one run of rows only on a descending grid: an ascending one averaged other rows
     (lambda: band_average(_cmap(freqs=PARAMS.freq_grid()[::-1]), (0.1, 0.2)),
      f"freqs must be strictly descending, got {PARAMS.freq_grid()[-2]} after "
@@ -268,6 +269,10 @@ def _pairs_of(series):
     (lambda: ber("ab", "cd"), "bits_a must be a 1-D series of bits, got shape () of dtype <U2"),
     (lambda: ber([[1, 0]], [[1, 0]]),
      "bits_a must be a 1-D series of bits, got shape (1, 2) of dtype int64"),
+    (lambda: ber([[1], [1, 0]], [1, 0]), "bits_a must hold only bits 0 and 1, got [1] at index 0"),
+    (lambda: errors.real(10 ** 400, "x"), f"x must be finite and positive, got {10 ** 400!r}"),
+    (lambda: wasserstein_1d([], [1.0]),
+     "x must be a nonempty 1-D real series, got shape (0,) of dtype float64"),
     # past the length the halves came back unequal: 5 and 0 samples, or 0 and 5
     (lambda: apply_lag(np.arange(10.0), np.arange(10.0), 15), "lag must be in [-10, 11), got 15"),
     (lambda: apply_lag(np.arange(10.0), np.arange(10.0), -15),
@@ -289,6 +294,27 @@ def test_bad_parameter_names_value(call, message):
         call()
     assert str(exc.value) == message
     assert isinstance(exc.value, ValueError)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: evaluate([], [], 10).stats_at(7), KeyError, "no stats at threshold 7"),
+    (lambda: wskg_session(np.ones(700), np.ones(600), SessionConfig()), LengthMismatchError,
+     "session inputs must be paired to equal length"),
+    (lambda: pearson([1.0], [2.0]), LengthMismatchError, "need at least 2 samples"),
+    (lambda: jeffrey_divergence(np.arange(10.0), np.arange(10.0)), LengthMismatchError,
+     "need at least 32 samples per series"),
+    (lambda: xcorr_lag(np.ones(10), np.ones(11), 2), LengthMismatchError,
+     "lengths differ: 10 vs 11"),
+    (lambda: ber([], []), LengthMismatchError, "empty bit sequences"),
+    (lambda: parse_csi_csv("seq,t,dev,i0\n1,0.1,a,1\n"), MalformedHeaderError,
+     "header does not declare i0,q0,...,i{N-1},q{N-1}"),
+    (lambda: pair_traces(_trace(seqs=[], t=[], iq=np.ones((0, 1))), _trace(), 0),
+     EmptyTraceError, "cannot pair an empty trace"),
+])
+def test_bad_input_raises_its_error(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert exc.value.args == (message,)
 
 
 def test_stream_without_writelines_refused_before_writing():
@@ -333,7 +359,7 @@ INTEGER_PARAMS = {
     "SessionConfig.error_thresholds": lambda v: SessionConfig(error_thresholds=(v,)),
     "DivergenceConfig.bins": lambda v: DivergenceConfig(bins=v),
     "xcorr_lag.max_lag": lambda v: xcorr_lag(np.sin(np.arange(64.0)), np.cos(np.arange(64.0)), v),
-    "ReciprocalBand.beta": lambda v: ReciprocalBand([0.5], (0.5, 0.5), 0.5, v),
+    "ReciprocalBand.beta": lambda v: ReciprocalBand([0.5], 0.5, v),
     "select_reciprocal_freqs.beta": lambda v: select_reciprocal_freqs(_cmap(), 0.5, v),
     "apply_lag.lag": lambda v: apply_lag(np.ones(4), np.ones(4), v),
     "default_params.n_samples": lambda v: default_params(v, 10.0),
@@ -348,7 +374,7 @@ REAL_PARAMS = {
     "ou_process.tau": lambda v: ou_process(8, 0.1, v, np.random.default_rng(0)),
     "AuthPolicy.min_corr": lambda v: AuthPolicy(min_corr=v),
     "DivergenceConfig.epsilon": lambda v: DivergenceConfig(epsilon=v),
-    "ReciprocalBand.alpha": lambda v: ReciprocalBand([0.5], (0.5, 0.5), v, 3),
+    "ReciprocalBand.alpha": lambda v: ReciprocalBand([0.5], v, 3),
     "select_reciprocal_freqs.alpha": lambda v: select_reciprocal_freqs(_cmap(), v, 2),
     "CsiTrace.rate_hz": lambda v: _trace(rate_hz=v),
     "MagnitudeSeries.rate_hz": lambda v: MagnitudeSeries(0, [1.0], [1], v),
@@ -478,7 +504,7 @@ FIELD_PARAMS = {
     "MagnitudeSeries.values": lambda v: MagnitudeSeries(0, v, [1], 10.0),
     "MagnitudeSeries.seqs": lambda v: MagnitudeSeries(0, [1.0], v, 10.0),
     "QuantizerSpec.thresholds": lambda v: QuantizerSpec(4, v),
-    "ReciprocalBand.f_rec": lambda v: ReciprocalBand(v, (0.5, 0.5), 0.5, 3),
+    "ReciprocalBand.f_rec": lambda v: ReciprocalBand(v, 0.5, 3),
 }
 
 
@@ -614,10 +640,9 @@ SERIES_PARAMS = {
     "apply_lag.y": lambda v: apply_lag(GOOD, v, 1),
     "sign_csi.csi": lambda v: sign_csi(v, b"k"),
 }
-# the configuration tables: a refused argument must build none
+# the configuration tables (tests/test_keygen.py clears them too): a refused argument builds none
 TABLES = (wavelet._morlet_rows, wavelet._gauss_rows, wavelet._recon_plateau,
-          wavelet._band_response, reconstruct._golay_hat, keygen._quantile_index,
-          keygen._gray_table)
+          wavelet._band_response, keygen._quantile_index, keygen._gray_table)
 LENGTHS = st.integers(1, 700)
 BAD_ARRAYS = st.one_of(
     hnp.arrays(np.float64, st.tuples(st.integers(0, 700), st.integers(1, 3))
@@ -659,8 +684,8 @@ def test_array_argument_raises_naming_shape_or_dtype(call, value):
     assert [t.cache_info().currsize for t in TABLES] == [0] * len(TABLES)
 
 
-@pytest.mark.parametrize("name", ["make_keys.x", "cdf_thresholds.block", "golay_filter.x",
-                                  "wt_reconstruct.x", "wavelet_coherence.x", "cwt.x"])
+@pytest.mark.parametrize("name", ["make_keys.x", "cdf_thresholds.block", "wt_reconstruct.x",
+                                  "wavelet_coherence.x", "cwt.x"])
 def test_valid_array_argument_builds_its_tables(name):
     # the check above is not vacuous: a valid series of these calls does build tables
     for table in TABLES:
@@ -721,7 +746,7 @@ def _frozen_cases():
         (lambda v: KeyBlock(0, v, np.zeros(4, np.uint8)), "levels", np.array([0, 3])),
         (lambda v: KeyBlock(0, np.zeros(2, np.int64), v), "bits", np.array([0, 1, 1, 0], np.uint8)),
         (lambda v: QuantizerSpec(4, v), "thresholds", np.array([0.0, 1.0, 2.0])),
-        (lambda v: ReciprocalBand(v, (0.5, 1.0), 0.5, 3), "f_rec", np.array([0.5, 1.0])),
+        (lambda v: ReciprocalBand(v, 0.5, 3), "f_rec", np.array([0.5, 1.0])),
         (lambda v: AuthMessage(v, b"tag"), "payload_csi", np.array([1.0, 2.0])),
         (lambda v: _scalogram(coeffs=v), "coeffs", grid.astype(complex)),
         (lambda v: _scalogram(coi=v), "coi", np.zeros(4, int)),

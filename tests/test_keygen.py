@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from csirecip.keygen import (
 )
 from csirecip.metrics import ber
 from csirecip.traces import MagnitudeSeries, pair_traces
+from test_errors import TABLES
 
 
 def order_statistic_quantile(xs, q):
@@ -201,6 +203,21 @@ class TestMakeKeys:
     def test_too_short(self):
         with pytest.raises(TooShortError):
             make_keys(np.ones(50), 100, 4)
+
+    @pytest.mark.parametrize("levels", [2 ** 20, 2 ** 40])
+    def test_more_levels_than_block_samples_keeps_no_block(self, levels):
+        # 2**40 ended in a bare MemoryError (8 TiB of quantile index); 2**20 built and kept
+        # about 32 MB of quantile tables
+        x = np.random.default_rng(6).normal(size=1000)
+        keygen._quantile_index.cache_clear()
+        tracemalloc.start()
+        try:
+            assert make_keys(x, 100, levels) == ([], 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert keygen._quantile_index.cache_info().currsize == 0
 
     @pytest.mark.parametrize("block_len", [0, -3])
     def test_bad_block_len_named(self, block_len):
@@ -667,9 +684,6 @@ def test_session_digest_pinned():
 
 
 AGREE = keygen._agree_cached  # step 1, memoized on the exact probe bytes and the rate
-# the configuration-only tables a session reads
-TABLES = (wavelet._morlet_rows, wavelet._gauss_rows, wavelet._recon_plateau,
-          wavelet._band_response, R._golay_hat, keygen._quantile_index, keygen._gray_table)
 
 
 class TestAgreementMemo:

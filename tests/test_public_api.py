@@ -68,7 +68,7 @@ DATACLASSES = {
     "MagnitudeSeries": ("subcarrier", "values", "seqs", "rate_hz"),
     "PreprocessResult": ("x", "y", "band", "lag", "total_packets"),
     "QuantizerSpec": ("levels", "thresholds"),
-    "ReciprocalBand": ("f_rec", "band", "alpha", "beta"),
+    "ReciprocalBand": ("f_rec", "alpha", "beta"),
     "Scalogram": ("coeffs", "freqs", "params", "coi", "mean"),
     "SessionConfig": ("pipeline", "sync", "error_thresholds"),
     "SessionReport": ("per_threshold", "overall_ber", "total_packets", "key_bits", "blocks",

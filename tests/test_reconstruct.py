@@ -259,9 +259,9 @@ _P = CwtParams(0.05, 5.0, 10.0)
     (lambda: CoherenceMap(np.zeros((2, 4)), np.zeros((2, 4)), np.ones(3), np.arange(4.0),
                           np.ones((2, 4), bool), _P), "3 freqs"),
     (lambda: wavelet_coherence(np.zeros(40), np.zeros(41), _P), "41"),
-    (lambda: ReciprocalBand([], (0.2, 0.2), 0.5, 3), "got []"),
-    (lambda: ReciprocalBand([0.2], (0.2, 0.2), 1.5, 3), "got 1.5"),
-    (lambda: ReciprocalBand([0.2], (0.2, 0.2), 0.5, 0), "got 0"),
+    (lambda: ReciprocalBand([], 0.5, 3), "got []"),
+    (lambda: ReciprocalBand([0.2], 1.5, 3), "got 1.5"),
+    (lambda: ReciprocalBand([0.2], 0.5, 0), "got 0"),
     (lambda: select_reciprocal_freqs(make_map(np.ones((4, 10))), -0.5, 3), "got -0.5"),
     (lambda: select_reciprocal_freqs(make_map(np.ones((4, 10))), 0.5, 11), "got 11"),
 ], ids=["freq_range", "scalogram_shape", "coherence_shape",
@@ -353,7 +353,7 @@ class TestAdapt:
         ("beta", 0, "beta must be >= 1, got 0"),
     ])
     def test_band_checks_name_the_bad_value(self, field, value, match):
-        kwargs = dict(f_rec=[0.2], band=(0.2, 0.2), alpha=0.5, beta=3)
+        kwargs = dict(f_rec=[0.2], alpha=0.5, beta=3)
         with pytest.raises(ValueError, match=match):
             ReciprocalBand(**{**kwargs, field: value})
 

@@ -65,6 +65,24 @@ class TestParse:
         assert len(tr) == 3
         assert list(tr.missing_seqs()) == [2]
 
+    def test_missing_seqs_bounded_by_rows(self):
+        # seqs 0 and 2**40 asked numpy for 8 TiB: a bare MemoryError
+        bound = 2 * traces._MISSING_PER_ROW
+        for last in (bound + 2, 2 ** 40):
+            tr = CsiTrace("ap", 1, 10.0, [0, last], [0.0, 1.0], np.ones((2, 1)))
+            with pytest.raises(InvalidParameterError) as exc:
+                tr.missing_seqs()
+            assert str(exc.value) == (f"2 rows with seqs 0..{last} miss more than "
+                                      f"{traces._MISSING_PER_ROW} seqs per row")
+        tr = CsiTrace("ap", 1, 10.0, [0, bound + 1], [0.0, 1.0], np.ones((2, 1)))
+        assert tr.missing_seqs().tolist() == list(range(1, bound + 1))
+
+    def test_equals_only_a_trace(self):
+        text = make_csv([row(1, 0.1, [1, 1]), row(2, 0.2, [1, 1])])
+        tr = parse_csi_csv(text)
+        assert tr.__eq__(5) is NotImplemented
+        assert tr != 5 and tr == parse_csi_csv(text)
+
     def test_duplicate_dropped_and_counted(self):
         # line-by-line oracle over the fixture: seqs 1,2,2,3 keep first of
         # each; one duplicate counted

@@ -305,7 +305,7 @@ def test_band_response_is_shared_and_read_only():
 def test_tables_are_read_only():
     p = params(500)
     arrays = [*wavelet._morlet_rows(p, 512), *wavelet._gauss_rows(p, 512),
-              reconstruct._golay_hat(), *keygen._quantile_index(100, 4)]
+              reconstruct._GOLAY_HAT, *keygen._quantile_index(100, 4)]
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
         wavelet._morlet_rows(p, 512)[0][0] = 1.0
@@ -351,19 +351,21 @@ def test_threads_on_one_cold_grid_agree():
 
 
 def test_coherence_builds_one_bank(monkeypatch):
-    """One Morlet evaluation serves both transforms and every block of rows, and a
-    second coherence on the same grid reads the grid's table without evaluating any."""
+    """One Morlet evaluation serves both transforms and every block of rows, one Gaussian
+    evaluation every block's time smoothing, and a second coherence on the same grid reads
+    the grid's tables without evaluating either."""
     wavelet._morlet_rows.cache_clear()
+    wavelet._gauss_rows.cache_clear()
     built = []
-    entries = wavelet._morlet_entries
-    monkeypatch.setattr(wavelet, "_morlet_entries", lambda *a: built.append(a) or entries(*a))
+    tables = wavelet._live_gaussians
+    monkeypatch.setattr(wavelet, "_live_gaussians", lambda *a: built.append(a) or tables(*a))
     x = band_limited_fixture(0, 500)
     p = params(500)
     assert len(p.freq_grid()) > math.isqrt(wavelet._BLOCK_POINTS // 512)  # several blocks
     wavelet_coherence(x, x + 0.1 * np.random.default_rng(0).normal(size=500), p)
-    assert len(built) == 1
+    assert len(built) == 2
     wavelet_coherence(x, x + 0.2 * np.random.default_rng(1).normal(size=500), p)
-    assert len(built) == 1
+    assert len(built) == 2
 
 
 def whole_grid_smooth(mat, scales, dt):
