@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (DegenerateSeriesError, InvalidParameterError, TooShortError, _freeze, instance,
+from .errors import (DegenerateSeriesError, InvalidParameterError, TooShortError, _record, instance,
                      integer, real, real_series)
 from .metrics import pearson, xcorr_lag
 
@@ -48,15 +48,12 @@ class AuthPolicy:
                            integer(self.max_shift, "max_shift", 0, PROBE_LEN // 3))
 
 
-@dataclass(frozen=True)
+@_record(payload_csi=np.float64)
 class AuthMessage:
     """S3 message: the station's measured CSI under an authentication tag."""
 
     payload_csi: np.ndarray
     tag: bytes
-
-    def __post_init__(self):
-        _freeze(self, payload_csi=np.float64)
 
 
 @dataclass(frozen=True)

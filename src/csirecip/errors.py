@@ -1,7 +1,7 @@
 """Exception hierarchy for csirecip, the one series rule (with its finite-input
 check), the one order rule (monotone), the scalar-argument rules (integer, real,
 the band rule pair built on real, and choice for a named option), the type rule
-instance and the one frozen-array rule.
+instance and the one record rule for frozen dataclasses with array fields.
 
 Every data-dependent failure raises a subclass of :class:`CsiRecipError`,
 so callers (and the CLI) can distinguish data errors from programming
@@ -11,6 +11,7 @@ errors with a single except clause.  Any bad argument or field raises
 
 import numbers
 import operator
+from dataclasses import dataclass, fields
 from math import inf, isfinite, nan
 
 import numpy as np
@@ -178,22 +179,41 @@ def instance(value, name: str, kinds: tuple[type, ...]):
     return value
 
 
-def _freeze(obj, **dtypes) -> None:
-    """Set each named field of the frozen dataclass ``obj`` to a read-only C-ordered
-    array of its dtype (None: as given).  An array already read-only is kept; any
-    other is copied, so the caller's own array stays writeable and apart.  A value
-    that cannot become its array raises :class:`InvalidParameterError` naming it."""
-    for name, dtype in dtypes.items():
-        value = getattr(obj, name)
-        try:
-            a = np.asarray(value, dtype=dtype, order="C")
-        except (TypeError, ValueError, OverflowError):  # not numbers, ragged, or past int64
-            kind = "" if dtype is None else f" of {np.dtype(dtype)}"
-            raise InvalidParameterError(f"{name} must be an array{kind}, got {value!r}") from None
-        if a.flags.writeable:
-            a = a.copy()
-            a.setflags(write=False)
-        object.__setattr__(obj, name, a)
+def _record(**dtypes):
+    """Class decorator: the frozen dataclass of the class, whose fields named in ``dtypes``
+    hold read-only C-ordered arrays of their dtype (None: as given), set before the class's
+    own ``__post_init__`` runs.  An array already read-only is kept; any other is copied, so
+    the caller's own array stays writeable and apart.  A value that cannot become its array
+    raises :class:`InvalidParameterError` naming it.  Two records are equal when they are of
+    one class and every ``compare`` field is equal, arrays by ``np.array_equal``."""
+    def build(cls):
+        checks = cls.__dict__.get("__post_init__")
+
+        def __post_init__(self):
+            for name, dtype in dtypes.items():
+                value = getattr(self, name)
+                try:
+                    a = np.asarray(value, dtype=dtype, order="C")
+                except (TypeError, ValueError, OverflowError):  # not numbers, ragged, past int64
+                    kind = "" if dtype is None else f" of {np.dtype(dtype)}"
+                    raise InvalidParameterError(
+                        f"{name} must be an array{kind}, got {value!r}") from None
+                if a.flags.writeable:
+                    a = a.copy()
+                    a.setflags(write=False)
+                object.__setattr__(self, name, a)
+            if checks is not None:
+                checks(self)
+
+        def __eq__(self, other) -> bool:
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            return all((np.array_equal if f.name in dtypes else operator.eq)(
+                getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
+
+        cls.__post_init__, cls.__eq__ = __post_init__, __eq__
+        return dataclass(frozen=True)(cls)
+    return build
 
 
 class TooShortError(CsiRecipError):

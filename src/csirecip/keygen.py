@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (DegenerateBlockError, InvalidParameterError, LengthMismatchError,
-                     TooShortError, _freeze, choice, finite_series, instance, integer)
+                     TooShortError, _record, choice, finite_series, instance, integer)
 from .metrics import xcorr_lag
 from .reconstruct import (
     ReciprocalBand,
@@ -33,11 +33,9 @@ PROBE_LEN = 500  # public probe window, samples: agreement only, never key mater
 MAX_LAG = 50  # lag search on the probe window, samples
 BLOCK_LEN = 100  # samples per key block
 _AGREEMENTS = 8  # probe agreements kept: sessions over one pair agree once
-_QUANTILES = 4  # quantile index tables kept, one per (block length, levels)
-_GRAY_TABLES = 2  # Gray code tables kept, one per level count
 
 
-@dataclass(frozen=True)
+@_record(thresholds=np.float64)
 class QuantizerSpec:
     """CDF-based quantizer: thresholds at the k/levels empirical quantiles."""
 
@@ -45,7 +43,6 @@ class QuantizerSpec:
     thresholds: np.ndarray
 
     def __post_init__(self):
-        _freeze(self, thresholds=np.float64)
         th = self.thresholds
         object.__setattr__(self, "levels", _check_levels(self.levels))
         if th.shape != (self.levels - 1,):
@@ -59,16 +56,13 @@ class QuantizerSpec:
                 f"thresholds must be strictly increasing, got {th.tolist()}")
 
 
-@dataclass(frozen=True)
+@_record(levels=None, bits=None)
 class KeyBlock:
     """One key-generation window: quantization levels and Gray-coded bits."""
 
     start_seq: int
     levels: np.ndarray
     bits: np.ndarray
-
-    def __post_init__(self):
-        _freeze(self, levels=None, bits=None)
 
 
 @dataclass(frozen=True)
@@ -139,21 +133,6 @@ def _error_thresholds(values, name: str) -> tuple[int, ...]:
     return th
 
 
-@lru_cache(maxsize=_QUANTILES)
-def _quantile_index(n: int, levels: int) -> tuple[np.ndarray, ...]:
-    """The k/levels quantiles ``q`` of ``n`` sorted values, as numpy's linear method
-    reads them: lower and upper order-statistic indices and the weight ``g`` of the
-    upper one; read-only."""
-    q = np.arange(1, levels) / levels
-    v = (n - 1) * q  # numpy's virtual index
-    i = np.floor(v).astype(np.intp)
-    g = v - np.where(v >= n - 1, -1, i)  # numpy weighs the last point from index -1
-    table = (q, i, np.minimum(i + 1, n - 1), g)
-    for a in table:
-        a.setflags(write=False)
-    return table
-
-
 def _cdf_rows(chunks: np.ndarray, levels: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row's thresholds at its k/levels quantiles (linear between order
     statistics), and which rows can be quantized: those with at least
@@ -168,8 +147,12 @@ def _cdf_rows(chunks: np.ndarray, levels: int) -> tuple[np.ndarray, np.ndarray]:
     which no sort reproduces.
     """
     srt = np.sort(chunks, axis=1)
-    q, i, i1, g = _quantile_index(chunks.shape[1], levels)
-    a, b = srt[:, i], srt[:, i1]
+    n = chunks.shape[1]
+    q = np.arange(1, levels) / levels
+    v = (n - 1) * q  # numpy's virtual index
+    i = np.floor(v).astype(np.intp)
+    g = v - np.where(v >= n - 1, -1, i)  # numpy weighs the last point from index -1
+    a, b = srt[:, i], srt[:, np.minimum(i + 1, n - 1)]
     with np.errstate(over="ignore", invalid="ignore"):
         d = b - a
         th = np.where(g >= 0.5, b - d * (1 - g), a + d * g)  # numpy's _lerp
@@ -220,21 +203,13 @@ def _gray_rows(lv: np.ndarray, width: int) -> np.ndarray:
     return ((gray[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
 
 
-@lru_cache(maxsize=_GRAY_TABLES)
-def _gray_table(levels_count: int) -> np.ndarray:
-    """The (levels_count, width) Gray code table of :func:`gray_encode`; read-only."""
-    table = _gray_rows(np.arange(levels_count), levels_count.bit_length() - 1)
-    table.setflags(write=False)
-    return table
-
-
 def gray_encode(levels_seq, levels_count: int) -> np.ndarray:
     """Binary-reflected Gray code of each level, MSB first, concatenated.
 
     The codes are read from a (levels_count, width) table indexed by level,
-    built once per level count.  When there are fewer levels to encode than
-    table rows, they are coded directly and no table is built, so memory
-    follows the input and not the level count.
+    built on each call.  When there are fewer levels to encode than table
+    rows, they are coded directly and no table is built, so memory follows
+    the input and not the level count.
     """
     levels_count = _check_levels(levels_count, "levels_count")
     lv = np.asarray(levels_seq)
@@ -254,16 +229,17 @@ def gray_encode(levels_seq, levels_count: int) -> np.ndarray:
         raise InvalidParameterError(
             f"levels outside [0, {levels_count}): {lv.min()}..{lv.max()}"
         )
+    width = levels_count.bit_length() - 1
     if lv.size < levels_count:
-        return _gray_rows(lv, levels_count.bit_length() - 1).ravel()
-    return np.take(_gray_table(levels_count), lv, axis=0).ravel()
+        return _gray_rows(lv, width).ravel()
+    return np.take(_gray_rows(np.arange(levels_count), width), lv, axis=0).ravel()
 
 
 def _key_rows(x, block_len: int, levels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``make_keys``' checks, then every whole block of the window at once: which blocks
     are kept (the mask), and the kept blocks' levels and Gray-coded bits, one row each.
     No block of fewer samples than ``levels`` holds ``levels`` distinct values, so then
-    none is kept and no quantile table is built."""
+    none is kept and no quantile index is built."""
     x = finite_series(x, "x")
     block_len = integer(block_len, "block_len", 1)
     levels = _check_levels(levels)
@@ -288,8 +264,8 @@ def make_keys(x, block_len: int = BLOCK_LEN, levels: int = 4) -> tuple[list[KeyB
     are skipped and counted (second return value).  Thresholds are
     per-block, tracking channel drift.  All blocks are processed as one
     (blocks, block_len) matrix, built into :class:`KeyBlock` objects through
-    their constructor; its ``_freeze`` keeps the matrices' read-only rows as
-    views, not copies.
+    their constructor, which keeps the matrices' read-only rows as views,
+    not copies.
     """
     keep, lv, bits = _key_rows(x, block_len, levels)
     lv.setflags(write=False)  # the blocks take row views without a copy
@@ -413,7 +389,7 @@ def _run_pipeline(x: np.ndarray, rate: float, band: tuple, pipeline: str) -> np.
     return wt_reconstruct(x, band, _key_params(len(x), rate, band))
 
 
-@dataclass(frozen=True)
+@_record(x=np.float64, y=np.float64)
 class PreprocessResult:
     """Reconstructed, optionally synchronized key-window pair."""
 

@@ -17,6 +17,7 @@ from .errors import (
     InvalidParameterError,
     LengthMismatchError,
     TooShortError,
+    _record,
     finite_series,
     instance,
     integer,
@@ -43,7 +44,7 @@ class DivergenceConfig:
         real(self.epsilon, "epsilon")
 
 
-@dataclass(frozen=True)
+@_record(lags=np.int64, curve=np.float64)
 class LagEstimate:
     """Result of a time-lagged cross-correlation scan.
 

@@ -8,7 +8,6 @@ alignment of a pair at a known lag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -18,7 +17,7 @@ from .errors import (
     LengthMismatchError,
     TooShortError,
     UnusableCoherenceError,
-    _freeze,
+    _record,
     finite_series,
     instance,
     integer,
@@ -28,7 +27,7 @@ from .errors import (
 from .wavelet import CoherenceMap, CwtParams, _band_response, _prepare, _recon_plateau
 
 
-@dataclass(frozen=True)
+@_record(f_rec=np.float64)
 class ReciprocalBand:
     """Frequency bins that stayed coherent long enough, plus their closure.
 
@@ -41,7 +40,6 @@ class ReciprocalBand:
     beta: int
 
     def __post_init__(self):
-        _freeze(self, f_rec=np.float64)
         if self.f_rec.ndim != 1 or self.f_rec.size == 0:
             raise InvalidParameterError(
                 f"f_rec must be nonempty and 1-D, got {self.f_rec.tolist()}")

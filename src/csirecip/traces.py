@@ -16,7 +16,7 @@ skipped.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import field
 from math import isfinite
 
 import numpy as np
@@ -29,7 +29,7 @@ from .errors import (
     RateMismatchError,
     SubcarrierOutOfRangeError,
     UnknownRateError,
-    _freeze,
+    _record,
     choice,
     instance,
     integer,
@@ -41,7 +41,7 @@ RATE_TOLERANCE = 0.01  # relative packet-rate difference pair_traces accepts
 _MISSING_PER_ROW = 1000  # missing_seqs lists at most this many absent seqs per row
 
 
-@dataclass(frozen=True)
+@_record(seqs=np.int64, t=np.float64, iq=np.complex128)
 class CsiTrace:
     """One device's CSI as columns: packet ``seqs[i]``, captured at ``t[i]``, is row ``iq[i]``."""
 
@@ -59,7 +59,6 @@ class CsiTrace:
         if any(c in instance(self.device_id, "device_id", (str,)) for c in ",\n\r"):
             raise InvalidParameterError(  # it would break its CSV row
                 f"device_id {self.device_id!r} must not hold ',', '\\n' or '\\r'")
-        _freeze(self, seqs=np.int64, t=np.float64, iq=np.complex128)
         seqs, t, iq = self.seqs, self.t, self.iq
         if seqs.ndim != 1 or t.shape != seqs.shape or iq.shape != (len(seqs), self.subcarriers):
             raise InvalidParameterError(
@@ -72,14 +71,6 @@ class CsiTrace:
                 row, col = np.argwhere(~np.isfinite(vals))[0]
                 raise InvalidParameterError(
                     f"non-finite {what} at seq {seqs[row]}: {vals[row, col].item()!r}")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.device_id, self.subcarriers, self.rate_hz)
-                == (other.device_id, other.subcarriers, other.rate_hz)
-                and all(np.array_equal(getattr(self, k), getattr(other, k))
-                        for k in ("seqs", "t", "iq")))
 
     def __len__(self) -> int:
         return len(self.seqs)
@@ -101,7 +92,7 @@ class CsiTrace:
         return np.repeat(self.seqs[:-1][gap] + 1, counts) + (np.arange(counts.sum()) - run_start)
 
 
-@dataclass(frozen=True)
+@_record(values=np.float64, seqs=np.int64)
 class MagnitudeSeries:
     """Magnitudes of one subcarrier across a trace; a seq absent from ``seqs`` is a lost packet."""
 
@@ -112,7 +103,6 @@ class MagnitudeSeries:
 
     def __post_init__(self):
         real(self.rate_hz, "rate_hz")
-        _freeze(self, values=np.float64, seqs=np.int64)
         if self.values.shape != self.seqs.shape:
             raise InvalidParameterError(f"values and seqs must have equal length, got shapes "
                                         f"{self.values.shape} and {self.seqs.shape}")

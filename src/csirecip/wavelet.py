@@ -48,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (EmptyBandError, InvalidParameterError, TooShortError, _freeze, finite_series,
+from .errors import (EmptyBandError, InvalidParameterError, TooShortError, _record, finite_series,
                      instance, integer, monotone, pair, real)
 
 OMEGA0 = 6.0  # Morlet center-frequency parameter (>= 5 keeps the wavelet admissible)
@@ -128,7 +128,7 @@ def default_params(n_samples: int, sample_rate: float, periods: float = 4.0) -> 
     )
 
 
-@dataclass(frozen=True)
+@_record(coeffs=None, freqs=None, coi=None)
 class Scalogram:
     """CWT coefficients over (frequency bin, time index).
 
@@ -144,14 +144,13 @@ class Scalogram:
     mean: float = 0.0
 
     def __post_init__(self):
-        _freeze(self, coeffs=None, freqs=None, coi=None)
         if self.coeffs.shape != (len(self.freqs), len(self.coi)):
             raise InvalidParameterError(
                 f"coeffs shape {self.coeffs.shape} inconsistent with "
                 f"{len(self.freqs)} freqs and {len(self.coi)} coi entries")
 
 
-@dataclass(frozen=True)
+@_record(wc=None, phase=None, freqs=None, times=None, coi=None)
 class CoherenceMap:
     """Wavelet coherence magnitudes, phases, and edge-validity mask."""
 
@@ -163,7 +162,6 @@ class CoherenceMap:
     params: CwtParams
 
     def __post_init__(self):
-        _freeze(self, wc=None, phase=None, freqs=None, times=None, coi=None)
         nb, nt = self.wc.shape
         if self.phase.shape != (nb, nt) or self.coi.shape != (nb, nt):
             raise InvalidParameterError(

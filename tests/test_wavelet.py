@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from csirecip import keygen, reconstruct, wavelet
+from csirecip import reconstruct, wavelet
 from csirecip.errors import EmptyBandError, GapsPresentError, NonFiniteError, TooShortError
 from csirecip.reconstruct import wt_reconstruct
 from csirecip.wavelet import (
@@ -305,7 +305,7 @@ def test_band_response_is_shared_and_read_only():
 def test_tables_are_read_only():
     p = params(500)
     arrays = [*wavelet._morlet_rows(p, 512), *wavelet._gauss_rows(p, 512),
-              reconstruct._GOLAY_HAT, *keygen._quantile_index(100, 4)]
+              reconstruct._GOLAY_HAT]
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
         wavelet._morlet_rows(p, 512)[0][0] = 1.0
@@ -314,15 +314,13 @@ def test_tables_are_read_only():
 def test_tables_stay_within_their_bounds():
     """A sweep over more configurations than each cache keeps leaves each at its bound."""
     caches = (wavelet._morlet_rows, wavelet._gauss_rows, wavelet._recon_plateau,
-              wavelet._band_response, keygen._quantile_index)
+              wavelet._band_response)
     for cache in caches:
         cache.cache_clear()
     x = band_limited_fixture(1, 400)
     for k in range(10):  # ten grids
         wavelet_coherence(x, x[::-1], params(400, min_freq=0.05 + 0.001 * k))
         wt_reconstruct(x, (0.1, 1.0), params(400, min_freq=0.05 + 0.001 * k))
-    for block_len in range(20, 30):
-        keygen.make_keys(x, block_len)
     for cache in caches:
         info = cache.cache_info()
         assert info.misses >= 10 > info.maxsize
